@@ -20,7 +20,6 @@ from itertools import permutations
 from math import pi
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qmat
 from .qmat import PAULI, partial_trace, tensor
@@ -59,6 +58,10 @@ def concurrence(rho) -> float:
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("concurrence is defined for two-qubit states")
+    return _concurrence(rho)
+
+
+def _concurrence(rho) -> float:
     yy = tensor(PAULI["Y"], PAULI["Y"])
     m = rho @ yy @ rho.conj() @ yy
     lam = np.sqrt(np.clip(np.real(np.linalg.eigvals(m)), 0.0, None))
@@ -109,48 +112,100 @@ def _canonical_direction(theta: float, phi: float) -> MeasurementDirection:
 
 @lru_cache(maxsize=8)
 def _direction_grid(grid: int):
-    thetas = np.linspace(0.0, pi / 2, grid)
+    """(theta, phi) and Bloch vectors of the theta <= pi/4 rows of the sweep;
+    as n and -n are the same measurement, the other rows add nothing."""
+    if grid < 2:
+        raise ValueError("grid must have at least 2 points per axis")
+    thetas = np.linspace(0.0, pi / 2, grid)[: (grid + 1) // 2]
     phis = np.linspace(0.0, 2 * pi, grid, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt = tt.ravel()
-    pp = pp.ravel()
-    v1 = np.stack([np.cos(tt), np.exp(1j * pp) * np.sin(tt)], axis=1)
-    v2 = np.stack([np.exp(-1j * pp) * np.sin(tt), -np.cos(tt)], axis=1)
-    return tt, pp, v1, v2
+    tt, pp = (m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij"))
+    n = np.stack([np.sin(2 * tt) * np.cos(pp), np.sin(2 * tt) * np.sin(pp),
+                  np.cos(2 * tt)], axis=-1)
+    return tt, pp, n
 
 
-def _entropy_2x2(m: np.ndarray) -> np.ndarray:
-    """Unnormalized branch entropy sum(-lam log2(lam/q)) of 2x2 blocks.
+_PAULI4 = np.stack([PAULI[l] for l in "IXYZ"])
+# zoom patch: 5 x 5 tangent offsets in units of its half width, centre first
+# so that the current point wins ties
+_PATCH = np.array(sorted(((i / 2, j / 2) for i in range(-2, 3)
+                          for j in range(-2, 3)), key=lambda o: max(map(abs, o))))
 
-    ``m`` has shape (..., 2, 2); returns q * S(m/q) elementwise, with
-    zero-probability branches contributing zero.
+
+def _binary_entropy(x):
+    """Entropy in bits of a qubit state with Bloch length x."""
+    return sum(-p * np.log2(np.maximum(p, 1e-300))
+               for p in ((1 + x) / 2, (1 - x) / 2))
+
+
+def _measured_entropy(a, b, t, n):
+    """Entropy of beta left by measuring Bloch vector n on alpha, (B, K).
+
+    Outcome s = +-1 has probability q = (1 + s a.n) / 2 and leaves beta with
+    Bloch vector (b + s T^T n) / (2q).  Shapes: a, b (B, 3), t (B, 3, 3),
+    n (B or 1, K, 3).
     """
-    q = np.real(m[..., 0, 0] + m[..., 1, 1])
-    half_delta = 0.5 * np.real(m[..., 0, 0] - m[..., 1, 1])
-    disc = np.sqrt(half_delta**2 + np.abs(m[..., 0, 1]) ** 2)
-    lam_hi = np.clip(q / 2 + disc, 0.0, None)
-    lam_lo = np.clip(q / 2 - disc, 0.0, None)
-    out = np.zeros_like(q)
-    live = q > 1e-12
-    for lam in (lam_hi, lam_lo):
-        ratio = np.ones_like(q)
-        np.divide(lam, q, out=ratio, where=live)
-        mask = live & (ratio > 1e-15)
-        out[mask] -= lam[mask] * np.log2(ratio[mask])
-    return out
-
-
-def _conditional_entropy(blocks: np.ndarray, v1: np.ndarray, v2: np.ndarray):
-    """sum_k q_k S(rho_beta|k) for measurement kets v1, v2 on qubit alpha.
-
-    ``blocks[i, j]`` is the 2x2 beta-block <i|_alpha rho |j>_alpha; the kets
-    may carry a leading batch dimension.
-    """
+    an, tn = (n @ a[:, :, None])[..., 0], n @ t
     total = 0.0
-    for v in (v1, v2):
-        m = np.einsum("...i,...j,ijab->...ab", v.conj(), v, blocks)
-        total = total + _entropy_2x2(m)
+    for s in (1.0, -1.0):
+        q = np.maximum((1 + s * an) / 2, 1e-300)
+        x = np.linalg.norm(b[:, None] + s * tn, axis=-1) / (2 * q)
+        total = total + q * _binary_entropy(np.minimum(x, 1.0))
     return total
+
+
+def _pick_starts(values, tt, pp):
+    """(B, 3) indices: the best grid cell, then the best two that lie more than
+    0.3 in |dtheta| + |dphi| from every earlier start (else the best again).
+    Ties go to the lower index: smaller theta, then smaller phi."""
+    starts = [np.argmin(values, axis=1)]
+    far = np.ones(values.shape, dtype=bool)
+    for _ in range(2):
+        last = starts[-1][:, None]
+        far &= np.abs(tt - tt[last]) + np.abs(pp - pp[last]) > 0.3
+        pick = np.argmin(np.where(far, values, np.inf), axis=1)
+        starts.append(np.where(far.any(axis=1), pick, starts[0]))
+    return np.stack(starts, axis=1)
+
+
+def _min_measured_entropy(rhos, grid: int, angle_tol: float):
+    """S(beta), min over measurements n on alpha of the entropy left on beta,
+    and the minimizing n, for a trusted (B, 4, 4) stack of states.
+
+    With rho = (I + a.sigma x I + I x b.sigma + sum T_ij sigma_i x sigma_j) / 4
+    the whole stack is swept over the hemisphere grid at once.  The three
+    starts of every state then zoom in together: each moves to the best point
+    of a patch of tangent offsets spanning +-width, and the width halves
+    until it is below ``angle_tol``.
+    """
+    if not angle_tol > 0:
+        raise ValueError("angle_tol must be positive")
+    r = np.einsum("bijkl,ski,tlj->bst", rhos.reshape(-1, 2, 2, 2, 2),
+                  _PAULI4, _PAULI4).real
+    a, b, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
+    tt, pp, grid_n = _direction_grid(grid)
+    n = grid_n[_pick_starts(_measured_entropy(a, b, t, grid_n[None]), tt, pp)]
+    width = 2 * pi / grid
+    while width >= angle_tol:
+        axis = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
+        u = axis - np.sum(axis * n, axis=-1, keepdims=True) * n
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        w = np.cross(n, u)
+        cand = n[..., None, :] + width * (_PATCH[:, :1] * u[..., None, :]
+                                          + _PATCH[:, 1:] * w[..., None, :])
+        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+        f = _measured_entropy(a, b, t, cand.reshape(len(n), -1, 3))
+        best = np.argmin(f.reshape(cand.shape[:-1]), axis=-1)
+        n = np.take_along_axis(cand, best[..., None, None], axis=-2)[..., 0, :]
+        width /= 2
+    f = _measured_entropy(a, b, t, n)
+    best = np.argmin(f, axis=1)
+    rows = np.arange(len(best))
+    return _binary_entropy(np.linalg.norm(b, axis=-1)), f[rows, best], n[rows, best]
+
+
+def _direction_of(n) -> MeasurementDirection:
+    theta = 0.5 * np.arccos(np.clip(n[2], -1.0, 1.0))
+    return _canonical_direction(theta, np.arctan2(n[1], n[0]))
 
 
 def classical_correlations(rho, measured: int = 0, grid: int = 64,
@@ -158,9 +213,11 @@ def classical_correlations(rho, measured: int = 0, grid: int = 64,
     """Classical correlations of a two-qubit state.
 
     J = S(beta) - min over projective measurements on alpha of the average
-    conditional entropy of beta.  The minimum is located on a grid x grid
-    sweep of (theta, phi) (ties toward smaller theta, then smaller phi) and
-    polished with Nelder-Mead simplex descent.
+    conditional entropy of beta, a closed form in the measurement's Bloch
+    vector n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta).  The
+    minimum is located on the theta <= pi/4 half of a grid x grid sweep of
+    (theta, phi) (ties toward smaller theta, then smaller phi) and polished
+    by a zoom search on the sphere.
 
     Parameters
     ----------
@@ -170,7 +227,7 @@ def classical_correlations(rho, measured: int = 0, grid: int = 64,
     grid : int
         Points per angle axis for the initial sweep.
     angle_tol : float
-        Simplex termination tolerance on the angles.
+        The zoom stops once its patch is narrower than this (radians).
 
     Returns
     -------
@@ -181,41 +238,10 @@ def classical_correlations(rho, measured: int = 0, grid: int = 64,
         raise ValueError("classical correlations are defined for two qubits")
     if measured not in (0, 1):
         raise ValueError("measured qubit must be 0 or 1")
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points per axis")
     if measured == 1:
         rho = qmat.permute_qubits(rho, [1, 0])
-    s_beta = qmat.von_neumann_entropy(partial_trace(rho, [1]))
-    blocks = rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-
-    tt, pp, v1, v2 = _direction_grid(grid)
-    values = _conditional_entropy(blocks, v1, v2)
-    best = int(np.argmin(values))
-
-    def objective(angles):
-        d = MeasurementDirection(angles[0], angles[1])
-        w1, w2 = d.kets()
-        return float(_conditional_entropy(blocks, w1, w2))
-
-    # polish from the few best distinct grid cells to avoid local basins
-    order = np.argsort(values, kind="stable")
-    starts = [best]
-    for idx in order:
-        idx = int(idx)
-        if all(abs(tt[idx] - tt[s]) + abs(pp[idx] - pp[s]) > 0.3 for s in starts):
-            starts.append(idx)
-        if len(starts) == 3:
-            break
-    best_val = values[best]
-    best_angles = (tt[best], pp[best])
-    for idx in starts:
-        res = minimize(objective, x0=[tt[idx], pp[idx]], method="Nelder-Mead",
-                       options=dict(xatol=angle_tol, fatol=1e-10, maxiter=400))
-        if res.fun < best_val:
-            best_val = res.fun
-            best_angles = (res.x[0], res.x[1])
-    j = s_beta - float(best_val)
-    return j, _canonical_direction(*best_angles)
+    s_beta, cond, n = _min_measured_entropy(rho[None], grid, angle_tol)
+    return float(s_beta[0] - cond[0]), _direction_of(n[0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +294,37 @@ def kw_exact(rho, assignment=(0, 1, 2), grid: int = 64,
         computed for measurements on alpha, the entropy and the
         entanglement of formation belong to beta and (beta, gamma).
     """
-    rho = qmat.check_density_matrix(rho)
-    if rho.shape != (8, 8):
-        raise ValueError("exact evaluation expects a three-qubit state")
-    if isinstance(assignment, str):
-        alpha, beta, gamma = parse_assignment(assignment)
-    else:
-        alpha, beta, gamma = assignment
-        if sorted((alpha, beta, gamma)) != [0, 1, 2]:
-            raise ValueError(f"assignment {assignment} must cover qubits 0, 1, 2")
-    s = qmat.von_neumann_entropy(partial_trace(rho, [beta]))
-    j, direction = classical_correlations(
-        partial_trace(rho, [alpha, beta]), measured=0,
-        grid=grid, angle_tol=angle_tol)
-    e = entanglement_of_formation(partial_trace(rho, [beta, gamma]))
-    return KWReport(
-        assignment=format_assignment(alpha, beta, gamma),
-        S=s, J=j, E=e, KW=s - j - e, method="exact",
-        theta_opt=direction.theta, phi_opt=direction.phi)
+    return _kw_reports(rho, [assignment], grid, angle_tol)[0]
 
 
 def kw_all_permutations(rho, grid: int = 64, angle_tol: float = 1e-6):
     """Exact reports for all six (alpha, beta, gamma) splits plus the mean KW."""
-    reports = [kw_exact(rho, perm, grid=grid, angle_tol=angle_tol)
-               for perm in permutations(range(3))]
+    reports = _kw_reports(rho, permutations(range(3)), grid, angle_tol)
     return reports, float(np.mean([r.KW for r in reports]))
+
+
+def _kw_reports(rho, assignments, grid: int, angle_tol: float):
+    """Validate rho once, then evaluate every split with one batched J."""
+    rho = qmat.check_density_matrix(rho)
+    if rho.shape != (8, 8):
+        raise ValueError("exact evaluation expects a three-qubit state")
+    splits = [parse_assignment(x) if isinstance(x, str) else tuple(x)
+              for x in assignments]
+    for split in splits:
+        if sorted(split) != [0, 1, 2]:
+            raise ValueError(f"assignment {split} must cover qubits 0, 1, 2")
+    pairs = np.stack([partial_trace(rho, [alpha, beta]) for alpha, beta, _ in splits])
+    s_beta, cond, n = _min_measured_entropy(pairs, grid, angle_tol)
+    reports = []
+    for (alpha, beta, gamma), s, h, n_opt in zip(splits, s_beta, cond, n):
+        s, j = float(s), float(s - h)
+        e = eof_from_concurrence(_concurrence(partial_trace(rho, [beta, gamma])))
+        direction = _direction_of(n_opt)
+        reports.append(KWReport(
+            assignment=format_assignment(alpha, beta, gamma),
+            S=s, J=j, E=e, KW=s - j - e, method="exact",
+            theta_opt=direction.theta, phi_opt=direction.phi))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ def density_matrix_document(rho) -> str:
         "re": rho.real.tolist(),
         "im": rho.imag.tolist(),
     }
+    if np.linalg.eigvalsh(rho).min() < qmat.EIG_FLOOR:
+        doc["physical"] = False
     return json.dumps(doc, indent=1)
 
 
@@ -55,7 +57,10 @@ def save_density_matrix(path: str, rho) -> None:
 
 
 def load_density_matrix(path: str) -> np.ndarray:
-    """Read a density-matrix document; validates shape, hermiticity, trace."""
+    """Read a density-matrix document: Hermitian within 1e-9, unit trace
+    within 1e-6 (files may hold rounded numbers; in memory it is 1e-9), and
+    no eigenvalue below ``qmat.EIG_FLOOR`` unless the document says
+    ``"physical": false``, as it does for a linear-inversion estimate."""
     with open(path) as handle:
         doc = json.load(handle)
     for field in ("n_qubits", "qubit_order", "re", "im"):
@@ -71,6 +76,11 @@ def load_density_matrix(path: str) -> np.ndarray:
         raise ValueError("file does not contain a Hermitian matrix")
     if abs(np.trace(rho).real - 1.0) > 1e-6:
         raise ValueError("matrix trace differs from 1")
+    if doc.get("physical", True) is not False:
+        lo = np.linalg.eigvalsh(rho).min()
+        if lo < qmat.EIG_FLOOR:
+            raise ValueError(f"{path}: matrix has eigenvalue {lo} below "
+                             f"{qmat.EIG_FLOOR}")
     return rho
 
 
@@ -83,16 +93,33 @@ def save_counts(path: str, records) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _data_rows(path: str, header: str):
+    """Yield (line number, stripped line) for the data rows of a CSV file."""
+    with open(path) as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line and not line.startswith("#") and not line.startswith(header):
+                yield number, line
+
+
+def _number(text: str, nonnegative: bool = False) -> float:
+    value = float(text)
+    if not np.isfinite(value) or (nonnegative and value < 0):
+        raise ValueError(text)
+    return value
+
+
 def load_counts(path: str) -> list[CountRecord]:
     records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("setting,"):
-                continue
+    for number, line in _data_rows(path, "setting,"):
+        try:
             setting, outcome, count = line.split(",")
             records.append(CountRecord(setting.strip(), outcome.strip(),
-                                       float(count)))
+                                       _number(count, nonnegative=True)))
+        except ValueError:
+            raise ValueError(f"{path}:{number}: bad counts row {line!r}; "
+                             "expected setting,outcome,count with a finite "
+                             "count >= 0") from None
     if not records:
         raise ValueError(f"no count records in {path}")
     return records
@@ -105,17 +132,18 @@ def save_correlators(path: str, records) -> None:
 
 def load_correlators(path: str) -> list[CorrelatorRecord]:
     records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("pauli,"):
-                continue
+    for number, line in _data_rows(path, "pauli,"):
+        try:
             parts = line.split(",")
             if len(parts) == 2:
                 parts.append("0")
             pauli, value, sigma = parts
-            records.append(CorrelatorRecord(pauli.strip(), float(value),
-                                            float(sigma)))
+            records.append(CorrelatorRecord(pauli.strip(), _number(value),
+                                            _number(sigma, nonnegative=True)))
+        except ValueError:
+            raise ValueError(f"{path}:{number}: bad correlator row {line!r}; "
+                             "expected pauli,value[,sigma] with finite numbers "
+                             "and sigma >= 0") from None
     if not records:
         raise ValueError(f"no correlator records in {path}")
     return records
@@ -132,4 +160,14 @@ def save_kw_report(path: str, report: KWReport) -> None:
 def load_kw_report(path: str) -> KWReport:
     with open(path) as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a monogamy report is a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(KWReport)}
+    for key in doc:
+        if key not in fields:
+            raise ValueError(f"{path}: unknown key {key!r} in monogamy report")
+    missing = [name for name, f in fields.items()
+               if name not in doc and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{path}: monogamy report is missing keys {missing}")
     return KWReport(**doc)

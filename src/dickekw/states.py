@@ -8,6 +8,7 @@ r -> 0, l -> 1 (momentum).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, sqrt
 
@@ -54,21 +55,23 @@ def _embed_controlled(u: np.ndarray, control: int, target: int, n: int,
     return tensor(*idle) + tensor(*active)
 
 
+@lru_cache(maxsize=64)
 def gate_unitary(gate: GateSpec, n: int) -> np.ndarray:
-    """Full 2**n unitary for one gate."""
+    """Full 2**n unitary for one gate; cached, so it comes read-only."""
     if not 0 <= gate.target < n:
         raise ValueError(f"target {gate.target} out of range for {n} qubits")
-    if gate.kind == "H":
-        return _embed_single(_HADAMARD, gate.target, n)
-    if gate.kind == "Z":
-        return _embed_single(Z, gate.target, n)
-    if gate.control is None or not 0 <= gate.control < n:
+    if gate.kind in ("H", "Z"):
+        u = _embed_single(_HADAMARD if gate.kind == "H" else Z, gate.target, n)
+    elif gate.control is None or not 0 <= gate.control < n:
         raise ValueError(f"gate {gate.kind} needs an in-range control qubit")
-    if gate.kind == "CX":
-        return _embed_controlled(X, gate.control, gate.target, n, control_value=1)
-    if gate.kind == "CZbar":
-        return _embed_controlled(Z, gate.control, gate.target, n, control_value=0)
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    elif gate.kind == "CX":
+        u = _embed_controlled(X, gate.control, gate.target, n, control_value=1)
+    elif gate.kind == "CZbar":
+        u = _embed_controlled(Z, gate.control, gate.target, n, control_value=0)
+    else:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    u.setflags(write=False)
+    return u
 
 
 # Gate sequence mapping the hyperentangled source state onto the two-excitation

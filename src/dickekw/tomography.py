@@ -93,6 +93,10 @@ def _outcome_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2**n)]
 
 
+# numpy's Poisson sampler accepts means up to about 9.2e18
+_MAX_MEAN_COUNTS = 1e18
+
+
 def simulate_counts(rho, settings, mean_counts: float, seed: int) -> list[CountRecord]:
     """Poissonian photon-counting simulation.
 
@@ -100,8 +104,8 @@ def simulate_counts(rho, settings, mean_counts: float, seed: int) -> list[CountR
     events; draws follow the given setting order, so a fixed seed reproduces
     the records bit-identically.
     """
-    if mean_counts <= 0:
-        raise ValueError("mean_counts must be positive")
+    if not 0 < mean_counts <= _MAX_MEAN_COUNTS:
+        raise ValueError(f"mean counts {mean_counts} outside (0, {_MAX_MEAN_COUNTS:g}]")
     rng = np.random.default_rng(seed)
     records = []
     for setting in settings:

@@ -198,3 +198,21 @@ def test_module_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "state" in result.stdout and "tomo" in result.stdout
+
+
+@pytest.mark.parametrize("counts", ["nan", "inf", "-5", "1e300"])
+def test_tomo_simulate_rejects_bad_mean_counts(tmp_path, capsys, counts):
+    dm_path = tmp_path / "w1.dm.json"
+    run("state", "w1", "--out", str(dm_path))
+    assert run("tomo", "simulate", "--in", str(dm_path), "--counts", counts) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mean counts {float(counts)} outside")
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys, dickekw.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

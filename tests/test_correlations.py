@@ -9,6 +9,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickekw import correlations as corr
 from dickekw import qmat, states
@@ -114,6 +116,15 @@ def test_classical_correlations_local_unitary_invariance():
     assert j1 == pytest.approx(j0, abs=1e-5)
 
 
+def test_classical_correlations_rejects_bad_search_settings():
+    rho = qmat.dm(states.psi_plus())
+    with pytest.raises(ValueError, match="grid"):
+        corr.classical_correlations(rho, grid=1)
+    for tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="angle_tol"):
+            corr.classical_correlations(rho, angle_tol=tol)
+
+
 def test_assignment_parsing():
     assert corr.parse_assignment("b|a,c") == (0, 1, 2)
     assert corr.parse_assignment("a|b,d") == (1, 0, 3)
@@ -139,6 +150,101 @@ def test_kw_exact_accepts_tuple_assignment():
     r2 = corr.kw_exact(w1_dm(), "b|a,c")
     assert r1.KW == pytest.approx(r2.KW, abs=1e-12)
     assert r1.assignment == r2.assignment == "b|a,c"
+
+
+# J of 36 seeded two-qubit states (ranks 1-4 in turn, generator seed
+# 20241018), recorded from the scipy Nelder-Mead optimizer that the
+# closed-form zoom search replaced
+NELDER_MEAD_J = (
+    0.24236436309238918, 0.25782209340087586, 0.2553599894528811,
+    0.15750435437894628, 0.16073500141671512, 0.4305856518177672,
+    0.42411809328770345, 0.21304359119703753, 0.1873912027973364,
+    0.41912598839529314, 0.08734317847685469, 0.22108021451351423,
+    0.19690757534017897, 0.29583841132262273, 0.45811342724698106,
+    0.1850239333717747, 0.4250425174212251, 0.642913340500792,
+    0.5326625386010868, 0.16140652881630324, 0.28384761355178034,
+    0.43672326891237667, 0.2665782612502159, 0.39355533535750287,
+    0.8283031625099616, 0.6641033580049568, 0.24041976710023738,
+    0.3654020262852993, 0.939902140009902, 0.41151993237073425,
+    0.42707950125937333, 0.3556558140267846, 0.7191922338941001,
+    0.16390685778155029, 0.6477639879635693, 0.3336045364300205,
+)
+
+
+def test_classical_correlations_nelder_mead_panel():
+    rng = np.random.default_rng(20241018)
+    for i, j_old in enumerate(NELDER_MEAD_J):
+        rho = qmat.random_density_matrix(2, rng, rank=(1, 2, 3, 4)[i % 4])
+        j_new, _ = corr.classical_correlations(rho)
+        assert j_new >= j_old - 1e-9
+        assert abs(j_new - j_old) <= 1e-6
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_two_qubit(seed):
+    rng = np.random.default_rng(seed)
+    return qmat.random_density_matrix(2, rng, rank=int(rng.integers(1, 5))), rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_kw_balance_on_random_three_qubit_states(seed):
+    rng = np.random.default_rng(seed)
+    pure = qmat.dm(qmat.random_state_vector(3, rng))
+    for r in corr.kw_all_permutations(pure)[0]:
+        assert abs(r.KW) <= 1e-6
+    mixed = qmat.random_density_matrix(3, rng, rank=int(rng.integers(2, 9)))
+    for r in corr.kw_all_permutations(mixed)[0]:
+        assert r.KW >= -1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_classical_correlations_bounded_by_local_entropies(seed):
+    rho, _ = random_two_qubit(seed)
+    j, _ = corr.classical_correlations(rho)
+    s_a = qmat.von_neumann_entropy(qmat.partial_trace(rho, [0]))
+    s_b = qmat.von_neumann_entropy(qmat.partial_trace(rho, [1]))
+    assert -1e-12 <= j <= min(s_a, s_b) + 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_classical_correlations_invariant_under_local_unitaries(seed):
+    rho, rng = random_two_qubit(seed)
+    u = qmat.tensor(qmat.random_unitary(2, rng), qmat.random_unitary(2, rng))
+    j0, _ = corr.classical_correlations(rho)
+    j1, _ = corr.classical_correlations(u @ rho @ u.conj().T)
+    assert j1 == pytest.approx(j0, abs=1e-9)
+
+
+# correlation vectors (c_x, c_y, c_z) of the four Bell states
+BELL_CORNERS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: sum(w) > 1e-3))
+def test_classical_correlations_bell_diagonal_closed_form(weights):
+    # Luo, PRA 77, 042303 (2008): J = 1 - h((1 + c) / 2), c = max |c_i|
+    c = np.asarray(weights) @ BELL_CORNERS / sum(weights)
+    rho = (np.eye(4) + sum(ci * qmat.tensor(qmat.PAULI[l], qmat.PAULI[l])
+                           for ci, l in zip(c, "XYZ"))) / 4
+    c_max = float(np.abs(c).max())
+    luo = 1 - qmat.entropy_bits([(1 + c_max) / 2, (1 - c_max) / 2])
+    j, _ = corr.classical_correlations(rho)
+    assert j == pytest.approx(luo, abs=1e-9)
+
+
+def test_kw_all_permutations_validates_input_once(monkeypatch):
+    calls = []
+    check = qmat.check_density_matrix
+    monkeypatch.setattr(qmat, "check_density_matrix",
+                        lambda *a, **k: calls.append(1) or check(*a, **k))
+    corr.kw_all_permutations(0.6 * w1_dm() + 0.4 * np.eye(8) / 8)
+    assert len(calls) == 1
 
 
 def test_kw_all_permutations_on_pure_state():

@@ -1,5 +1,6 @@
 """Round-trip tests for the on-disk formats."""
 
+import dataclasses
 import json
 import os
 
@@ -98,3 +99,58 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     io.atomic_write_text(path, "payload\n")
     assert path.read_text() == "payload\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_density_matrix_rejects_negative_spectrum(tmp_path):
+    rho = np.diag([1.5, -0.5, 0.0, 0.0])
+    path = tmp_path / "bad.dm.json"
+    path.write_text(json.dumps({"n_qubits": 2, "qubit_order": "abcd-msb",
+                                "re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}))
+    with pytest.raises(ValueError, match="eigenvalue -0.5"):
+        io.load_density_matrix(path)
+    # a document written for a non-positive matrix says so, and loads
+    io.save_density_matrix(path, rho)
+    assert json.loads(path.read_text())["physical"] is False
+    np.testing.assert_allclose(io.load_density_matrix(path), rho, atol=1e-15)
+
+
+def test_density_matrix_trace_tolerance_is_1e_6(tmp_path):
+    path = tmp_path / "rounded.dm.json"
+    for trace, ok in ((1 + 5e-7, True), (1 + 5e-6, False)):
+        path.write_text(json.dumps({"n_qubits": 1, "qubit_order": "abcd-msb",
+                                    "re": [[trace, 0], [0, 0]],
+                                    "im": [[0, 0], [0, 0]]}))
+        if ok:
+            io.load_density_matrix(path)
+        else:
+            with pytest.raises(ValueError, match="trace"):
+                io.load_density_matrix(path)
+
+
+@pytest.mark.parametrize("loader, rows, line", [
+    (io.load_counts, "ZZ,00,5\nZZ,01\n", 2),
+    (io.load_counts, "setting,outcome,count\nZZ,00,abc\n", 2),
+    (io.load_counts, "ZZ,00,nan\n", 1),
+    (io.load_counts, "# note\nZZ,00,-3\n", 2),
+    (io.load_correlators, "ZZZ,-1.0\nZZI,abc,0.1\n", 2),
+    (io.load_correlators, "ZZZ,-1.0,0.1,7\n", 1),
+    (io.load_correlators, "\nZZZ,inf,0.1\n", 2),
+    (io.load_correlators, "ZZZ,-1.0,-0.1\n", 1),
+])
+def test_csv_readers_name_the_bad_line(tmp_path, loader, rows, line):
+    path = tmp_path / "table.csv"
+    path.write_text(rows)
+    with pytest.raises(ValueError, match=f"{path}:{line}: bad"):
+        loader(path)
+
+
+def test_kw_report_rejects_unknown_and_missing_keys(tmp_path):
+    doc = dataclasses.asdict(corr.kw_symmetric(corr.SymmetricModel(0.31, 0.30375)))
+    path = tmp_path / "kw.json"
+    path.write_text(json.dumps({**doc, "kappa": 1.0}))
+    with pytest.raises(ValueError, match="unknown key 'kappa'"):
+        io.load_kw_report(path)
+    del doc["KW"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="KW"):
+        io.load_kw_report(path)

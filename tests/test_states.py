@@ -178,3 +178,13 @@ def test_state_by_name():
         states.state_by_name("ghz")
     with pytest.raises(ValueError):
         states.state_by_name("noisy-dicke:p=nan")
+
+
+def test_gate_unitaries_are_cached_read_only():
+    gate = states.GateSpec("CX", target=0, control=2)
+    u = states.gate_unitary(gate, 4)
+    assert states.gate_unitary(states.GateSpec("CX", target=0, control=2), 4) is u
+    with pytest.raises(ValueError):
+        u[0, 0] = 0
+    with pytest.raises(ValueError):
+        states.gate_unitary(states.GateSpec("CX", target=0, control=7), 4)
