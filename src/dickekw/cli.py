@@ -89,8 +89,7 @@ def cmd_tomo_reconstruct(args) -> int:
         fid = qmat.fidelity_pure(target, rho)
         if args.bootstrap:
             mean, sigma = tomography.bootstrap_fidelity(
-                records, target, n_boot=args.bootstrap, seed=args.seed,
-                threads=args.threads)
+                records, target, n_boot=args.bootstrap, seed=args.seed)
             print(f"fidelity = {_g(fid)} (bootstrap {_g(mean)} +/- {_g(sigma)})")
         else:
             print(f"fidelity = {_g(fid)}")
@@ -162,14 +161,13 @@ def _report_text(args) -> str:
     t0 = time.perf_counter()
     out = states.circuit_to_dicke(xi)
     elapsed = time.perf_counter() - t0
-    target = states.dicke(4, 2)
-    say(f"  circuit overlap with dicke(4,2): {_g(abs(np.vdot(target, out)) ** 2)}"
+    d42 = states.dicke(4, 2)
+    say(f"  circuit overlap with dicke(4,2): {_g(abs(np.vdot(d42, out)) ** 2)}"
         f"  ({elapsed * 1e3:.3f} ms)")
     say("")
 
     say("[projective reductions of dicke(4,2)]")
-    d42 = states.dicke(4, 2)
-    for j, name in enumerate(states.QUBIT_NAMES):
+    for j, name in enumerate(qmat.QUBIT_NAMES):
         for outcome, partner in ((0, states.dicke(3, 2)), (1, states.dicke(3, 1))):
             post, prob = states.reduce_state(d42, [(j, outcome)])
             fid = qmat.fidelity_pure(partner, post)
@@ -199,7 +197,8 @@ def _report_text(args) -> str:
     say("")
 
     say("[monogamy balance: pure single-excitation state]")
-    w1 = qmat.dm(states.dicke(3, 1))
+    w1_ket = states.dicke(3, 1)
+    w1 = qmat.dm(w1_ket)
     r = corr.kw_exact(w1, "b|a,c", grid=args.grid, angle_tol=args.tol)
     say(f"  exact {r.assignment}: S={_g(r.S)} J={_g(r.J)} E={_g(r.E)} "
         f"KW={_g(r.KW)} theta*={_g(r.theta_opt)}")
@@ -230,7 +229,6 @@ def _report_text(args) -> str:
     say("")
 
     say("[tomography round trip]")
-    w1_ket = states.dicke(3, 1)
     settings = tomography.settings_full(3)
     counts = tomography.simulate_counts(w1, settings, args.counts, args.seed)
     fit = tomography.mle_reconstruct(counts)
@@ -242,7 +240,7 @@ def _report_text(args) -> str:
         bell, tomography.settings_full(2), 200, args.seed + 1)
     mean, sigma = tomography.bootstrap_fidelity(
         bell_counts, states.psi_plus(), n_boot=args.bootstrap,
-        seed=args.seed + 2, threads=args.threads)
+        seed=args.seed + 2)
     say(f"  psi-plus at mean 200 counts: bootstrap fidelity = "
         f"{_g(mean)} +/- {_g(sigma)}")
     say("")
@@ -255,9 +253,7 @@ def _report_text(args) -> str:
     rp = corr.kw_from_correlators(recs, samples=args.samples, seed=args.seed)
     say(f"  noisy projection, simulated counts -> correlators -> KW = "
         f"{_g(rp.KW)} +/- {_g(rp.sigma)}")
-    exact_ref = corr.kw_symmetric(corr.clip_to_domain(
-        *dataclasses.astuple(corr.extract_pc(corr.correlator_table(w_noisy)))))
-    say(f"  exact-table reference: KW = {_g(exact_ref.KW)}")
+    say(f"  exact-table reference: KW = {_g(rm.KW)}")
     return "\n".join(lines)
 
 
@@ -302,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--bootstrap", type=int, default=0,
                        help="bootstrap replicas for the fidelity error bar")
     p_rec.add_argument("--seed", type=int, default=0)
-    p_rec.add_argument("--threads", type=int, default=1)
     p_rec.add_argument("--out", help="output density-matrix file")
     p_rec.set_defaults(func=cmd_tomo_reconstruct)
 
@@ -344,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--samples", type=int, default=2000)
     p_rep.add_argument("--grid", type=int, default=64)
     p_rep.add_argument("--tol", type=float, default=1e-6)
-    p_rep.add_argument("--threads", type=int, default=1)
     p_rep.add_argument("--out", help="output text file")
     p_rep.set_defaults(func=cmd_report)
 

@@ -22,32 +22,12 @@ from math import pi
 import numpy as np
 
 from . import qmat
-from .qmat import PAULI, partial_trace, tensor
-
-QUBIT_NAMES = "abcd"
+from .qmat import PAULI, QUBIT_NAMES, partial_trace
 
 
 # ---------------------------------------------------------------------------
-# Pauli expectations and two-qubit entanglement
+# Two-qubit entanglement
 # ---------------------------------------------------------------------------
-
-def pauli_matrix(labels: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. "ZZI" (leftmost = qubit a)."""
-    if not labels or any(l not in PAULI for l in labels):
-        raise ValueError(f"bad Pauli string {labels!r}")
-    return tensor(*(PAULI[l] for l in labels))
-
-
-def pauli_expectation(rho, labels: str) -> float:
-    """<P> = Tr[rho P] for a Pauli string; real within 1e-9 by construction."""
-    rho = qmat.check_density_matrix(rho)
-    if qmat.num_qubits(rho) != len(labels):
-        raise ValueError("Pauli string length does not match qubit count")
-    val = np.trace(rho @ pauli_matrix(labels))
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"expectation has imaginary part {val.imag}")
-    return float(val.real)
-
 
 def concurrence(rho) -> float:
     """Two-qubit concurrence C = max(0, l1 - l2 - l3 - l4).
@@ -62,7 +42,7 @@ def concurrence(rho) -> float:
 
 
 def _concurrence(rho) -> float:
-    yy = tensor(PAULI["Y"], PAULI["Y"])
+    yy = qmat.pauli_matrix("YY")
     m = rho @ yy @ rho.conj() @ yy
     lam = np.sqrt(np.clip(np.real(np.linalg.eigvals(m)), 0.0, None))
     lam[::-1].sort()
@@ -360,21 +340,15 @@ def clip_to_domain(p: float, c: float) -> SymmetricModel:
     return SymmetricModel(p=p, c=c)
 
 
-def kw_symmetric(model, c: float | None = None, strict: bool = False) -> KWReport:
+def kw_symmetric(model: SymmetricModel, strict: bool = False) -> KWReport:
     """Closed-form monogamy quantities of the symmetric model.
 
-    Accepts a :class:`SymmetricModel` or a plain ``(p, c)`` pair.  The three
-    closed forms are evaluated exactly as written, treating (p, c) as free
-    parameters; ``strict=True`` additionally requires 3p = 1 within 1e-6
-    (the pure-model normalization).  The optimal measurement sits at
-    theta = pi/4, independent of phi.
+    The three closed forms are evaluated exactly as written, treating
+    (p, c) as free parameters; ``strict=True`` additionally requires 3p = 1
+    within 1e-6 (the pure-model normalization).  The optimal measurement
+    sits at theta = pi/4, independent of phi.
     """
-    if isinstance(model, SymmetricModel):
-        p, c = model.p, model.c
-    else:
-        if c is None:
-            raise ValueError("pass a SymmetricModel or both p and c")
-        p, c = float(model), float(c)
+    p, c = model.p, model.c
     if p <= 0:
         raise ValueError(f"population p={p} must be positive")
     if strict and abs(3 * p - 1) > 1e-6:
@@ -431,22 +405,19 @@ def pauli_class(pauli: str) -> tuple[str, ...]:
     return tuple(sorted({"".join(p) for p in permutations(pauli)}, reverse=True))
 
 
+# every Pauli string entering the extraction -> its class representative
+_CLASS_OF = {member: rep for rep in ("III",) + KW_CLASS_REPS
+             for member in pauli_class(rep)}
+
+
 def class_of(pauli: str) -> str | None:
     """Representative class of a three-qubit Pauli string, if it has one."""
-    if pauli == "III":
-        return "III"
-    for rep in KW_CLASS_REPS:
-        if pauli in pauli_class(rep):
-            return rep
-    return None
+    return _CLASS_OF.get(pauli)
 
 
 def kw_correlator_paulis() -> tuple[str, ...]:
     """All Pauli strings entering the extraction: III plus the seven classes."""
-    out = ["III"]
-    for rep in KW_CLASS_REPS:
-        out.extend(pauli_class(rep))
-    return tuple(out)
+    return tuple(_CLASS_OF)
 
 
 def canonical_setting(pauli: str) -> str:
@@ -459,18 +430,20 @@ def correlator_table(rho) -> list[CorrelatorRecord]:
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (8, 8):
         raise ValueError("correlator table expects a three-qubit state")
-    return [CorrelatorRecord(p, pauli_expectation(rho, p), 0.0)
-            for p in kw_correlator_paulis()]
+    return [CorrelatorRecord(p, qmat._pauli_expectation(rho, p), 0.0)
+            for p in _CLASS_OF]
+
+
+_IDEAL_SIGNS = {"III": 1, "ZZZ": -1, "ZZI": -1, "ZII": 1,
+                "XXZ": 1, "YYZ": 1, "XXI": 1, "YYI": 1}
 
 
 def ideal_sign(pauli: str) -> int:
     """Sign of the correlator on the ideal single-excitation state."""
-    signs = {"III": 1, "ZZZ": -1, "ZZI": -1, "ZII": 1,
-             "XXZ": 1, "YYZ": 1, "XXI": 1, "YYI": 1}
-    rep = class_of(pauli)
+    rep = _CLASS_OF.get(pauli)
     if rep is None:
         raise ValueError(f"no ideal sign for Pauli string {pauli!r}")
-    return signs[rep]
+    return _IDEAL_SIGNS[rep]
 
 
 def apply_sign_map(records, mode: str = "ideal-w1") -> list[CorrelatorRecord]:
@@ -493,7 +466,7 @@ def _class_sums(records):
     """Permutation-class sums with symmetric fill for missing members."""
     by_class: dict[str, list[float]] = {}
     for r in records:
-        rep = class_of(r.pauli)
+        rep = _CLASS_OF.get(r.pauli)
         if rep is None:
             continue
         by_class.setdefault(rep, []).append(float(r.value))

@@ -1,9 +1,9 @@
 """Dense linear algebra for few-qubit states.
 
-All states live in the computational basis with qubit ``a`` as the most
-significant bit: the four-qubit basis ket ``|abcd>`` has index
-``8a + 4b + 2c + d``.  ``Z|0> = +|0>``, and ``|0>`` encodes the physical
-``H`` / ``r`` carriers.  Entropies are in bits.
+Qubits are named by ``QUBIT_NAMES``.  All states live in the computational
+basis with qubit ``a`` as the most significant bit: the four-qubit basis
+ket ``|abcd>`` has index ``8a + 4b + 2c + d``.  ``Z|0> = +|0>``, and
+``|0>`` encodes the physical ``H`` / ``r`` carriers.  Entropies are in bits.
 
 State vectors are 1-D complex arrays of length ``2**n``; density matrices
 are 2-D complex arrays of shape ``(2**n, 2**n)``.
@@ -21,6 +21,9 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": I2, "X": X, "Y": Y, "Z": Z}
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+QUBIT_NAMES = "abcd"
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -96,14 +99,18 @@ def check_density_matrix(rho, atol: float = 1e-9) -> np.ndarray:
     return rho
 
 
+def check_state(state) -> np.ndarray:
+    """Validate a ket (1-D input) or a density matrix (2-D input)."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        return check_state_vector(state)
+    return check_density_matrix(state)
+
+
 def dm(psi) -> np.ndarray:
     """Outer product |psi><psi| of a ket."""
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
-
-
-def is_ket(state) -> bool:
-    return np.asarray(state).ndim == 1
 
 
 def fix_global_phase(psi, tol: float = 1e-12) -> np.ndarray:
@@ -127,6 +134,29 @@ def tensor(*factors) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
     return out
+
+
+def pauli_matrix(labels: str) -> np.ndarray:
+    """Tensor product of single-qubit Paulis, e.g. "ZZI" (leftmost = qubit a)."""
+    if not labels or any(l not in PAULI for l in labels):
+        raise ValueError(f"bad Pauli string {labels!r}")
+    return tensor(*(PAULI[l] for l in labels))
+
+
+def pauli_expectation(rho, labels: str) -> float:
+    """<P> = Tr[rho P] for a Pauli string; real within 1e-9 by construction."""
+    rho = check_density_matrix(rho)
+    if num_qubits(rho) != len(labels):
+        raise ValueError("Pauli string length does not match qubit count")
+    return _pauli_expectation(rho, labels)
+
+
+def _pauli_expectation(rho: np.ndarray, labels: str) -> float:
+    """``pauli_expectation`` on a density matrix the caller has validated."""
+    val = np.trace(rho @ pauli_matrix(labels))
+    if abs(val.imag) > 1e-9:
+        raise ValueError(f"expectation has imaginary part {val.imag}")
+    return float(val.real)
 
 
 def permute_qubits(state, perm) -> np.ndarray:
@@ -207,11 +237,7 @@ def eig_hermitian(h, atol: float = 1e-9) -> Spectrum:
     vals = vals[order]
     vecs = vecs[:, order]
     for i in range(vecs.shape[1]):
-        v = vecs[:, i]
-        nz = np.flatnonzero(np.abs(v) > 1e-12)
-        if nz.size:
-            amp = v[nz[0]]
-            vecs[:, i] = v * (amp.conjugate() / abs(amp))
+        vecs[:, i] = fix_global_phase(vecs[:, i])
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 

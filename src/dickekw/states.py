@@ -15,11 +15,7 @@ from math import comb, sqrt
 import numpy as np
 
 from . import qmat
-from .qmat import I2, KET0, KET1, X, Z, tensor
-
-QUBIT_NAMES = "abcd"
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
+from .qmat import I2, KET0, KET1, QUBIT_NAMES, H, X, Z, tensor
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ def gate_unitary(gate: GateSpec, n: int) -> np.ndarray:
     if not 0 <= gate.target < n:
         raise ValueError(f"target {gate.target} out of range for {n} qubits")
     if gate.kind in ("H", "Z"):
-        u = _embed_single(_HADAMARD if gate.kind == "H" else Z, gate.target, n)
+        u = _embed_single(H if gate.kind == "H" else Z, gate.target, n)
     elif gate.control is None or not 0 <= gate.control < n:
         raise ValueError(f"gate {gate.kind} needs an in-range control qubit")
     elif gate.kind == "CX":
@@ -159,12 +155,7 @@ def reduce_state(state, assignments, min_prob: float = 1e-12):
     Thin workflow wrapper over :func:`dickekw.qmat.project` that accepts
     either a ket or a density matrix and returns ``(post_state, probability)``.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        qmat.check_state_vector(state)
-    else:
-        qmat.check_density_matrix(state)
-    return qmat.project(state, assignments, min_prob=min_prob)
+    return qmat.project(qmat.check_state(state), assignments, min_prob=min_prob)
 
 
 def parse_projections(text: str, n: int):

@@ -8,7 +8,6 @@ denotes the +1 eigenvalue of that qubit's operator.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import sqrt
@@ -21,7 +20,7 @@ from .qmat import tensor
 
 # rows of each matrix are the outcome bras (outcome 0 first = +1 eigenvalue)
 _BASIS_BRAS = {
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2),
+    "X": qmat.H,
     "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / sqrt(2),
     "Z": np.eye(2, dtype=complex),
 }
@@ -78,13 +77,15 @@ def setting_projectors(setting: str) -> np.ndarray:
 
 def born_probabilities(rho, setting: str) -> np.ndarray:
     """Outcome probabilities of a setting; nonnegative, summing to one."""
-    rho = np.asarray(rho, dtype=complex)
     b = setting_basis(setting)
+    return _born_probabilities(qmat.check_state(rho), b)
+
+
+def _born_probabilities(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``born_probabilities`` of a validated state in the basis rows ``b``."""
     if rho.ndim == 1:
-        qmat.check_state_vector(rho)
         probs = np.abs(b @ rho) ** 2
     else:
-        qmat.check_density_matrix(rho)
         probs = np.real(np.einsum("oi,ij,oj->o", b, rho, b.conj()))
     return np.clip(probs, 0.0, None)
 
@@ -106,10 +107,11 @@ def simulate_counts(rho, settings, mean_counts: float, seed: int) -> list[CountR
     """
     if not 0 < mean_counts <= _MAX_MEAN_COUNTS:
         raise ValueError(f"mean counts {mean_counts} outside (0, {_MAX_MEAN_COUNTS:g}]")
+    rho = qmat.check_state(rho)
     rng = np.random.default_rng(seed)
     records = []
     for setting in settings:
-        probs = born_probabilities(rho, setting)
+        probs = _born_probabilities(rho, setting_basis(setting))
         counts = rng.poisson(mean_counts * probs)
         for outcome, count in zip(_outcome_strings(len(setting)), counts):
             records.append(CountRecord(setting, outcome, int(count)))
@@ -118,9 +120,10 @@ def simulate_counts(rho, settings, mean_counts: float, seed: int) -> list[CountR
 
 def exact_counts(rho, settings, mean_counts: float = 1.0) -> list[CountRecord]:
     """Noiseless pseudo-counts: mean_counts times the exact probabilities."""
+    rho = qmat.check_state(rho)
     records = []
     for setting in settings:
-        probs = born_probabilities(rho, setting)
+        probs = _born_probabilities(rho, setting_basis(setting))
         for outcome, p in zip(_outcome_strings(len(setting)), probs):
             records.append(CountRecord(setting, outcome, mean_counts * float(p)))
     return records
@@ -155,36 +158,19 @@ def _sign_vector(pauli: str) -> np.ndarray:
     return out
 
 
-def _refining_settings(pauli: str, available) -> list[str]:
-    return [s for s in available
-            if all(p == "I" or p == s[i] for i, p in enumerate(pauli))]
-
-
 def linear_inversion(counts) -> np.ndarray:
-    """Direct inversion rho = 2**-n sum_P <P> P from observed frequencies.
+    """Direct inversion rho = 2**-n sum_P <P> P over the full correlator
+    table of :func:`correlators_from_counts`.
 
-    Pauli expectations average over every available refining setting.  The
-    output is Hermitian with unit trace but can fail positivity on noisy
+    The output is Hermitian with unit trace but can fail positivity on noisy
     data; consumers decide whether that matters.
     """
-    n, table = _gather(counts)
-    freqs = {}
-    for setting, vec in table.items():
-        total = vec.sum()
-        if total > 0:
-            freqs[setting] = vec / total
-    if not freqs:
-        raise ValueError("all settings have zero total counts")
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    from .correlations import pauli_matrix
-    for pauli in ("".join(p) for p in product("IXYZ", repeat=n)):
-        refining = _refining_settings(pauli, freqs)
-        if not refining:
-            raise ValueError(f"no setting with data covers {pauli}")
-        signs = _sign_vector(pauli)
-        est = float(np.mean([signs @ freqs[s] for s in refining]))
-        rho += est * pauli_matrix(pauli)
-    return rho / 2**n
+    records = correlators_from_counts(counts)
+    dim = 2 ** len(records[0].pauli)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for r in records:
+        rho += r.value * qmat.pauli_matrix(r.pauli)
+    return rho / dim
 
 
 def _psd_project(rho: np.ndarray) -> np.ndarray:
@@ -267,14 +253,13 @@ def mle_reconstruct(counts, max_iter: int = 5000, tol: float = 1e-10) -> Tomogra
         converged=converged, log_likelihood_trace=np.array(trace))
 
 
-def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0,
-                       threads: int = 1):
+def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
     """Bootstrap mean and standard deviation of the fidelity to a pure target.
 
     Each replica resamples every count from Poisson(observed value),
     re-runs the maximum-likelihood reconstruction, and scores
     ``fidelity_pure(target, rho)``.  Replicas draw from independent
-    seed-derived streams, so results do not depend on scheduling.
+    seed-derived streams.
     """
     if n_boot < 50:
         raise ValueError("at least 50 bootstrap replicas are required")
@@ -290,12 +275,7 @@ def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0,
         result = mle_reconstruct(resampled)
         return qmat.fidelity_pure(target, result.rho)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fids = list(pool.map(one, streams))
-    else:
-        fids = [one(s) for s in streams]
-    fids = np.array(fids)
+    fids = np.array([one(s) for s in streams])
     return float(fids.mean()), float(fids.std(ddof=1))
 
 
@@ -321,7 +301,8 @@ def correlators_from_counts(counts, paulis=None) -> list[CorrelatorRecord]:
     for pauli in paulis:
         if len(pauli) != n:
             raise ValueError(f"Pauli string {pauli!r} does not match {n} qubits")
-        refining = _refining_settings(pauli, freqs)
+        refining = [s for s in freqs
+                    if all(p == "I" or p == s[i] for i, p in enumerate(pauli))]
         if not refining:
             raise ValueError(f"no setting with data covers {pauli}")
         signs = _sign_vector(pauli)

@@ -6,6 +6,7 @@ implementation and are frozen here.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -43,23 +44,23 @@ def w1_dm():
 
 def test_pauli_expectations_on_w1():
     rho = w1_dm()
-    assert corr.pauli_expectation(rho, "ZZZ") == pytest.approx(-1, abs=1e-12)
+    assert qmat.pauli_expectation(rho, "ZZZ") == pytest.approx(-1, abs=1e-12)
     for p in corr.pauli_class("ZZI"):
-        assert corr.pauli_expectation(rho, p) == pytest.approx(-1 / 3, abs=1e-12)
+        assert qmat.pauli_expectation(rho, p) == pytest.approx(-1 / 3, abs=1e-12)
     for p in corr.pauli_class("ZII"):
-        assert corr.pauli_expectation(rho, p) == pytest.approx(1 / 3, abs=1e-12)
+        assert qmat.pauli_expectation(rho, p) == pytest.approx(1 / 3, abs=1e-12)
     for rep in ("XXZ", "YYZ", "XXI", "YYI"):
         for p in corr.pauli_class(rep):
-            assert corr.pauli_expectation(rho, p) == pytest.approx(2 / 3,
+            assert qmat.pauli_expectation(rho, p) == pytest.approx(2 / 3,
                                                                    abs=1e-12)
-    assert corr.pauli_expectation(rho, "III") == pytest.approx(1, abs=1e-12)
+    assert qmat.pauli_expectation(rho, "III") == pytest.approx(1, abs=1e-12)
 
 
 def test_pauli_expectation_rejects_bad_label():
     with pytest.raises(ValueError):
-        corr.pauli_expectation(w1_dm(), "ZZQ")
+        qmat.pauli_expectation(w1_dm(), "ZZQ")
     with pytest.raises(ValueError):
-        corr.pauli_expectation(w1_dm(), "ZZ")
+        qmat.pauli_expectation(w1_dm(), "ZZ")
 
 
 def test_concurrence_and_eof():
@@ -354,7 +355,7 @@ def test_correlator_table_matches_direct_expectations():
     for pauli, record in table.items():
         assert record.sigma == 0.0
         assert record.value == pytest.approx(
-            corr.pauli_expectation(rho, pauli), abs=1e-12)
+            qmat.pauli_expectation(rho, pauli), abs=1e-12)
 
 
 def test_pauli_class_machinery():
@@ -367,6 +368,24 @@ def test_pauli_class_machinery():
     assert "III" in paulis
     assert corr.canonical_setting("XXI") == "XXZ"
     assert corr.canonical_setting("III") == "ZZZ"
+
+
+def test_correlator_table_validates_input_once(monkeypatch):
+    calls = []
+    check = qmat.check_density_matrix
+    monkeypatch.setattr(qmat, "check_density_matrix",
+                        lambda *a, **k: calls.append(1) or check(*a, **k))
+    corr.correlator_table(0.6 * w1_dm() + 0.4 * np.eye(8) / 8)
+    assert len(calls) == 1
+
+
+def test_class_of_matches_brute_force():
+    for letters in itertools.product("IXYZ", repeat=3):
+        pauli = "".join(letters)
+        owners = [rep for rep in ("III",) + corr.KW_CLASS_REPS
+                  if pauli in corr.pauli_class(rep)]
+        assert len(owners) <= 1
+        assert corr.class_of(pauli) == (owners[0] if owners else None)
 
 
 def test_ideal_sign_map():
@@ -400,7 +419,7 @@ def test_extract_pc_printed_form_disagrees():
 def test_extract_pc_fills_classes_from_representatives():
     rho = w1_dm()
     full = corr.extract_pc(corr.correlator_table(rho))
-    reps = [corr.CorrelatorRecord(p, corr.pauli_expectation(rho, p))
+    reps = [corr.CorrelatorRecord(p, qmat.pauli_expectation(rho, p))
             for p in corr.KW_CLASS_REPS]
     sparse = corr.extract_pc(reps)
     assert sparse.p == pytest.approx(full.p, abs=1e-12)
@@ -408,7 +427,7 @@ def test_extract_pc_fills_classes_from_representatives():
 
 
 def test_extract_pc_missing_class_raises():
-    reps = [corr.CorrelatorRecord(p, corr.pauli_expectation(w1_dm(), p))
+    reps = [corr.CorrelatorRecord(p, qmat.pauli_expectation(w1_dm(), p))
             for p in corr.KW_CLASS_REPS if p != "YYI"]
     with pytest.raises(ValueError, match="YYI"):
         corr.extract_pc(reps)
@@ -424,6 +443,24 @@ def test_extract_pc_matches_symmetrized_state():
     m2 = corr.extract_pc(corr.correlator_table(sym))
     assert m1.p == pytest.approx(m2.p, abs=1e-10)
     assert m1.c == pytest.approx(m2.c, abs=1e-10)
+
+
+# (KW, sigma) of the sign-mapped reference table at seeds 0-4, recorded
+# before the Pauli-class lookup became a precomputed map
+REFERENCE_TABLE_DRAWS = {
+    0: (0.03388543146668854, 0.017493439027090153),
+    1: (0.03388543146668854, 0.017583405657033736),
+    2: (0.03388543146668854, 0.017159138217342246),
+    3: (0.03388543146668854, 0.017664520515313125),
+    4: (0.03388543146668854, 0.017050533601943356),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REFERENCE_TABLE_DRAWS))
+def test_kw_from_correlators_is_bit_stable(seed):
+    table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+    report = corr.kw_from_correlators(table, seed=seed)
+    assert (report.KW, report.sigma) == REFERENCE_TABLE_DRAWS[seed]
 
 
 def test_kw_from_correlators_frozen_table():
