@@ -139,6 +139,7 @@ def cmd_kw_correlators(args) -> int:
     report = corr.kw_from_correlators(records, samples=args.samples,
                                       seed=args.seed)
     _print_report_line(report)
+    print(f"draws clipped to the physical domain: {_g(report.clipped_frac)}")
     if args.out:
         io.save_kw_report(args.out, report)
         print(f"wrote {args.out}")
@@ -215,6 +216,7 @@ def _report_text(args) -> str:
     rt = corr.kw_from_correlators(table, samples=args.samples, seed=args.seed)
     say(f"  extracted (p, c) = ({_g(mt.p)}, {_g(mt.c)})")
     say(f"  KW = {_g(rt.KW)} +/- {_g(rt.sigma)}")
+    say(f"  draws clipped to the physical domain: {_g(rt.clipped_frac)}")
     say("")
 
     say("[monogamy balance: white-noise model, projected]")
@@ -253,6 +255,7 @@ def _report_text(args) -> str:
     rp = corr.kw_from_correlators(recs, samples=args.samples, seed=args.seed)
     say(f"  noisy projection, simulated counts -> correlators -> KW = "
         f"{_g(rp.KW)} +/- {_g(rp.sigma)}")
+    say(f"  draws clipped to the physical domain: {_g(rp.clipped_frac)}")
     say(f"  exact-table reference: KW = {_g(rm.KW)}")
     return "\n".join(lines)
 

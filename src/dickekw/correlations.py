@@ -14,8 +14,8 @@ with theta in [0, pi/2] and phi in [0, 2 pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import astuple, dataclass, replace
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import pi
 
@@ -241,6 +241,7 @@ class KWReport:
     sigma: float | None = None
     theta_opt: float | None = None
     phi_opt: float | None = None
+    clipped_frac: float | None = None
 
 
 def parse_assignment(text: str):
@@ -335,9 +336,13 @@ class SymmetricModel:
 
 def clip_to_domain(p: float, c: float) -> SymmetricModel:
     """Clip raw (p, c) estimates into the physical model domain."""
-    p = float(min(max(p, 1e-9), 1 / 3))
-    c = float(min(max(c, -p / 2), p))
-    return SymmetricModel(p=p, c=c)
+    return SymmetricModel(*map(float, _clip_to_domain(p, c)))
+
+
+def _clip_to_domain(p, c):
+    """``clip_to_domain`` on arrays (or scalars) of estimates."""
+    p = np.minimum(np.maximum(p, 1e-9), 1 / 3)
+    return p, np.minimum(np.maximum(c, -p / 2), p)
 
 
 def kw_symmetric(model: SymmetricModel, strict: bool = False) -> KWReport:
@@ -353,21 +358,28 @@ def kw_symmetric(model: SymmetricModel, strict: bool = False) -> KWReport:
         raise ValueError(f"population p={p} must be positive")
     if strict and abs(3 * p - 1) > 1e-6:
         raise ValueError(f"strict mode requires 3p = 1, got 3p = {3 * p}")
-    root = np.sqrt(4 * c * c * p * p + p**4)
-    args = ((1 - root / (3 * p * p)) / 2, (1 + root / (3 * p * p)) / 2)
-    if args[0] <= 0:
-        raise ValueError(f"coherence c={c} outside the closed forms' domain for p={p}")
-
-    s = -p * (2 + 3 * np.log2(p))
-    r = np.sqrt(max(0.0, 1 - 4 * p * p))
-    e = qmat.entropy_bits([(1 + r) / 2, (1 - r) / 2])
-    j = -p * np.log2(p) - 2 * p * np.log2(2 * p)
-    j += ((3 * p * p - root) * np.log2(args[0])
-          + (3 * p * p + root) * np.log2(args[1])) / (2 * p)
+    (s,), (j,), (e,) = _symmetric_forms(*np.array([[p], [c]], dtype=float))
     return KWReport(
         assignment=format_assignment(0, 1, 2),
         S=float(s), J=float(j), E=float(e), KW=float(s - j - e),
         method="symmetric-formula", theta_opt=pi / 4, phi_opt=0.0)
+
+
+def _symmetric_forms(p, c):
+    """S, J and E of the symmetric model on arrays of (p, c).  p**4 is Python's
+    float power per element: numpy's array power can differ in the last bit."""
+    root = np.sqrt(4 * c * c * p * p + np.array([x**4 for x in p.tolist()]))
+    args = ((1 - root / (3 * p * p)) / 2, (1 + root / (3 * p * p)) / 2)
+    if np.any(args[0] <= 0):
+        k = np.argmax(args[0] <= 0)
+        raise ValueError(f"coherence c={c[k]} outside the closed forms' domain for p={p[k]}")
+    s = -p * (2 + 3 * np.log2(p))
+    r = np.sqrt(np.maximum(0.0, 1 - 4 * p * p))
+    e = qmat.entropy_bits([(1 + r) / 2, (1 - r) / 2])
+    j = -p * np.log2(p) - 2 * p * np.log2(2 * p)
+    j += ((3 * p * p - root) * np.log2(args[0])
+          + (3 * p * p + root) * np.log2(args[1])) / (2 * p)
+    return s, j, e
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +474,30 @@ def apply_sign_map(records, mode: str = "ideal-w1") -> list[CorrelatorRecord]:
             for r in records]
 
 
-def _class_sums(records):
-    """Permutation-class sums with symmetric fill for missing members."""
-    by_class: dict[str, list[float]] = {}
-    for r in records:
-        rep = _CLASS_OF.get(r.pauli)
-        if rep is None:
-            continue
-        by_class.setdefault(rep, []).append(float(r.value))
-    if "III" not in by_class:
-        by_class["III"] = [1.0]
-    missing = [rep for rep in KW_CLASS_REPS if rep not in by_class]
+def _extract_pc(paulis, values, printed_form: bool = False):
+    """``extract_pc`` on many tables at once: arrays of p and c.
+
+    Every row of ``values`` is one table whose columns follow ``paulis``.
+    A class sum averages its columns in record order, one column at a time,
+    with symmetric fill for missing members.
+    """
+    columns: dict[str, list[int]] = {}
+    for k, pauli in enumerate(paulis):
+        rep = _CLASS_OF.get(pauli)
+        if rep is not None:
+            columns.setdefault(rep, []).append(k)
+    missing = [rep for rep in KW_CLASS_REPS if rep not in columns]
     if missing:
         raise ValueError(f"correlator classes missing from table: {missing}")
-    sums = {}
-    for rep, vals in by_class.items():
-        size = 1 if rep in ("III", "ZZZ") else 3
-        sums[rep] = size * float(np.mean(vals))
-    return sums
+    sums = {"III": np.ones(len(values))}
+    for rep, ks in columns.items():
+        total = reduce(np.add, (values[:, k] for k in ks))
+        sums[rep] = (1 if rep in ("III", "ZZZ") else 3) * (total / len(ks))
+    if printed_form:
+        p = (-sums["ZZZ"] + sums["III"] - sums["ZZI"] / 3 + sums["ZII"]) / 8
+    else:
+        p = (sums["III"] + sums["ZII"] / 3 - sums["ZZI"] / 3 - sums["ZZZ"]) / 8
+    return p, (sums["XXZ"] + sums["YYZ"] + sums["XXI"] + sums["YYI"]) / 24
 
 
 def extract_pc(records, printed_form: bool = False) -> SymmetricModel:
@@ -497,43 +515,34 @@ def extract_pc(records, printed_form: bool = False) -> SymmetricModel:
     returns 5/12 instead of 1/3 and exists only so that difference can be
     demonstrated.
     """
-    sums = _class_sums(records)
-    if printed_form:
-        p = (-sums["ZZZ"] + sums["III"] - sums["ZZI"] / 3 + sums["ZII"]) / 8
-    else:
-        p = (sums["III"] + sums["ZII"] / 3 - sums["ZZI"] / 3 - sums["ZZZ"]) / 8
-    c = (sums["XXZ"] + sums["YYZ"] + sums["XXI"] + sums["YYI"]) / 24
+    records = list(records)
+    (p,), (c,) = _extract_pc([r.pauli for r in records],
+                             np.array([[float(r.value) for r in records]]), printed_form)
     return SymmetricModel(p=float(p), c=float(c))
 
 
 def kw_from_correlators(records, samples: int = 2000, seed: int = 0) -> KWReport:
     """Monogamy estimate from a measured correlator table with uncertainty.
 
-    The central value evaluates the closed forms at the extracted (p, c);
-    the uncertainty resamples every record from a normal distribution with
-    its sigma (values clipped to [-1, 1]), re-extracts, clips (p, c) to the
-    physical domain, and takes the sample standard deviation.
+    The central value evaluates the closed forms at the extracted (p, c).
+    The uncertainty draws ``samples`` tables at once, each record with
+    sigma > 0 from a normal distribution with its sigma (values clipped to
+    [-1, 1]), re-extracts, clips (p, c) to the physical domain, and takes
+    the sample standard deviation.  ``clipped_frac`` is the fraction of
+    draws that the domain clip moved.
     """
     records = list(records)
     if samples < 100:
         raise ValueError("at least 100 Monte-Carlo samples are required")
-    central_pc = extract_pc(records)
-    central = kw_symmetric(clip_to_domain(central_pc.p, central_pc.c))
-    rng = np.random.default_rng(seed)
-    draws = np.empty(samples)
-    for i in range(samples):
-        perturbed = [
-            CorrelatorRecord(
-                r.pauli,
-                float(np.clip(rng.normal(r.value, r.sigma), -1.0, 1.0))
-                if r.sigma > 0 else float(r.value),
-                r.sigma)
-            for r in records
-        ]
-        model = extract_pc(perturbed)
-        draws[i] = kw_symmetric(clip_to_domain(model.p, model.c)).KW
-    return KWReport(
-        assignment=central.assignment, S=central.S, J=central.J, E=central.E,
-        KW=central.KW, method="correlator-estimate",
-        sigma=float(np.std(draws, ddof=1)),
-        theta_opt=central.theta_opt, phi_opt=central.phi_opt)
+    central = kw_symmetric(clip_to_domain(*astuple(extract_pc(records))))
+    values, sigmas = np.array([(r.value, r.sigma) for r in records], dtype=float).T
+    live = sigmas > 0
+    tables = np.tile(values, (samples, 1))
+    tables[:, live] = np.clip(np.random.default_rng(seed).normal(
+        values[live], sigmas[live], size=(samples, live.sum())), -1.0, 1.0)
+    p, c = _extract_pc([r.pauli for r in records], tables)
+    p_in, c_in = _clip_to_domain(p, c)
+    s, j, e = _symmetric_forms(p_in, c_in)
+    return replace(central, method="correlator-estimate",
+                   sigma=float(np.std(s - j - e, ddof=1)),
+                   clipped_frac=float(np.mean((p_in != p) | (c_in != c))))

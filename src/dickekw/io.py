@@ -96,10 +96,13 @@ def save_counts(path: str, records) -> None:
 def _data_rows(path: str, header: str):
     """Yield (line number, stripped line) for the data rows of a CSV file."""
     with open(path) as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line and not line.startswith("#") and not line.startswith(header):
-                yield number, line
+        try:
+            for number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if line and not line.startswith("#") and not line.startswith(header):
+                    yield number, line
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: cannot be decoded as text") from None
 
 
 def _number(text: str, nonnegative: bool = False) -> float:

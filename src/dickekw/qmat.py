@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -130,12 +131,25 @@ def tensor(*factors) -> np.ndarray:
     """
     if not factors:
         raise ValueError("tensor needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
+    out = np.array(factors[0], dtype=complex)
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
     return out
 
 
+def frozen_cache(fn):
+    """Cache a function of hashable arguments that builds a fixed array; the
+    cached arrays are read-only, so no caller can change them for the next."""
+    @lru_cache(maxsize=1024)
+    @wraps(fn)
+    def cached(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        out.setflags(write=False)
+        return out
+    return cached
+
+
+@frozen_cache
 def pauli_matrix(labels: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. "ZZI" (leftmost = qubit a)."""
     if not labels or any(l not in PAULI for l in labels):
@@ -241,20 +255,20 @@ def eig_hermitian(h, atol: float = 1e-9) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def entropy_bits(probs) -> float:
-    """Shannon entropy in bits of a probability vector.
+def entropy_bits(probs):
+    """Shannon entropy in bits of a probability vector, or an array of the
+    entropies of the columns of a (k, B) stack.
 
     Values in [-1e-8, 0) clamp to zero, values below 1e-12 contribute
     nothing, and anything under -1e-8 raises (invalid state).
     """
+    x = np.real(np.asarray(probs))
+    if np.any(x < EIG_FLOOR):
+        raise ValueError(f"probability {np.min(x)} below {EIG_FLOOR}")
     total = 0.0
-    for x in np.real(np.asarray(probs)):
-        if x < EIG_FLOOR:
-            raise ValueError(f"probability {x} below {EIG_FLOOR}")
-        if x < EIG_ZERO:
-            continue
-        total -= x * np.log2(x)
-    return float(total)
+    for term in np.where(x < EIG_ZERO, 0.0, x * np.log2(np.maximum(x, EIG_ZERO))):
+        total = total - term
+    return total if np.ndim(total) else float(total)
 
 
 def von_neumann_entropy(rho) -> float:

@@ -8,7 +8,6 @@ r -> 0, l -> 1 (momentum).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb, sqrt
 
@@ -51,7 +50,7 @@ def _embed_controlled(u: np.ndarray, control: int, target: int, n: int,
     return tensor(*idle) + tensor(*active)
 
 
-@lru_cache(maxsize=64)
+@qmat.frozen_cache
 def gate_unitary(gate: GateSpec, n: int) -> np.ndarray:
     """Full 2**n unitary for one gate; cached, so it comes read-only."""
     if not 0 <= gate.target < n:
@@ -66,7 +65,6 @@ def gate_unitary(gate: GateSpec, n: int) -> np.ndarray:
         u = _embed_controlled(Z, gate.control, gate.target, n, control_value=0)
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-    u.setflags(write=False)
     return u
 
 

@@ -69,8 +69,9 @@ def setting_basis(setting: str) -> np.ndarray:
     return tensor(*(_BASIS_BRAS[l] for l in setting))
 
 
+@qmat.frozen_cache
 def setting_projectors(setting: str) -> np.ndarray:
-    """Stack of rank-1 projectors, indexed by outcome."""
+    """Stack of rank-1 projectors, indexed by outcome; cached, so read-only."""
     b = setting_basis(setting)
     return np.einsum("oi,oj->oij", b.conj(), b)
 
@@ -130,7 +131,8 @@ def exact_counts(rho, settings, mean_counts: float = 1.0) -> list[CountRecord]:
 
 
 def _gather(counts):
-    """Group records into {setting: outcome-count vector}; infer qubit count."""
+    """Group records into {setting: outcome-count vector}; infer qubit count.
+    ``_correlators``, ``_linear_inversion`` and ``_mle`` take its output."""
     table: dict[str, np.ndarray] = {}
     n = None
     for r in counts:
@@ -148,6 +150,7 @@ def _gather(counts):
     return n, table
 
 
+@qmat.frozen_cache
 def _sign_vector(pauli: str) -> np.ndarray:
     """Outcome-indexed eigenvalue signs of a Pauli string within any
     setting that refines it."""
@@ -165,8 +168,12 @@ def linear_inversion(counts) -> np.ndarray:
     The output is Hermitian with unit trace but can fail positivity on noisy
     data; consumers decide whether that matters.
     """
-    records = correlators_from_counts(counts)
-    dim = 2 ** len(records[0].pauli)
+    return _linear_inversion(*_gather(counts))
+
+
+def _linear_inversion(n: int, table) -> np.ndarray:
+    records = _correlators(n, table)
+    dim = 2**n
     rho = np.zeros((dim, dim), dtype=complex)
     for r in records:
         rho += r.value * qmat.pauli_matrix(r.pauli)
@@ -191,20 +198,15 @@ def mle_reconstruct(counts, max_iter: int = 5000, tol: float = 1e-10) -> Tomogra
     the positivity-projected linear inversion and stops once the
     log-likelihood gain drops below ``tol`` (or at ``max_iter``).
     """
-    n, table = _gather(counts)
+    return _mle(*_gather(counts), max_iter, tol)
+
+
+def _mle(n: int, table, max_iter: int = 5000, tol: float = 1e-10) -> TomographyResult:
     dim = 2**n
-    projs = []
-    weights = []
-    for setting, vec in table.items():
-        live = vec > 0
-        if not live.any():
-            continue
-        projs.append(setting_projectors(setting)[live])
-        weights.append(vec[live])
-    if not projs:
+    projs = np.concatenate([setting_projectors(s)[vec > 0] for s, vec in table.items()])
+    weights = np.concatenate([vec[vec > 0] for vec in table.values()])
+    if not len(weights):
         raise ValueError("all settings have zero total counts")
-    projs = np.concatenate(projs, axis=0)
-    weights = np.concatenate(weights)
     total = weights.sum()
 
     def probs_of(rho):
@@ -213,7 +215,7 @@ def mle_reconstruct(counts, max_iter: int = 5000, tol: float = 1e-10) -> Tomogra
     def loglike(p):
         return float(weights @ np.log(p))
 
-    rho = _psd_project(linear_inversion(counts))
+    rho = _psd_project(_linear_inversion(n, table))
     ll = loglike(probs_of(rho))
     trace = [ll]
     iterations = 0
@@ -256,8 +258,8 @@ def mle_reconstruct(counts, max_iter: int = 5000, tol: float = 1e-10) -> Tomogra
 def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
     """Bootstrap mean and standard deviation of the fidelity to a pure target.
 
-    Each replica resamples every count from Poisson(observed value),
-    re-runs the maximum-likelihood reconstruction, and scores
+    Each replica resamples every count from Poisson(observed value), in
+    record order, re-runs the maximum-likelihood reconstruction, and scores
     ``fidelity_pure(target, rho)``.  Replicas draw from independent
     seed-derived streams.
     """
@@ -265,18 +267,16 @@ def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
         raise ValueError("at least 50 bootstrap replicas are required")
     counts = list(counts)
     target = qmat.check_state_vector(target)
-    streams = np.random.SeedSequence(seed).spawn(n_boot)
-
-    def one(stream):
-        rng = np.random.default_rng(stream)
-        resampled = [CountRecord(r.setting, r.outcome,
-                                 int(rng.poisson(float(r.count))))
-                     for r in counts]
-        result = mle_reconstruct(resampled)
-        return qmat.fidelity_pure(target, result.rho)
-
-    fids = np.array([one(s) for s in streams])
-    return float(fids.mean()), float(fids.std(ddof=1))
+    n, table = _gather(counts)
+    settings = {setting: k for k, setting in enumerate(table)}
+    slots = [settings[r.setting] * 2**n + int(r.outcome, 2) for r in counts]
+    observed = np.array([float(r.count) for r in counts])
+    fids = []
+    for stream in np.random.SeedSequence(seed).spawn(n_boot):
+        draws = np.random.default_rng(stream).poisson(observed)
+        resampled = np.bincount(slots, draws, len(table) * 2**n).reshape(len(table), -1)
+        fids.append(qmat.fidelity_pure(target, _mle(n, dict(zip(table, resampled))).rho))
+    return float(np.mean(fids)), float(np.std(fids, ddof=1))
 
 
 def correlators_from_counts(counts, paulis=None) -> list[CorrelatorRecord]:
@@ -287,14 +287,12 @@ def correlators_from_counts(counts, paulis=None) -> list[CorrelatorRecord]:
     signed frequency, (1 - <P>_s^2) / N_s, across the settings used.
     ``paulis=None`` evaluates the full table of 4**n strings.
     """
-    n, table = _gather(counts)
-    freqs = {}
-    totals = {}
-    for setting, vec in table.items():
-        tot = vec.sum()
-        if tot > 0:
-            freqs[setting] = vec / tot
-            totals[setting] = tot
+    return _correlators(*_gather(counts), paulis)
+
+
+def _correlators(n: int, table, paulis=None) -> list[CorrelatorRecord]:
+    totals = {setting: vec.sum() for setting, vec in table.items() if vec.sum() > 0}
+    freqs = {setting: table[setting] / tot for setting, tot in totals.items()}
     if paulis is None:
         paulis = ["".join(p) for p in product("IXYZ", repeat=n)]
     records = []
@@ -305,8 +303,7 @@ def correlators_from_counts(counts, paulis=None) -> list[CorrelatorRecord]:
                     if all(p == "I" or p == s[i] for i, p in enumerate(pauli))]
         if not refining:
             raise ValueError(f"no setting with data covers {pauli}")
-        signs = _sign_vector(pauli)
-        ests = np.array([signs @ freqs[s] for s in refining])
+        ests = np.array([_sign_vector(pauli) @ freqs[s] for s in refining])
         variances = np.array([max(0.0, 1 - e * e) / totals[s]
                               for e, s in zip(ests, refining)])
         records.append(CorrelatorRecord(

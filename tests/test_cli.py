@@ -170,6 +170,21 @@ def test_kw_correlators_sign_maps_agree(tmp_path, capsys):
     assert out1.read_text() == out2.read_text()
 
 
+def test_kw_correlators_reports_clipped_fraction(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    io.save_correlators(table, corr.REFERENCE_CORRELATOR_TABLE)
+    out = tmp_path / "kw.json"
+    assert run("kw", "correlators", "--table", str(table), "--out", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "extracted model: p=0.31 c=0.30375",
+        "b|a,c [correlator-estimate]: S=0.951384 J=0.424562 E=0.492936 "
+        "KW=0.0338854 +/- 0.0174934",
+        "draws clipped to the physical domain: 0.3085",
+    ]
+    assert io.load_kw_report(out).clipped_frac == 617 / 2000
+
+
 def test_report_command(tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert run("report", "--counts", "400", "--bootstrap", "50",
@@ -183,6 +198,7 @@ def test_report_command(tmp_path, capsys):
                    "[end-to-end correlator pipeline]"):
         assert header in text
     assert "fidelity to dicke(4,2): 0.779688" in text
+    assert text.count("  draws clipped to the physical domain: ") == 2
     capsys.readouterr()
 
 

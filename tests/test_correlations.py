@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from dickekw import correlations as corr
 from dickekw import qmat, states
+from dickekw import tomography as tomo
 
 # pure single-excitation point, p = c = 1/3
 S_PURE = 0.91829583405449
@@ -489,6 +490,122 @@ def test_kw_from_correlators_requires_samples():
     table = corr.correlator_table(w1_dm())
     with pytest.raises(ValueError):
         corr.kw_from_correlators(table, samples=50, seed=0)
+
+
+@pytest.mark.parametrize("samples", [-1, 0, 99])
+def test_kw_from_correlators_rejects_fewer_than_100_samples(samples):
+    table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+    with pytest.raises(ValueError, match="100"):
+        corr.kw_from_correlators(table, samples=samples, seed=0)
+    assert corr.kw_from_correlators(table, samples=100, seed=0).sigma > 0
+
+
+def noisy_pipeline_records(seed):
+    w_noisy, _ = states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])
+    counts = tomo.simulate_counts(w_noisy, tomo.settings_full(3), 10000, seed)
+    return tomo.correlators_from_counts(counts, corr.kw_correlator_paulis())
+
+
+# (KW, sigma) of the end-to-end pipeline (noisy projection, 10000 mean
+# counts, 27 settings, 20 correlators) at seeds 0-4, recorded from the
+# per-draw Monte-Carlo loop
+PIPELINE_DRAWS = {
+    0: (0.106853853913701, 0.0025739728626609395),
+    1: (0.10456719643352963, 0.0024945567394349184),
+    2: (0.10386669013192695, 0.00256970427175803),
+    3: (0.10671739970746758, 0.002489734862904407),
+    4: (0.10219119201393262, 0.0026042355064082564),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PIPELINE_DRAWS))
+def test_pipeline_kw_is_bit_stable(seed):
+    report = corr.kw_from_correlators(noisy_pipeline_records(seed), seed=seed)
+    assert (report.KW, report.sigma) == PIPELINE_DRAWS[seed]
+
+
+def loop_monte_carlo(records, samples, seed):
+    """The former per-draw loop, kept as an oracle: sigma of the KW draws and
+    the fraction of draws that the domain clip moved."""
+    rng = np.random.default_rng(seed)
+    draws, moved = [], 0
+    for _ in range(samples):
+        model = corr.extract_pc([corr.CorrelatorRecord(
+            r.pauli,
+            float(np.clip(rng.normal(r.value, r.sigma), -1.0, 1.0))
+            if r.sigma > 0 else float(r.value), r.sigma) for r in records])
+        clipped = corr.clip_to_domain(model.p, model.c)
+        moved += (clipped.p, clipped.c) != (model.p, model.c)
+        draws.append(corr.kw_symmetric(clipped).KW)
+    return float(np.std(draws, ddof=1)), moved / samples
+
+
+@pytest.mark.parametrize("source, seed", [("reference", 0), ("reference", 3),
+                                          ("pipeline", 1)])
+def test_array_monte_carlo_matches_the_draw_loop(source, seed):
+    records = (corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+               if source == "reference" else noisy_pipeline_records(seed))
+    report = corr.kw_from_correlators(records, samples=300, seed=seed)
+    assert (report.sigma, report.clipped_frac) == loop_monte_carlo(records, 300, seed)
+
+
+def test_clipped_frac_counts_the_draws_the_clip_moves():
+    table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+    # c = 0.30375 sits next to the c <= p edge (p = 0.31), so about a third
+    # of the draws land outside the domain
+    assert corr.kw_from_correlators(table, seed=0).clipped_frac == 617 / 2000
+    # exact tables draw nothing: inside the domain no draw moves, and at
+    # the pure point p rounds a hair above 1/3, so every draw moves
+    rho = 0.765 * w1_dm() + 0.235 * np.eye(8) / 8
+    inside = corr.kw_from_correlators(corr.correlator_table(rho), samples=100)
+    assert inside.clipped_frac == 0.0
+    edge = corr.kw_from_correlators(corr.correlator_table(w1_dm()), samples=100)
+    assert edge.clipped_frac == 1.0
+    assert corr.kw_symmetric(corr.SymmetricModel(0.31, 0.30375)).clipped_frac is None
+
+
+def test_zero_sigma_record_consumes_no_draws():
+    table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+    identity = corr.CorrelatorRecord("III", 1.0, 0.0)  # equal to the default fill
+    base = corr.kw_from_correlators(table, samples=500, seed=2)
+    for padded in ([identity] + table, table[:3] + [identity] + table[3:]):
+        report = corr.kw_from_correlators(padded, samples=500, seed=2)
+        assert (report.KW, report.sigma, report.clipped_frac) == (
+            base.KW, base.sigma, base.clipped_frac)
+
+
+def scalar_closed_forms(p, c):
+    """The symmetric-model closed forms as the former scalar code evaluated
+    them, kept as an oracle for the array evaluation."""
+    root = np.sqrt(4 * c * c * p * p + p**4)
+    args = ((1 - root / (3 * p * p)) / 2, (1 + root / (3 * p * p)) / 2)
+    s = -p * (2 + 3 * np.log2(p))
+    r = np.sqrt(max(0.0, 1 - 4 * p * p))
+    e = 0.0
+    for x in ((1 + r) / 2, (1 - r) / 2):
+        if x >= 1e-12:
+            e -= x * np.log2(x)
+    j = -p * np.log2(p) - 2 * p * np.log2(2 * p)
+    j += ((3 * p * p - root) * np.log2(args[0])
+          + (3 * p * p + root) * np.log2(args[1])) / (2 * p)
+    return float(s), float(j), float(e)
+
+
+physical_pc = st.tuples(
+    st.floats(min_value=1e-9, max_value=1 / 3),
+    st.floats(min_value=0.0, max_value=1.0),
+).map(lambda pt: (pt[0], min(-pt[0] / 2 + 1.5 * pt[0] * pt[1], pt[0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(physical_pc, min_size=1, max_size=40))
+def test_array_closed_forms_equal_the_scalar_formula(points):
+    p, c = (np.array(v) for v in zip(*points))
+    s, j, e = corr._symmetric_forms(p, c)
+    for k, (pk, ck) in enumerate(points):
+        assert (s[k], j[k], e[k]) == scalar_closed_forms(pk, ck)
+        report = corr.kw_symmetric(corr.SymmetricModel(pk, ck))
+        assert (report.S, report.J, report.E) == scalar_closed_forms(pk, ck)
 
 
 def test_kw_report_is_serializable():

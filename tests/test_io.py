@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dickekw import correlations as corr
 from dickekw import io, qmat, states, tomography as tomo
@@ -154,3 +156,45 @@ def test_kw_report_rejects_unknown_and_missing_keys(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="KW"):
         io.load_kw_report(path)
+
+
+def test_kw_report_round_trips_clipped_fraction(tmp_path):
+    table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+    report = corr.kw_from_correlators(table, samples=200, seed=1)
+    assert report.clipped_frac is not None
+    path = tmp_path / "kw.json"
+    io.save_kw_report(path, report)
+    assert io.load_kw_report(path) == report
+    # reports written before the field existed still load
+    doc = dataclasses.asdict(report)
+    del doc["clipped_frac"]
+    path.write_text(json.dumps(doc))
+    assert io.load_kw_report(path).clipped_frac is None
+
+
+# free text, rows of short comma-separated fields that often parse, and
+# raw bytes that may not decode
+csv_bytes = st.one_of(st.binary(max_size=100), st.one_of(
+    st.text(alphabet=st.one_of(st.sampled_from("XYZI01,.-+eEinfa# \t\r\n"),
+                               st.characters(exclude_categories=["Cs"])),
+            max_size=200),
+    st.lists(st.lists(st.one_of(
+        st.sampled_from(["ZZ", "XYZ", "01", "1", "-2", "0.5", " 3 ", "nan", "1e400", ""]),
+        st.floats().map(repr), st.text(max_size=3)), min_size=2, max_size=4).map(",".join),
+        min_size=1, max_size=4).map("\n".join)).map(str.encode))
+fuzz = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("loader", [io.load_counts, io.load_correlators])
+@fuzz
+@given(data=csv_bytes)
+def test_csv_readers_load_or_name_the_file(tmp_path, loader, data):
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    try:
+        records = loader(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert records

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dickekw import qmat, states
+from dickekw import tomography as tomo
 
 H13 = 0.91829583405449  # binary entropy of 1/3, equal to log2(3) - 2/3
 
@@ -228,3 +229,32 @@ def test_random_generators_reproducible():
     assert np.linalg.matrix_rank(rho, tol=1e-10) == 2
     u = qmat.random_unitary(4, np.random.default_rng(3))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+
+def test_fixed_tables_cannot_change_module_constants():
+    x_before, h_before = qmat.X.copy(), qmat.H.copy()
+    assert qmat.tensor(qmat.X) is not qmat.X
+    single = qmat.tensor(qmat.X)
+    single[0, 0] = 7
+    pauli = qmat.pauli_matrix("X")
+    assert pauli is not qmat.X and pauli is qmat.pauli_matrix("X")
+    with pytest.raises(ValueError):
+        pauli[0, 0] = 7
+    basis = tomo.setting_basis("X")
+    assert basis is not qmat.H
+    basis[0, 0] = 7
+    np.testing.assert_array_equal(qmat.X, x_before)
+    np.testing.assert_array_equal(qmat.H, h_before)
+    np.testing.assert_array_equal(qmat.pauli_matrix("X"), x_before)
+    np.testing.assert_array_equal(tomo.setting_basis("X"), h_before)
+
+
+def test_entropy_bits_of_a_stack_matches_each_column():
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet(np.ones(4), size=50).T
+    probs[3, :10] = 1e-13  # below EIG_ZERO: contributes nothing
+    stacked = qmat.entropy_bits(probs)
+    assert stacked.shape == (50,)
+    assert list(stacked) == [qmat.entropy_bits(col) for col in probs.T]
+    with pytest.raises(ValueError, match="below"):
+        qmat.entropy_bits(np.array([[0.5, 1.0], [0.5, -1e-6]]))

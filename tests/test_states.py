@@ -188,3 +188,11 @@ def test_gate_unitaries_are_cached_read_only():
         u[0, 0] = 0
     with pytest.raises(ValueError):
         states.gate_unitary(states.GateSpec("CX", target=0, control=7), 4)
+
+
+def test_one_qubit_gate_unitary_leaves_the_hadamard_writable():
+    # a one-qubit gate is a tensor product of one factor; caching it
+    # read-only must not freeze the module's Hadamard
+    u = states.gate_unitary(states.GateSpec("H", target=0), 1)
+    assert u is not qmat.H and not u.flags.writeable
+    assert qmat.H.flags.writeable

@@ -254,3 +254,38 @@ def test_correlators_default_paulis():
     assert table["XX"] == pytest.approx(1, abs=1e-12)
     assert table["ZZ"] == pytest.approx(-1, abs=1e-12)
     assert table["ZI"] == pytest.approx(0, abs=1e-12)
+
+
+# (mean, sigma) of 100 bootstrap replicas of psi-plus counts (200 mean
+# counts, seed 43), recorded when every replica rebuilt its count records
+BELL_BOOTSTRAP = {
+    44: (0.9976417582092033, 0.001134996049530829),
+    9: (0.9976240615059059, 0.0013304833188934801),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BELL_BOOTSTRAP))
+def test_bootstrap_fidelity_is_bit_stable(seed):
+    counts = tomo.simulate_counts(qmat.dm(states.psi_plus()),
+                                  tomo.settings_full(2), 200, 43)
+    assert tomo.bootstrap_fidelity(counts, states.psi_plus(), n_boot=100,
+                                   seed=seed) == BELL_BOOTSTRAP[seed]
+
+
+def test_bootstrap_resampling_equals_per_record_draws():
+    counts = tomo.simulate_counts(w1_dm(), tomo.settings_full(3), 50, 8)
+    observed = np.array([float(r.count) for r in counts])
+    stream = np.random.SeedSequence(5).spawn(1)[0]
+    rng = np.random.default_rng(stream)
+    scalar = [int(rng.poisson(float(r.count))) for r in counts]
+    assert list(np.random.default_rng(stream).poisson(observed)) == scalar
+
+
+def test_fixed_tables_are_cached_read_only():
+    for table in (tomo.setting_projectors("XYZ"), tomo._sign_vector("XIZ"),
+                  qmat.pauli_matrix("XYZ")):
+        with pytest.raises(ValueError):
+            table.flat[0] = 0
+    assert tomo.setting_projectors("XYZ") is tomo.setting_projectors("XYZ")
+    with pytest.raises(ValueError):
+        tomo.setting_projectors("XQ")
