@@ -521,28 +521,47 @@ def extract_pc(records, printed_form: bool = False) -> SymmetricModel:
     return SymmetricModel(p=float(p), c=float(c))
 
 
+# the Monte Carlo draws its tables this many rows at a time; the generator
+# fills rows in order, so the draws do not depend on the block size
+_DRAW_BLOCK = 4096
+# a draw counts as clipped when the domain clip moves p or c by more than
+# this many ulp: an exact table on the domain edge lands an ulp outside it
+_CLIP_ULPS = 4
+
+
+def _moved(raw, clipped):
+    return np.abs(clipped - raw) > _CLIP_ULPS * np.spacing(np.abs(raw))
+
+
 def kw_from_correlators(records, samples: int = 2000, seed: int = 0) -> KWReport:
     """Monogamy estimate from a measured correlator table with uncertainty.
 
     The central value evaluates the closed forms at the extracted (p, c).
-    The uncertainty draws ``samples`` tables at once, each record with
-    sigma > 0 from a normal distribution with its sigma (values clipped to
-    [-1, 1]), re-extracts, clips (p, c) to the physical domain, and takes
-    the sample standard deviation.  ``clipped_frac`` is the fraction of
-    draws that the domain clip moved.
+    The uncertainty draws ``samples`` tables, in blocks of a fixed number of
+    rows, each record with sigma > 0 from a normal distribution with its
+    sigma (values clipped to [-1, 1]), re-extracts, clips (p, c) to the
+    physical domain, and takes the sample standard deviation.
+    ``clipped_frac`` is the fraction of draws that the domain clip moved by
+    more than a few ulp.
     """
     records = list(records)
     if samples < 100:
         raise ValueError("at least 100 Monte-Carlo samples are required")
     central = kw_symmetric(clip_to_domain(*astuple(extract_pc(records))))
+    paulis = [r.pauli for r in records]
     values, sigmas = np.array([(r.value, r.sigma) for r in records], dtype=float).T
     live = sigmas > 0
-    tables = np.tile(values, (samples, 1))
-    tables[:, live] = np.clip(np.random.default_rng(seed).normal(
-        values[live], sigmas[live], size=(samples, live.sum())), -1.0, 1.0)
-    p, c = _extract_pc([r.pauli for r in records], tables)
-    p_in, c_in = _clip_to_domain(p, c)
-    s, j, e = _symmetric_forms(p_in, c_in)
+    rng = np.random.default_rng(seed)
+    kw, moved = [], 0
+    for lo in range(0, samples, _DRAW_BLOCK):
+        tables = np.tile(values, (min(_DRAW_BLOCK, samples - lo), 1))
+        tables[:, live] = np.clip(rng.normal(
+            values[live], sigmas[live], size=(len(tables), live.sum())), -1.0, 1.0)
+        p, c = _extract_pc(paulis, tables)
+        p_in, c_in = _clip_to_domain(p, c)
+        s, j, e = _symmetric_forms(p_in, c_in)
+        kw.append(s - j - e)
+        moved += int(np.count_nonzero(_moved(p, p_in) | _moved(c, c_in)))
     return replace(central, method="correlator-estimate",
-                   sigma=float(np.std(s - j - e, ddof=1)),
-                   clipped_frac=float(np.mean((p_in != p) | (c_in != c))))
+                   sigma=float(np.std(np.concatenate(kw), ddof=1)),
+                   clipped_frac=moved / samples)

@@ -9,8 +9,10 @@ denotes the +1 eigenvalue of that qubit's operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -196,72 +198,118 @@ def mle_reconstruct(counts, max_iter: int = 5000, tol: float = 1e-10) -> Tomogra
     log-likelihood, falling back to diluted steps whenever a full step would
     lower the likelihood, so the likelihood trace is monotone.  Starts from
     the positivity-projected linear inversion and stops once the
-    log-likelihood gain drops below ``tol`` (or at ``max_iter``).
+    log-likelihood gain drops below ``tol`` (or at ``max_iter``).  This is
+    the one-table call of the batched fit that :func:`bootstrap_fidelity`
+    runs on its replicas; the setting projectors and the correlator layout
+    of the start come from read-only caches.
     """
-    return _mle(*_gather(counts), max_iter, tol)
+    n, table = _gather(counts)
+    return _mle(n, tuple(table), np.array([list(table.values())]), max_iter, tol)[0]
 
 
-def _mle(n: int, table, max_iter: int = 5000, tol: float = 1e-10) -> TomographyResult:
+def _mle(n: int, settings, counts, max_iter: int = 5000,
+         tol: float = 1e-10) -> list[TomographyResult]:
+    """R rho R fits of a stack of count tables, iterated together.
+
+    ``counts[r, s]`` is the outcome vector of ``settings[s]`` in table r;
+    outcomes without counts weigh nothing.  A table leaves the iteration
+    when its gain drops below ``tol`` or no diluted step keeps its
+    likelihood; diluted steps are searched table by table.  Probabilities
+    and log-likelihood sums are taken table by table, in outcome order, as
+    a fit of that table alone takes them: at high counts the stopping rule
+    compares gains a few ulp wide, so a reordered sum changes the fit.
+    Outcomes without counts in every table are left out of the projector
+    stack, as a one-table fit leaves them out.
+    """
     dim = 2**n
-    projs = np.concatenate([setting_projectors(s)[vec > 0] for s, vec in table.items()])
-    weights = np.concatenate([vec[vec > 0] for vec in table.values()])
-    if not len(weights):
-        raise ValueError("all settings have zero total counts")
-    total = weights.sum()
+    weights = counts.reshape(len(counts), -1)
+    seen = np.flatnonzero((weights > 0).any(axis=0))
+    projs = np.concatenate([setting_projectors(s) for s in settings])[seen]
+    weights = weights[:, seen]
+    outcomes = [np.flatnonzero(w > 0) for w in weights]
+    positive = [w[k] for w, k in zip(weights, outcomes)]
+    starts = []
+    for table, k in zip(counts, outcomes):
+        if not len(k):
+            raise ValueError("all settings have zero total counts")
+        starts.append(_psd_project(_linear_inversion(n, dict(zip(settings, table)))))
 
     def probs_of(rho):
-        return np.clip(np.real(np.einsum("kij,ji->k", projs, rho)), 1e-12, None)
+        return np.clip(np.real([np.einsum("kij,ji->k", projs, r) for r in rho]), 1e-12, None)
 
-    def loglike(p):
-        return float(weights @ np.log(p))
+    def loglike(p, rows):
+        logp = np.log(p)
+        return np.array([positive[r] @ logp[j, outcomes[r]] for j, r in enumerate(rows)])
 
-    rho = _psd_project(_linear_inversion(n, table))
-    ll = loglike(probs_of(rho))
-    trace = [ll]
-    iterations = 0
-    converged = False
+    def finish(j, iterations, converged):
+        fits[rows[j]] = TomographyResult(
+            rho=(rho[j] + rho[j].conj().T) / 2, log_likelihood=float(ll[j]),
+            iterations=iterations, converged=converged,
+            log_likelihood_trace=np.array(traces[j]))
+
+    fits = [None] * len(counts)
+    rows = np.arange(len(counts))
+    total = np.array([w.sum() for w in positive])
+    rho = np.array(starts)
+    p = probs_of(rho)
+    ll = loglike(p, rows)
+    traces = [[v] for v in ll.tolist()]
     eye = np.eye(dim)
-    for iterations in range(1, max_iter + 1):
-        p = probs_of(rho)
-        r_op = np.einsum("k,kij->ij", weights / (total * p), projs)
+    for it in range(1, max_iter + 1):
+        r_op = np.einsum("rk,kij->rij", weights / (total[:, None] * p), projs)
         candidate = r_op @ rho @ r_op
-        candidate /= np.trace(candidate).real
-        ll_new = loglike(probs_of(candidate))
-        if ll_new < ll - 1e-11 * (1 + abs(ll)):
-            accepted = False
+        candidate /= np.trace(candidate, axis1=1, axis2=2).real[:, None, None]
+        p_new = probs_of(candidate)
+        ll_new = loglike(p_new, rows)
+        floor = ll - 1e-11 * (1 + np.abs(ll))
+        stuck = np.zeros(len(rows), dtype=bool)
+        for j in np.flatnonzero(ll_new < floor):
             eps = 0.5
             while eps > 1e-10:
-                damped = eye + eps * r_op
-                candidate = damped @ rho @ damped
-                candidate /= np.trace(candidate).real
-                ll_new = loglike(probs_of(candidate))
-                if ll_new >= ll - 1e-11 * (1 + abs(ll)):
-                    accepted = True
+                damped = eye + eps * r_op[j]
+                step = damped @ rho[j] @ damped
+                step /= np.trace(step).real
+                p_step = probs_of(step[None])
+                ll_step = loglike(p_step, rows[j:j + 1])[0]
+                if ll_step >= floor[j]:
+                    candidate[j], p_new[j], ll_new[j] = step, p_step[0], ll_step
                     break
                 eps /= 2
-            if not accepted:
-                converged = True
+            else:
+                finish(j, it, True)  # before the step: it keeps its state
+                stuck[j] = True
+        settled = (ll_new - ll < tol) & ~stuck
+        rho, p, ll = candidate, p_new, ll_new
+        for trace, v in zip(traces, ll.tolist()):
+            trace.append(v)
+        for j in np.flatnonzero(settled):
+            finish(j, it, True)
+        keep = ~(settled | stuck)
+        if not keep.all():
+            rows, rho, p, ll = rows[keep], rho[keep], p[keep], ll[keep]
+            weights, total = weights[keep], total[keep]
+            traces = [t for t, k in zip(traces, keep) if k]
+            if not len(rows):
                 break
-        gain = ll_new - ll
-        rho = candidate
-        ll = ll_new
-        trace.append(ll)
-        if gain < tol:
-            converged = True
-            break
-    rho = (rho + rho.conj().T) / 2
-    return TomographyResult(
-        rho=rho, log_likelihood=ll, iterations=iterations,
-        converged=converged, log_likelihood_trace=np.array(trace))
+    for j in range(len(rows)):
+        finish(j, max_iter, False)
+    return fits
+
+
+# bootstrap replicas are resampled and fitted this many at a time, which
+# bounds the memory of a large replica count at four qubits
+_BOOTSTRAP_BLOCK = 64
 
 
 def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
     """Bootstrap mean and standard deviation of the fidelity to a pure target.
 
     Each replica resamples every count from Poisson(observed value), in
-    record order, re-runs the maximum-likelihood reconstruction, and scores
-    ``fidelity_pure(target, rho)``.  Replicas draw from independent
-    seed-derived streams.
+    record order, and scores ``fidelity_pure(target, rho)`` of the
+    maximum-likelihood reconstruction of its resampled table.  Replicas
+    draw from independent seed-derived streams; they are fitted together,
+    in blocks of a fixed size, by one batched R rho R iteration, and the
+    correlator layout of their linear-inversion starts is built once.
     """
     if n_boot < 50:
         raise ValueError("at least 50 bootstrap replicas are required")
@@ -271,11 +319,15 @@ def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
     settings = {setting: k for k, setting in enumerate(table)}
     slots = [settings[r.setting] * 2**n + int(r.outcome, 2) for r in counts]
     observed = np.array([float(r.count) for r in counts])
+    streams = np.random.SeedSequence(seed).spawn(n_boot)
     fids = []
-    for stream in np.random.SeedSequence(seed).spawn(n_boot):
-        draws = np.random.default_rng(stream).poisson(observed)
-        resampled = np.bincount(slots, draws, len(table) * 2**n).reshape(len(table), -1)
-        fids.append(qmat.fidelity_pure(target, _mle(n, dict(zip(table, resampled))).rho))
+    for lo in range(0, n_boot, _BOOTSTRAP_BLOCK):
+        resampled = np.array([
+            np.bincount(slots, np.random.default_rng(stream).poisson(observed),
+                        len(table) * 2**n)
+            for stream in streams[lo:lo + _BOOTSTRAP_BLOCK]])
+        fits = _mle(n, tuple(table), resampled.reshape(len(resampled), len(table), -1))
+        fids += [qmat.fidelity_pure(target, fit.rho) for fit in fits]
     return float(np.mean(fids)), float(np.std(fids, ddof=1))
 
 
@@ -290,22 +342,38 @@ def correlators_from_counts(counts, paulis=None) -> list[CorrelatorRecord]:
     return _correlators(*_gather(counts), paulis)
 
 
+def pauli_strings(n: int) -> list[str]:
+    """All 4**n Pauli strings in lexicographic order over I < X < Y < Z."""
+    return ["".join(p) for p in product("IXYZ", repeat=n)]
+
+
+@lru_cache(maxsize=64)
+def _correlator_layout(n: int, settings: tuple[str, ...]):
+    """Read-only map from each Pauli string on n qubits to its sign vector
+    and the indices of the settings that refine it; built once per table
+    shape, since every bootstrap replica shares it."""
+    return MappingProxyType({
+        pauli: (_sign_vector(pauli), tuple(
+            k for k, s in enumerate(settings)
+            if all(p == "I" or p == s[i] for i, p in enumerate(pauli))))
+        for pauli in pauli_strings(n)})
+
+
 def _correlators(n: int, table, paulis=None) -> list[CorrelatorRecord]:
-    totals = {setting: vec.sum() for setting, vec in table.items() if vec.sum() > 0}
-    freqs = {setting: table[setting] / tot for setting, tot in totals.items()}
-    if paulis is None:
-        paulis = ["".join(p) for p in product("IXYZ", repeat=n)]
+    layout = _correlator_layout(n, tuple(table))
+    totals = [vec.sum() for vec in table.values()]
+    freqs = [vec / tot if tot > 0 else None for vec, tot in zip(table.values(), totals)]
     records = []
-    for pauli in paulis:
+    for pauli in layout if paulis is None else paulis:
         if len(pauli) != n:
             raise ValueError(f"Pauli string {pauli!r} does not match {n} qubits")
-        refining = [s for s in freqs
-                    if all(p == "I" or p == s[i] for i, p in enumerate(pauli))]
+        sign, refines = layout.get(pauli, (None, ()))
+        refining = [k for k in refines if freqs[k] is not None]
         if not refining:
             raise ValueError(f"no setting with data covers {pauli}")
-        ests = np.array([_sign_vector(pauli) @ freqs[s] for s in refining])
-        variances = np.array([max(0.0, 1 - e * e) / totals[s]
-                              for e, s in zip(ests, refining)])
+        ests = np.array([sign @ freqs[k] for k in refining])
+        variances = np.array([max(0.0, 1 - e * e) / totals[k]
+                              for e, k in zip(ests, refining)])
         records.append(CorrelatorRecord(
             pauli, float(ests.mean()),
             float(np.sqrt(variances.sum()) / len(refining))))

@@ -7,6 +7,7 @@ implementation and are frozen here.
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -555,13 +556,39 @@ def test_clipped_frac_counts_the_draws_the_clip_moves():
     # of the draws land outside the domain
     assert corr.kw_from_correlators(table, seed=0).clipped_frac == 617 / 2000
     # exact tables draw nothing: inside the domain no draw moves, and at
-    # the pure point p rounds a hair above 1/3, so every draw moves
+    # the pure point p rounds one ulp above 1/3, which the clip's move of
+    # one ulp does not count as clipping
     rho = 0.765 * w1_dm() + 0.235 * np.eye(8) / 8
     inside = corr.kw_from_correlators(corr.correlator_table(rho), samples=100)
     assert inside.clipped_frac == 0.0
     edge = corr.kw_from_correlators(corr.correlator_table(w1_dm()), samples=100)
-    assert edge.clipped_frac == 1.0
+    assert edge.clipped_frac == 0.0
     assert corr.kw_symmetric(corr.SymmetricModel(0.31, 0.30375)).clipped_frac is None
+
+
+@pytest.mark.parametrize("source", ["reference", "pipeline"])
+def test_monte_carlo_does_not_depend_on_the_draw_block(monkeypatch, source):
+    records = (corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+               if source == "reference" else noisy_pipeline_records(2))
+    whole = corr.kw_from_correlators(records, samples=2000, seed=5)
+    for block in (7, 100, 1999):
+        monkeypatch.setattr(corr, "_DRAW_BLOCK", block)
+        report = corr.kw_from_correlators(records, samples=2000, seed=5)
+        assert (report.KW, report.sigma, report.clipped_frac) == (
+            whole.KW, whole.sigma, whole.clipped_frac)
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_draws():
+    table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+    tracemalloc.start()
+    try:
+        corr.kw_from_correlators(table, samples=100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding every draw at once peaked at about 20 MB; what is left is the
+    # 8-byte KW value per draw and one block of draws
+    assert peak < 4e6
 
 
 def test_zero_sigma_record_consumes_no_draws():

@@ -256,6 +256,11 @@ def test_correlators_default_paulis():
     assert table["ZI"] == pytest.approx(0, abs=1e-12)
 
 
+def bell_counts():
+    return tomo.simulate_counts(qmat.dm(states.psi_plus()),
+                                tomo.settings_full(2), 200, 43)
+
+
 # (mean, sigma) of 100 bootstrap replicas of psi-plus counts (200 mean
 # counts, seed 43), recorded when every replica rebuilt its count records
 BELL_BOOTSTRAP = {
@@ -266,10 +271,174 @@ BELL_BOOTSTRAP = {
 
 @pytest.mark.parametrize("seed", sorted(BELL_BOOTSTRAP))
 def test_bootstrap_fidelity_is_bit_stable(seed):
-    counts = tomo.simulate_counts(qmat.dm(states.psi_plus()),
-                                  tomo.settings_full(2), 200, 43)
+    counts = bell_counts()
     assert tomo.bootstrap_fidelity(counts, states.psi_plus(), n_boot=100,
                                    seed=seed) == BELL_BOOTSTRAP[seed]
+
+
+def reference_mle(n, table, max_iter=5000, tol=1e-10):
+    """The former per-table R rho R loop, kept as the oracle of the batched
+    fit, plus a count of the iterations that took a diluted step."""
+    dim = 2**n
+    projs = np.concatenate([tomo.setting_projectors(s)[vec > 0]
+                            for s, vec in table.items()])
+    weights = np.concatenate([vec[vec > 0] for vec in table.values()])
+    if not len(weights):
+        raise ValueError("all settings have zero total counts")
+    total = weights.sum()
+
+    def probs_of(rho):
+        return np.clip(np.real(np.einsum("kij,ji->k", projs, rho)), 1e-12, None)
+
+    def loglike(p):
+        return float(weights @ np.log(p))
+
+    rho = tomo._psd_project(tomo._linear_inversion(n, table))
+    ll = loglike(probs_of(rho))
+    trace = [ll]
+    iterations = 0
+    converged = False
+    diluted = 0
+    eye = np.eye(dim)
+    for iterations in range(1, max_iter + 1):
+        p = probs_of(rho)
+        r_op = np.einsum("k,kij->ij", weights / (total * p), projs)
+        candidate = r_op @ rho @ r_op
+        candidate /= np.trace(candidate).real
+        ll_new = loglike(probs_of(candidate))
+        if ll_new < ll - 1e-11 * (1 + abs(ll)):
+            diluted += 1
+            accepted = False
+            eps = 0.5
+            while eps > 1e-10:
+                damped = eye + eps * r_op
+                candidate = damped @ rho @ damped
+                candidate /= np.trace(candidate).real
+                ll_new = loglike(probs_of(candidate))
+                if ll_new >= ll - 1e-11 * (1 + abs(ll)):
+                    accepted = True
+                    break
+                eps /= 2
+            if not accepted:
+                converged = True
+                break
+        gain = ll_new - ll
+        rho = candidate
+        ll = ll_new
+        trace.append(ll)
+        if gain < tol:
+            converged = True
+            break
+    rho = (rho + rho.conj().T) / 2
+    return tomo.TomographyResult(
+        rho=rho, log_likelihood=ll, iterations=iterations,
+        converged=converged, log_likelihood_trace=np.array(trace)), diluted
+
+
+def bootstrap_tables(counts, n_boot, seed):
+    """The bootstrap's resampled tables as a (replicas, settings, outcomes)
+    stack, drawn as the former per-replica loop drew them."""
+    n, table = tomo._gather(counts)
+    index = {setting: k for k, setting in enumerate(table)}
+    slots = [index[r.setting] * 2**n + int(r.outcome, 2) for r in counts]
+    observed = np.array([float(r.count) for r in counts])
+    stack = [np.bincount(slots, np.random.default_rng(stream).poisson(observed),
+                         len(table) * 2**n)
+             for stream in np.random.SeedSequence(seed).spawn(n_boot)]
+    return n, tuple(table), np.array(stack).reshape(n_boot, len(table), -1)
+
+
+# one-qubit tables whose setting totals differ by three orders of
+# magnitude: full R rho R steps overshoot, so the fits take diluted steps
+UNBALANCED = (
+    {"X": [1000.0, 4000.0], "Y": [10.0, 0.0], "Z": [2.0, 2.0]},
+    {"X": [0.0, 4.0], "Y": [3000.0, 4000.0], "Z": [1.0, 0.0]},
+    {"X": [3000.0, 1000.0], "Y": [1.0, 3.0], "Z": [0.0, 4.0]},
+)
+
+
+def w1_tables():
+    counts = tomo.simulate_counts(w1_dm(), tomo.settings_full(3), 50, 8)
+    return bootstrap_tables(counts, 6, 3)
+
+
+# (n, settings, stack of tables, fidelity target, fit options) per case
+ORACLE_CASES = {
+    "psi-plus, seed 44": lambda: (*bootstrap_tables(bell_counts(), 100, 44),
+                                  states.psi_plus(), {}),
+    "psi-plus, seed 9": lambda: (*bootstrap_tables(bell_counts(), 100, 9),
+                                 states.psi_plus(), {}),
+    "w1 at 50 counts": lambda: (*w1_tables(), states.dicke(3, 1), {}),
+    "unbalanced": lambda: (1, ("X", "Y", "Z"),
+                           np.array([list(t.values()) for t in UNBALANCED]),
+                           qmat.KET0, {"max_iter": 300}),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_batched_mle_matches_the_per_table_loop(case):
+    n, settings, stack, target, options = ORACLE_CASES[case]()
+    fits = tomo._mle(n, settings, stack, **options)
+    diluted = 0
+    for table, fit in zip(stack, fits):
+        ref, steps = reference_mle(n, dict(zip(settings, table)), **options)
+        diluted += steps
+        assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
+        assert qmat.fidelity_pure(target, fit.rho) == pytest.approx(
+            qmat.fidelity_pure(target, ref.rho), abs=1e-12)
+        np.testing.assert_allclose(fit.log_likelihood_trace,
+                                   ref.log_likelihood_trace, rtol=1e-12, atol=0)
+    if case == "w1 at 50 counts":
+        assert (stack == 0).any()
+    if case == "unbalanced":
+        assert diluted > 0
+
+
+def test_bootstrap_blocks_match_the_per_replica_loop():
+    n_boot = tomo._BOOTSTRAP_BLOCK + 1
+    n, settings, stack = bootstrap_tables(bell_counts(), n_boot, 17)
+    fids = [qmat.fidelity_pure(states.psi_plus(),
+                               reference_mle(n, dict(zip(settings, table)))[0].rho)
+            for table in stack]
+    mean, sigma = tomo.bootstrap_fidelity(bell_counts(), states.psi_plus(),
+                                          n_boot=n_boot, seed=17)
+    assert mean == pytest.approx(np.mean(fids), abs=1e-12)
+    assert sigma == pytest.approx(np.std(fids, ddof=1), abs=1e-12)
+
+
+def test_bootstrap_raises_for_the_first_replica_without_coverage():
+    # one XY count: about a third of the replicas resample XY to zero, and
+    # the XY correlator then has no setting with data
+    counts = [tomo.CountRecord(r.setting, r.outcome, int(r.outcome == "00"))
+              if r.setting == "XY" else r for r in bell_counts()]
+    n, settings, stack = bootstrap_tables(counts, 60, 2)
+    assert not stack[:, settings.index("XY")].any(axis=1).all()
+    with pytest.raises(ValueError) as expected:
+        for table in stack:
+            reference_mle(n, dict(zip(settings, table)))
+    with pytest.raises(ValueError) as raised:
+        tomo.bootstrap_fidelity(counts, states.psi_plus(), n_boot=60, seed=2)
+    assert str(raised.value) == str(expected.value) == "no setting with data covers XY"
+    # a table with no counts at all fails as a one-table fit of it does
+    stack = np.array([list(tomo._gather(bell_counts())[1].values())] * 2)
+    stack[1] = 0
+    with pytest.raises(ValueError, match="all settings have zero total counts"):
+        tomo._mle(n, settings, stack)
+
+
+def test_correlators_build_their_layout_once_per_table_shape(monkeypatch):
+    builds = []
+    strings = tomo.pauli_strings
+    monkeypatch.setattr(tomo, "pauli_strings",
+                        lambda n: builds.append(n) or strings(n))
+    tomo._correlator_layout.cache_clear()
+    counts = bell_counts()
+    tomo.bootstrap_fidelity(counts, states.psi_plus(), n_boot=100, seed=44)
+    assert builds == [2]
+    tomo.correlators_from_counts(counts, ["XX"])
+    assert builds == [2]
+    tomo.correlators_from_counts([r for r in counts if r.setting == "XX"], ["XX"])
+    assert builds == [2, 2]
 
 
 def test_bootstrap_resampling_equals_per_record_draws():
@@ -286,6 +455,10 @@ def test_fixed_tables_are_cached_read_only():
                   qmat.pauli_matrix("XYZ")):
         with pytest.raises(ValueError):
             table.flat[0] = 0
+    layout = tomo._correlator_layout(2, ("XZ", "ZZ"))
+    assert layout["IZ"][1] == (0, 1)
+    with pytest.raises(TypeError):
+        layout["IZ"] = layout["ZZ"]
     assert tomo.setting_projectors("XYZ") is tomo.setting_projectors("XYZ")
     with pytest.raises(ValueError):
         tomo.setting_projectors("XQ")
