@@ -3,8 +3,10 @@ probabilities, count simulation, reconstruction, and error bars."""
 
 import hashlib
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dickekw import correlations as corr
 from dickekw import qmat, states, tomography as tomo
@@ -262,7 +264,7 @@ def bell_counts():
 
 
 # (mean, sigma) of 100 bootstrap replicas of psi-plus counts (200 mean
-# counts, seed 43), recorded when every replica rebuilt its count records
+# counts, seed 43), recorded from the R rho R fit that reference_mle keeps
 BELL_BOOTSTRAP = {
     44: (0.9976417582092033, 0.001134996049530829),
     9: (0.9976240615059059, 0.0013304833188934801),
@@ -271,14 +273,19 @@ BELL_BOOTSTRAP = {
 
 @pytest.mark.parametrize("seed", sorted(BELL_BOOTSTRAP))
 def test_bootstrap_fidelity_is_bit_stable(seed):
+    # the accelerated fit reaches the R rho R optimum along another path, so
+    # it agrees with the oracle's floats to 1e-6 and with itself exactly
     counts = bell_counts()
+    first = tomo.bootstrap_fidelity(counts, states.psi_plus(), n_boot=100, seed=seed)
     assert tomo.bootstrap_fidelity(counts, states.psi_plus(), n_boot=100,
-                                   seed=seed) == BELL_BOOTSTRAP[seed]
+                                   seed=seed) == first
+    assert first == pytest.approx(BELL_BOOTSTRAP[seed], abs=1e-6)
 
 
 def reference_mle(n, table, max_iter=5000, tol=1e-10):
-    """The former per-table R rho R loop, kept as the oracle of the batched
-    fit, plus a count of the iterations that took a diluted step."""
+    """The former per-table R rho R loop, kept as the oracle of the
+    accelerated fit, plus a count of the iterations that took a diluted
+    step."""
     dim = 2**n
     projs = np.concatenate([tomo.setting_projectors(s)[vec > 0]
                             for s, vec in table.items()])
@@ -362,6 +369,14 @@ def w1_tables():
     return bootstrap_tables(counts, 6, 3)
 
 
+def acceptance_09_tables():
+    settings = tomo.settings_full(3)
+    runs = [tomo.simulate_counts(w1_dm(), settings, 10000, 42),
+            tomo.exact_counts(w1_dm(), settings)]
+    runs += [tomo.simulate_counts(w1_dm(), settings, 1000, seed) for seed in range(5)]
+    return 3, tuple(settings), np.array([list(tomo._gather(r)[1].values()) for r in runs])
+
+
 # (n, settings, stack of tables, fidelity target, fit options) per case
 ORACLE_CASES = {
     "psi-plus, seed 44": lambda: (*bootstrap_tables(bell_counts(), 100, 44),
@@ -372,38 +387,136 @@ ORACLE_CASES = {
     "unbalanced": lambda: (1, ("X", "Y", "Z"),
                            np.array([list(t.values()) for t in UNBALANCED]),
                            qmat.KET0, {"max_iter": 300}),
+    "acceptance 09 runs": lambda: (*acceptance_09_tables(), states.dicke(3, 1), {}),
 }
+
+
+# the oracle's own stopping gain: at its default of 1e-10, R rho R stops up
+# to 2e-6 in fidelity short of the optimum on the near-pure w1 tables
+ORACLE_TOL = 1e-12
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_batched_mle_matches_the_per_table_loop(case):
+    # the two fits take different paths to the same optimum: the fit is at
+    # least as likely as the oracle's, and as faithful where that converged
     n, settings, stack, target, options = ORACLE_CASES[case]()
     fits = tomo._mle(n, settings, stack, **options)
     diluted = 0
     for table, fit in zip(stack, fits):
-        ref, steps = reference_mle(n, dict(zip(settings, table)), **options)
+        ref, steps = reference_mle(n, dict(zip(settings, table)),
+                                   tol=ORACLE_TOL, **options)
         diluted += steps
-        assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
-        assert qmat.fidelity_pure(target, fit.rho) == pytest.approx(
-            qmat.fidelity_pure(target, ref.rho), abs=1e-12)
-        np.testing.assert_allclose(fit.log_likelihood_trace,
-                                   ref.log_likelihood_trace, rtol=1e-12, atol=0)
+        assert fit.log_likelihood >= ref.log_likelihood - 1e-8 * abs(ref.log_likelihood)
+        if ref.converged:
+            assert fit.converged
+            assert qmat.fidelity_pure(target, fit.rho) == pytest.approx(
+                qmat.fidelity_pure(target, ref.rho), abs=1e-6)
     if case == "w1 at 50 counts":
         assert (stack == 0).any()
     if case == "unbalanced":
         assert diluted > 0
 
 
+@pytest.mark.parametrize("case", ["psi-plus, seed 44", "w1 at 50 counts",
+                                  "acceptance 09 runs"])
+def test_a_table_fits_alike_in_a_block_and_alone(case):
+    n, settings, stack, target, _ = ORACLE_CASES[case]()
+    fits = tomo._mle(n, settings, stack)
+    assert len({fit.iterations for fit in fits}) > 1  # tables leave the block
+    for table, fit in zip(stack, fits):
+        alone = tomo._mle(n, settings, table[None])[0]
+        assert qmat.fidelity_pure(target, fit.rho) == pytest.approx(
+            qmat.fidelity_pure(target, alone.rho), abs=1e-9)
+        assert fit.log_likelihood == pytest.approx(
+            alone.log_likelihood, rel=1e-9, abs=0)
+
+
 def test_bootstrap_blocks_match_the_per_replica_loop():
     n_boot = tomo._BOOTSTRAP_BLOCK + 1
     n, settings, stack = bootstrap_tables(bell_counts(), n_boot, 17)
     fids = [qmat.fidelity_pure(states.psi_plus(),
-                               reference_mle(n, dict(zip(settings, table)))[0].rho)
+                               tomo._mle(n, settings, table[None])[0].rho)
             for table in stack]
     mean, sigma = tomo.bootstrap_fidelity(bell_counts(), states.psi_plus(),
                                           n_boot=n_boot, seed=17)
     assert mean == pytest.approx(np.mean(fids), abs=1e-12)
     assert sigma == pytest.approx(np.std(fids, ddof=1), abs=1e-12)
+
+
+def test_mle_converges_where_the_per_table_loop_stalls():
+    w_noisy, _ = states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])
+    counts = tomo.simulate_counts(w_noisy, tomo.settings_full(3), 1000, 1)
+    ref, _ = reference_mle(*tomo._gather(counts))
+    fit = tomo.mle_reconstruct(counts)
+    assert not ref.converged and ref.iterations == 5000
+    assert fit.converged and fit.iterations < 500
+    assert fit.log_likelihood >= ref.log_likelihood
+
+
+# (p, mean counts, seed) of two four-qubit benchmark inputs, and the
+# log-likelihood that the R rho R oracle reached on each (in over 10 s)
+DICKE4_ORACLE = {
+    (0.765, 10000, 3506230538): -2085096.3786223475,
+    (0.9, 1000, 1922987891): -200580.19557714465,
+}
+
+
+@pytest.mark.parametrize("p, mean, seed", sorted(DICKE4_ORACLE))
+def test_mle_converges_on_four_qubits(p, mean, seed):
+    counts = tomo.simulate_counts(states.noisy_dicke(p), tomo.settings_full(4),
+                                  mean, seed)
+    fit = tomo.mle_reconstruct(counts)
+    assert fit.converged
+    qmat.check_density_matrix(fit.rho)
+    oracle = DICKE4_ORACLE[p, mean, seed]
+    assert fit.log_likelihood >= oracle - 1e-8 * abs(oracle)
+    assert qmat.fidelity_pure(states.dicke(4, 2), fit.rho) == pytest.approx(
+        p + (1 - p) / 16, abs=0.02)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(st.integers(1, 2), st.integers(0, 2**32 - 1),
+       st.sampled_from([30.0, 300.0, 3000.0]), st.sampled_from([1, None]))
+def test_mle_is_at_least_as_likely_as_the_true_state(n, seed, mean, rank):
+    # an optimality oracle that needs no solver: the maximum of the
+    # likelihood is at least its value at the state that drew the counts
+    rng = np.random.default_rng(seed)
+    rho = qmat.random_density_matrix(n, rng, rank=rank)
+    counts = tomo.simulate_counts(rho, tomo.settings_full(n), mean, seed)
+    fit = tomo.mle_reconstruct(counts)
+    qmat.check_density_matrix(fit.rho)
+    truth = sum(r.count * np.log(max(
+        tomo.born_probabilities(rho, r.setting)[int(r.outcome, 2)], 1e-12))
+        for r in counts)
+    assert fit.converged
+    assert fit.log_likelihood >= truth - 1e-8 * abs(truth)
+
+
+@pytest.mark.parametrize("options", [{"max_iter": 0}, {"max_iter": -3},
+                                     {"tol": 0.0}, {"tol": -1e-12},
+                                     {"tol": float("nan")}])
+def test_mle_rejects_solver_settings_that_cannot_converge(options):
+    counts = tomo.exact_counts(qmat.dm(states.psi_plus()), tomo.settings_full(2))
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        tomo.mle_reconstruct(counts, **options)
+
+
+def test_simplex_projection_matches_a_bisection():
+    # the projection onto the simplex is max(v - shift, 0) with the shift
+    # that makes it sum to one; bisect for that shift independently
+    rng = np.random.default_rng(25)
+    vals = np.concatenate([rng.normal(size=(50, 6)),
+                           rng.dirichlet(np.ones(6), size=5),
+                           np.full((1, 6), 1 / 6), 1e3 * rng.normal(size=(5, 6))])
+    projected = tomo._simplex(vals)
+    for v, x in zip(vals, projected):
+        lo, hi = v.min() - 1, v.max()
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if np.clip(v - mid, 0, None).sum() > 1 else (lo, mid)
+        np.testing.assert_allclose(x, np.clip(v - lo, 0, None), atol=1e-12)
+        assert x.min() >= 0 and x.sum() == pytest.approx(1, abs=1e-12)
 
 
 def test_bootstrap_raises_for_the_first_replica_without_coverage():
