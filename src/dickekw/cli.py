@@ -56,26 +56,26 @@ def cmd_tomo_simulate(args) -> int:
     rho = io.load_density_matrix(args.infile)
     n = qmat.num_qubits(rho)
     settings = tomography.settings_full(n)
-    records = tomography.simulate_counts(rho, settings, args.counts, args.seed)
-    total = int(sum(r.count for r in records))
+    table = tomography.simulate_counts(rho, settings, args.counts, args.seed)
+    total = int(table.counts.sum())
     if args.out:
-        io.save_counts(args.out, records)
+        io.save_counts(args.out, table)
         print(f"wrote {args.out}")
     else:
-        print("\n".join(f"{r.setting},{r.outcome},{int(r.count)}" for r in records))
+        print(io.counts_document(table))
     print(f"simulated {len(settings)} settings, {total} events")
     return 0
 
 
 def cmd_tomo_reconstruct(args) -> int:
-    records = io.load_counts(args.counts)
+    table = io.load_counts(args.counts)
     if args.method == "linear":
-        rho = tomography.linear_inversion(records)
+        rho = tomography.linear_inversion(table)
         lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2).min())
         if lo < -1e-10:
             print(f"warning: not positive semidefinite (min eigenvalue {_g(lo)})")
     else:
-        result = tomography.mle_reconstruct(records)
+        result = tomography.mle_reconstruct(table)
         rho = result.rho
         print(f"mle: iterations={result.iterations} "
               f"log_likelihood={_g(result.log_likelihood)} "
@@ -89,7 +89,7 @@ def cmd_tomo_reconstruct(args) -> int:
         fid = qmat.fidelity_pure(target, rho)
         if args.bootstrap:
             mean, sigma = tomography.bootstrap_fidelity(
-                records, target, n_boot=args.bootstrap, seed=args.seed)
+                table, target, n_boot=args.bootstrap, seed=args.seed)
             print(f"fidelity = {_g(fid)} (bootstrap {_g(mean)} +/- {_g(sigma)})")
         else:
             print(f"fidelity = {_g(fid)}")

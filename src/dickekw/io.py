@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qmat
 from .correlations import CorrelatorRecord, KWReport
-from .tomography import CountRecord
+from .tomography import CountRecord, CountTable, cell_index, count_table
 
 QUBIT_ORDER_TAG = "abcd-msb"
 
@@ -88,9 +88,13 @@ def _fmt_count(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+def counts_document(records) -> str:
+    """CSV rows ``setting,outcome,count`` of a count table or records."""
+    return "\n".join(f"{r.setting},{r.outcome},{_fmt_count(r.count)}" for r in records)
+
+
 def save_counts(path: str, records) -> None:
-    lines = [f"{r.setting},{r.outcome},{_fmt_count(r.count)}" for r in records]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, counts_document(records) + "\n")
 
 
 def _data_rows(path: str, header: str):
@@ -112,20 +116,23 @@ def _number(text: str, nonnegative: bool = False) -> float:
     return value
 
 
-def load_counts(path: str) -> list[CountRecord]:
-    records = []
+def load_counts(path: str) -> CountTable:
+    """Read a counts file into a :class:`CountTable`, checking every row."""
+    records, n = [], None
     for number, line in _data_rows(path, "setting,"):
         try:
-            setting, outcome, count = line.split(",")
-            records.append(CountRecord(setting.strip(), outcome.strip(),
-                                       _number(count, nonnegative=True)))
+            setting, outcome, count = (field.strip() for field in line.split(","))
+            n = n or len(setting)
+            cell_index(setting, outcome, n)
+            records.append(CountRecord(setting, outcome, _number(count, nonnegative=True)))
         except ValueError:
             raise ValueError(f"{path}:{number}: bad counts row {line!r}; "
-                             "expected setting,outcome,count with a finite "
+                             "expected setting,outcome,count with letters XYZ, "
+                             "bits 0/1, one length for the file and a finite "
                              "count >= 0") from None
     if not records:
         raise ValueError(f"no count records in {path}")
-    return records
+    return count_table(records)
 
 
 def save_correlators(path: str, records) -> None:

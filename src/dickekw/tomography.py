@@ -59,10 +59,9 @@ def settings_full(n: int) -> list[str]:
     return ["".join(p) for p in product("XYZ", repeat=n)]
 
 
-def _check_setting(setting: str) -> str:
+def _check_setting(setting: str) -> None:
     if not setting or any(l not in _BASIS_BRAS for l in setting):
         raise ValueError(f"bad measurement setting {setting!r}")
-    return setting
 
 
 def setting_basis(setting: str) -> np.ndarray:
@@ -80,76 +79,104 @@ def setting_projectors(setting: str) -> np.ndarray:
 
 def born_probabilities(rho, setting: str) -> np.ndarray:
     """Outcome probabilities of a setting; nonnegative, summing to one."""
-    b = setting_basis(setting)
-    return _born_probabilities(qmat.check_state(rho), b)
+    return _born_table(rho, [setting])[1][0]
 
 
-def _born_probabilities(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``born_probabilities`` of a validated state in the basis rows ``b``."""
-    if rho.ndim == 1:
-        probs = np.abs(b @ rho) ** 2
-    else:
-        probs = np.real(np.einsum("oi,ij,oj->o", b, rho, b.conj()))
-    return np.clip(probs, 0.0, None)
+def _born_table(rho, settings) -> tuple[tuple[str, ...], np.ndarray]:
+    """The checked settings as a tuple and their outcome probabilities."""
+    rho = qmat.check_state(rho)
+    n = qmat.num_qubits(rho)
+    settings = tuple(settings)
+    if not settings or any(len(s) != n for s in settings):
+        raise ValueError(f"a {n}-qubit state needs one or more settings of "
+                         f"{n} letters, got {list(settings)}")
+    probs = []
+    for b in map(setting_basis, settings):
+        if rho.ndim == 1:
+            probs.append(np.abs(b @ rho) ** 2)
+        else:
+            probs.append(np.real(np.einsum("oi,ij,oj->o", b, rho, b.conj())))
+    return settings, np.clip(probs, 0.0, None)
 
 
-def _outcome_strings(n: int) -> list[str]:
-    return [format(i, f"0{n}b") for i in range(2**n)]
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Read-only counts: ``counts[s, i]`` is the number of events of
+    ``settings[s]`` whose outcome bits (qubit a first) spell ``i``.
+    ``len()`` is the number of cells; iterating yields one
+    :class:`CountRecord` per cell, setting by setting."""
+
+    settings: tuple[str, ...]
+    counts: np.ndarray
+
+    def __post_init__(self):
+        counts = np.array(self.counts)
+        counts.flags.writeable = False
+        object.__setattr__(self, "settings", tuple(self.settings))
+        object.__setattr__(self, "counts", counts)
+
+    def __len__(self) -> int:
+        return self.counts.size
+
+    def __iter__(self):
+        n = len(self.settings[0])
+        for setting, row in zip(self.settings, self.counts.tolist()):
+            for i, count in enumerate(row):
+                yield CountRecord(setting, format(i, f"0{n}b"), count)
+
+
+def cell_index(setting: str, outcome: str, n: int) -> int:
+    """Index of an outcome of n bits within a setting of n letters over
+    X, Y, Z: the one check that a (setting, outcome) pair is well formed."""
+    _check_setting(setting)
+    if len(setting) != n or len(outcome) != n or not set(outcome) <= {"0", "1"}:
+        raise ValueError(f"bad count cell {setting},{outcome}: expected a "
+                         f"setting and an outcome of {n} letters")
+    return int(outcome, 2)
+
+
+def count_table(records) -> CountTable:
+    """The :class:`CountTable` of count records (a table passes unchanged):
+    settings in the order they first appear, records of the same outcome
+    added up, and zero for an outcome without a record."""
+    if isinstance(records, CountTable):
+        return records
+    rows: dict[str, np.ndarray] = {}
+    n = None
+    for r in records:
+        n = n or len(r.setting)
+        index = cell_index(r.setting, r.outcome, n)
+        count = float(r.count)
+        if not 0 <= count < np.inf:
+            raise ValueError(f"count {r.count!r} of {r.setting},{r.outcome} "
+                             "is not a finite number >= 0")
+        rows.setdefault(r.setting, np.zeros(2**n))[index] += count
+    if not rows:
+        raise ValueError("no count records given")
+    return CountTable(tuple(rows), np.array(list(rows.values())))
 
 
 # numpy's Poisson sampler accepts means up to about 9.2e18
 _MAX_MEAN_COUNTS = 1e18
 
 
-def simulate_counts(rho, settings, mean_counts: float, seed: int) -> list[CountRecord]:
+def simulate_counts(rho, settings, mean_counts: float, seed: int) -> CountTable:
     """Poissonian photon-counting simulation.
 
     Each outcome of each setting registers Poisson(mean_counts * probability)
     events; draws follow the given setting order, so a fixed seed reproduces
-    the records bit-identically.
+    the table bit-identically.
     """
     if not 0 < mean_counts <= _MAX_MEAN_COUNTS:
         raise ValueError(f"mean counts {mean_counts} outside (0, {_MAX_MEAN_COUNTS:g}]")
-    rho = qmat.check_state(rho)
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting in settings:
-        probs = _born_probabilities(rho, setting_basis(setting))
-        counts = rng.poisson(mean_counts * probs)
-        for outcome, count in zip(_outcome_strings(len(setting)), counts):
-            records.append(CountRecord(setting, outcome, int(count)))
-    return records
+    settings, probs = _born_table(rho, settings)
+    return CountTable(settings, np.random.default_rng(seed).poisson(mean_counts * probs))
 
 
-def exact_counts(rho, settings, mean_counts: float = 1.0) -> list[CountRecord]:
+def exact_counts(rho, settings, mean_counts: float = 1.0) -> CountTable:
     """Noiseless pseudo-counts: mean_counts times the exact probabilities."""
-    rho = qmat.check_state(rho)
-    records = []
-    for setting in settings:
-        probs = _born_probabilities(rho, setting_basis(setting))
-        for outcome, p in zip(_outcome_strings(len(setting)), probs):
-            records.append(CountRecord(setting, outcome, mean_counts * float(p)))
-    return records
-
-
-def _gather(counts):
-    """Group records into {setting: outcome-count vector}; infer qubit count.
-    ``_correlators``, ``_linear_inversion`` and ``_mle`` take its output."""
-    table: dict[str, np.ndarray] = {}
-    n = None
-    for r in counts:
-        setting = _check_setting(r.setting)
-        if n is None:
-            n = len(setting)
-        if len(setting) != n or len(r.outcome) != n:
-            raise ValueError("inconsistent setting/outcome lengths in counts")
-        if float(r.count) < 0:
-            raise ValueError("counts must be nonnegative")
-        vec = table.setdefault(setting, np.zeros(2**n))
-        vec[int(r.outcome, 2)] += float(r.count)
-    if not table:
-        raise ValueError("no count records given")
-    return n, table
+    settings, probs = _born_table(rho, settings)
+    return CountTable(settings, mean_counts * probs)
 
 
 @qmat.frozen_cache
@@ -165,17 +192,18 @@ def _sign_vector(pauli: str) -> np.ndarray:
 
 def linear_inversion(counts) -> np.ndarray:
     """Direct inversion rho = 2**-n sum_P <P> P over the full correlator
-    table of :func:`correlators_from_counts`.
+    table of :func:`correlators_from_counts`, from a table or records.
 
     The output is Hermitian with unit trace but can fail positivity on noisy
     data; consumers decide whether that matters.
     """
-    return _linear_inversion(*_gather(counts))
+    table = count_table(counts)
+    return _linear_inversion(table.settings, table.counts)
 
 
-def _linear_inversion(n: int, table) -> np.ndarray:
-    records = _correlators(n, table)
-    dim = 2**n
+def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
+    records = _correlators(settings, counts)
+    dim = counts.shape[1]
     rho = np.zeros((dim, dim), dtype=complex)
     for r in records:
         rho += r.value * qmat.pauli_matrix(r.pauli)
@@ -192,7 +220,7 @@ def _psd_project(rho: np.ndarray) -> np.ndarray:
 
 
 def mle_reconstruct(counts, max_iter: int = 5000, tol: float = 1e-14) -> TomographyResult:
-    """Maximum-likelihood state reconstruction from count records.
+    """Maximum-likelihood state reconstruction from a table or records.
 
     Runs accelerated projected-gradient ascent with restart on the
     Poisson/multinomial log-likelihood (Shang, Zhang and Ng, PRA 95,
@@ -212,8 +240,8 @@ def mle_reconstruct(counts, max_iter: int = 5000, tol: float = 1e-14) -> Tomogra
         raise ValueError("max_iter must be at least 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    n, table = _gather(counts)
-    return _mle(n, tuple(table), np.array([list(table.values())]), max_iter, tol)[0]
+    table = count_table(counts)
+    return _mle(table.settings, table.counts[None], max_iter, tol)[0]
 
 
 def _simplex(vals: np.ndarray) -> np.ndarray:
@@ -231,7 +259,7 @@ def _project(x: np.ndarray) -> np.ndarray:
     return (vecs * _simplex(vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
-def _mle(n: int, settings, counts, max_iter: int = 5000,
+def _mle(settings, counts: np.ndarray, max_iter: int = 5000,
          tol: float = 1e-14) -> list[TomographyResult]:
     """:func:`mle_reconstruct` of a stack of count tables, iterated together.
 
@@ -244,7 +272,7 @@ def _mle(n: int, settings, counts, max_iter: int = 5000,
     their product.  The products keep one row per table, so a table's fit
     does not depend on the other tables of the stack.
     """
-    dim = 2**n
+    dim = counts.shape[-1]
     weights = counts.reshape(len(counts), 1, -1)
     flat = np.concatenate([setting_projectors(s) for s in settings]).reshape(
         weights.shape[-1], -1).view(float)
@@ -252,7 +280,7 @@ def _mle(n: int, settings, counts, max_iter: int = 5000,
     for table in counts:
         if not (table > 0).any():
             raise ValueError("all settings have zero total counts")
-        starts.append(_psd_project(_linear_inversion(n, dict(zip(settings, table)))))
+        starts.append(_psd_project(_linear_inversion(settings, table)))
 
     def probs_of(rho):
         return rho.reshape(len(rho), 1, -1).view(float) @ flat.T
@@ -319,44 +347,40 @@ _BOOTSTRAP_BLOCK = 64
 def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
     """Bootstrap mean and standard deviation of the fidelity to a pure target.
 
-    Each replica resamples every count from Poisson(observed value), in
-    record order, and scores ``fidelity_pure(target, rho)`` of the
-    maximum-likelihood reconstruction of its resampled table.  Replicas
-    draw from independent seed-derived streams; they are fitted together,
-    in blocks of a fixed size, by one batched accelerated projected-gradient
-    iteration (see :func:`mle_reconstruct`), and the correlator layout of
-    their linear-inversion starts is built once.  A replica's fit equals a
+    Each replica resamples every cell of the count table (a table or
+    records) from Poisson(observed value), in table order, and scores
+    ``fidelity_pure(target, rho)`` of the maximum-likelihood reconstruction
+    of its resampled table.  Replicas draw from independent seed-derived
+    streams; they are fitted together, in blocks of a fixed size, by one
+    batched accelerated projected-gradient iteration (see
+    :func:`mle_reconstruct`), and the correlator layout of their
+    linear-inversion starts is built once.  A replica's fit equals a
     fit of its table alone.
     """
     if n_boot < 50:
         raise ValueError("at least 50 bootstrap replicas are required")
-    counts = list(counts)
+    table = count_table(counts)
     target = qmat.check_state_vector(target)
-    n, table = _gather(counts)
-    settings = {setting: k for k, setting in enumerate(table)}
-    slots = [settings[r.setting] * 2**n + int(r.outcome, 2) for r in counts]
-    observed = np.array([float(r.count) for r in counts])
     streams = np.random.SeedSequence(seed).spawn(n_boot)
     fids = []
     for lo in range(0, n_boot, _BOOTSTRAP_BLOCK):
-        resampled = np.array([
-            np.bincount(slots, np.random.default_rng(stream).poisson(observed),
-                        len(table) * 2**n)
-            for stream in streams[lo:lo + _BOOTSTRAP_BLOCK]])
-        fits = _mle(n, tuple(table), resampled.reshape(len(resampled), len(table), -1))
+        resampled = np.array([np.random.default_rng(stream).poisson(table.counts)
+                              for stream in streams[lo:lo + _BOOTSTRAP_BLOCK]])
+        fits = _mle(table.settings, resampled)
         fids += [qmat.fidelity_pure(target, fit.rho) for fit in fits]
     return float(np.mean(fids)), float(np.std(fids, ddof=1))
 
 
 def correlators_from_counts(counts, paulis=None) -> list[CorrelatorRecord]:
-    """Pauli expectations with counting uncertainties from count records.
+    """Pauli expectations with counting uncertainties from a table or records.
 
     Each requested Pauli string averages the signed frequencies over every
     refining setting with data; sigma propagates the binomial variance of a
     signed frequency, (1 - <P>_s^2) / N_s, across the settings used.
     ``paulis=None`` evaluates the full table of 4**n strings.
     """
-    return _correlators(*_gather(counts), paulis)
+    table = count_table(counts)
+    return _correlators(table.settings, table.counts, paulis)
 
 
 def pauli_strings(n: int) -> list[str]:
@@ -365,21 +389,22 @@ def pauli_strings(n: int) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def _correlator_layout(n: int, settings: tuple[str, ...]):
-    """Read-only map from each Pauli string on n qubits to its sign vector
-    and the indices of the settings that refine it; built once per table
-    shape, since every bootstrap replica shares it."""
+def _correlator_layout(settings: tuple[str, ...]):
+    """Read-only map from each Pauli string on the settings' qubits to its
+    sign vector and the indices of the settings that refine it; built once
+    per table shape, since every bootstrap replica shares it."""
     return MappingProxyType({
         pauli: (_sign_vector(pauli), tuple(
             k for k, s in enumerate(settings)
             if all(p == "I" or p == s[i] for i, p in enumerate(pauli))))
-        for pauli in pauli_strings(n)})
+        for pauli in pauli_strings(len(settings[0]))})
 
 
-def _correlators(n: int, table, paulis=None) -> list[CorrelatorRecord]:
-    layout = _correlator_layout(n, tuple(table))
-    totals = [vec.sum() for vec in table.values()]
-    freqs = [vec / tot if tot > 0 else None for vec, tot in zip(table.values(), totals)]
+def _correlators(settings, counts: np.ndarray, paulis=None) -> list[CorrelatorRecord]:
+    layout = _correlator_layout(settings)
+    n = len(settings[0])
+    totals = [vec.sum() for vec in counts]
+    freqs = [vec / tot if tot > 0 else None for vec, tot in zip(counts, totals)]
     records = []
     for pauli in layout if paulis is None else paulis:
         if len(pauli) != n:

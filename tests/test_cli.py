@@ -112,6 +112,15 @@ def test_tomo_reconstruct_undercovered_counts_fail(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_tomo_reconstruct_names_the_bad_counts_row(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("ZZ,00,5\nZZ,-1,7\n")
+    assert run("tomo", "reconstruct", "--counts", str(counts)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {counts}:2: bad counts row 'ZZ,-1,7'")
+    assert len(err.splitlines()) == 1
+
+
 def test_kw_exact_report(tmp_path, capsys):
     dm_path = tmp_path / "w1.dm.json"
     out = tmp_path / "kw.json"

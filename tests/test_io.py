@@ -65,8 +65,8 @@ def test_counts_reader_skips_header_and_comments(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("setting,outcome,count\n# comment\n\nZZ,00,5\nZZ,01,7\n")
     loaded = io.load_counts(path)
-    assert [(r.setting, r.outcome, r.count) for r in loaded] == \
-        [("ZZ", "00", 5), ("ZZ", "01", 7)]
+    assert loaded.settings == ("ZZ",)
+    np.testing.assert_array_equal(loaded.counts, [[5, 7, 0, 0]])
     (tmp_path / "empty.csv").write_text("\n")
     with pytest.raises(ValueError):
         io.load_counts(tmp_path / "empty.csv")
@@ -134,6 +134,10 @@ def test_density_matrix_trace_tolerance_is_1e_6(tmp_path):
     (io.load_counts, "setting,outcome,count\nZZ,00,abc\n", 2),
     (io.load_counts, "ZZ,00,nan\n", 1),
     (io.load_counts, "# note\nZZ,00,-3\n", 2),
+    (io.load_counts, "ZZ,00,5\nZZ,-1,7\n", 2),
+    (io.load_counts, "QQ,00,5\n", 1),
+    (io.load_counts, "ZZ,0x,5\n", 1),
+    (io.load_counts, "ZZ,00,5\nZZZ,000,3\n", 2),
     (io.load_correlators, "ZZZ,-1.0\nZZI,abc,0.1\n", 2),
     (io.load_correlators, "ZZZ,-1.0,0.1,7\n", 1),
     (io.load_correlators, "\nZZZ,inf,0.1\n", 2),

@@ -84,8 +84,8 @@ def test_simulate_counts_reproducible():
         [(r.setting, r.outcome, r.count) for r in b]
     c = tomo.simulate_counts(rho, settings, 1000, 6)
     assert [r.count for r in a] != [r.count for r in c]
-    assert len(a) == 27 * 8
-    assert all(r.count >= 0 and float(r.count).is_integer() for r in a)
+    assert len(a) == 27 * 8 and a.counts.shape == (27, 8)
+    assert all(type(r.count) is int and r.count >= 0 for r in a)
 
 
 def test_simulate_counts_zero_probability_outcomes():
@@ -139,10 +139,13 @@ def test_linear_inversion_is_bit_stable():
         "b1007563907c6ddbbad377454e602508995c15e669955a1543a9ed2ea67a5570")
 
 
-@pytest.mark.parametrize("simulate", [
+producers = pytest.mark.parametrize("simulate", [
     lambda rho, s: tomo.simulate_counts(rho, s, 100, 0),
     lambda rho, s: tomo.exact_counts(rho, s),
 ], ids=["simulate_counts", "exact_counts"])
+
+
+@producers
 def test_count_simulation_validates_state_once(monkeypatch, simulate):
     calls = []
     check = qmat.check_density_matrix
@@ -150,6 +153,55 @@ def test_count_simulation_validates_state_once(monkeypatch, simulate):
                         lambda *a, **k: calls.append(1) or check(*a, **k))
     simulate(w1_dm(), tomo.settings_full(3))
     assert len(calls) == 1
+
+
+@producers
+@pytest.mark.parametrize("settings", [["ZZZ"], ["XX", "Z"], []])
+def test_count_simulation_needs_settings_that_fit_the_state(simulate, settings):
+    with pytest.raises(ValueError, match="2-qubit state needs one or more "
+                                         "settings of 2 letters"):
+        simulate(qmat.dm(states.psi_plus()), settings)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.integers(1, 3), st.data())
+def test_count_table_rebuilds_from_its_records(n, data):
+    settings = data.draw(st.lists(st.sampled_from(tomo.settings_full(n)),
+                                  min_size=1, max_size=4, unique=True))
+    values = data.draw(st.lists(st.one_of(st.integers(0, 10**9), st.floats(0, 1e9)),
+                                min_size=len(settings) * 2**n,
+                                max_size=len(settings) * 2**n))
+    table = tomo.CountTable(tuple(settings),
+                            np.reshape(values, (len(settings), 2**n)))
+    records = list(table)
+    assert len(records) == len(table) == len(settings) * 2**n
+    assert tomo.count_table(table) is table
+    again = tomo.count_table(records)
+    assert again.settings == table.settings
+    np.testing.assert_array_equal(again.counts, table.counts)
+    # shuffled records fill the same rows; settings keep first appearance
+    shuffled = data.draw(st.permutations(records))
+    mixed = tomo.count_table(shuffled)
+    assert mixed.settings == tuple(dict.fromkeys(r.setting for r in shuffled))
+    for setting, row in zip(mixed.settings, mixed.counts):
+        np.testing.assert_array_equal(row, table.counts[settings.index(setting)])
+    doubled = tomo.count_table(records + shuffled)
+    assert doubled.settings == table.settings
+    np.testing.assert_array_equal(doubled.counts, 2 * table.counts)
+
+
+@pytest.mark.parametrize("records, message", [
+    ([("ZZ", "00", 1), ("ZZ", "-1", 7)], "bad count cell ZZ,-1"),
+    ([("ZZZ", "1_0", 7)], "bad count cell ZZZ,1_0"),
+    ([("ZZ", "00", 1), ("ZZZ", "000", 3)], "bad count cell ZZZ,000"),
+    ([("QQ", "00", 1)], "bad measurement setting 'QQ'"),
+    ([("ZZ", "00", -1)], "not a finite number >= 0"),
+    ([("ZZ", "00", float("nan"))], "not a finite number >= 0"),
+    ([], "no count records"),
+])
+def test_count_table_rejects_malformed_records(records, message):
+    with pytest.raises(ValueError, match=message):
+        tomo.count_table([tomo.CountRecord(*r) for r in records])
 
 
 def test_coarse_graining_consistency():
@@ -282,14 +334,14 @@ def test_bootstrap_fidelity_is_bit_stable(seed):
     assert first == pytest.approx(BELL_BOOTSTRAP[seed], abs=1e-6)
 
 
-def reference_mle(n, table, max_iter=5000, tol=1e-10):
+def reference_mle(settings, counts, max_iter=5000, tol=1e-10):
     """The former per-table R rho R loop, kept as the oracle of the
     accelerated fit, plus a count of the iterations that took a diluted
     step."""
-    dim = 2**n
+    dim = counts.shape[1]
     projs = np.concatenate([tomo.setting_projectors(s)[vec > 0]
-                            for s, vec in table.items()])
-    weights = np.concatenate([vec[vec > 0] for vec in table.values()])
+                            for s, vec in zip(settings, counts)])
+    weights = counts[counts > 0]
     if not len(weights):
         raise ValueError("all settings have zero total counts")
     total = weights.sum()
@@ -300,7 +352,7 @@ def reference_mle(n, table, max_iter=5000, tol=1e-10):
     def loglike(p):
         return float(weights @ np.log(p))
 
-    rho = tomo._psd_project(tomo._linear_inversion(n, table))
+    rho = tomo._psd_project(tomo._linear_inversion(settings, counts))
     ll = loglike(probs_of(rho))
     trace = [ll]
     iterations = 0
@@ -344,15 +396,13 @@ def reference_mle(n, table, max_iter=5000, tol=1e-10):
 
 def bootstrap_tables(counts, n_boot, seed):
     """The bootstrap's resampled tables as a (replicas, settings, outcomes)
-    stack, drawn as the former per-replica loop drew them."""
-    n, table = tomo._gather(counts)
-    index = {setting: k for k, setting in enumerate(table)}
-    slots = [index[r.setting] * 2**n + int(r.outcome, 2) for r in counts]
-    observed = np.array([float(r.count) for r in counts])
-    stack = [np.bincount(slots, np.random.default_rng(stream).poisson(observed),
-                         len(table) * 2**n)
-             for stream in np.random.SeedSequence(seed).spawn(n_boot)]
-    return n, tuple(table), np.array(stack).reshape(n_boot, len(table), -1)
+    stack, drawn one table cell at a time in table order."""
+    table = tomo.count_table(counts)
+    stack = []
+    for stream in np.random.SeedSequence(seed).spawn(n_boot):
+        rng = np.random.default_rng(stream)
+        stack.append([rng.poisson(r.count) for r in table])
+    return table.settings, np.reshape(stack, (n_boot, *table.counts.shape))
 
 
 # one-qubit tables whose setting totals differ by three orders of
@@ -374,17 +424,17 @@ def acceptance_09_tables():
     runs = [tomo.simulate_counts(w1_dm(), settings, 10000, 42),
             tomo.exact_counts(w1_dm(), settings)]
     runs += [tomo.simulate_counts(w1_dm(), settings, 1000, seed) for seed in range(5)]
-    return 3, tuple(settings), np.array([list(tomo._gather(r)[1].values()) for r in runs])
+    return tuple(settings), np.array([r.counts for r in runs])
 
 
-# (n, settings, stack of tables, fidelity target, fit options) per case
+# (settings, stack of tables, fidelity target, fit options) per case
 ORACLE_CASES = {
     "psi-plus, seed 44": lambda: (*bootstrap_tables(bell_counts(), 100, 44),
                                   states.psi_plus(), {}),
     "psi-plus, seed 9": lambda: (*bootstrap_tables(bell_counts(), 100, 9),
                                  states.psi_plus(), {}),
     "w1 at 50 counts": lambda: (*w1_tables(), states.dicke(3, 1), {}),
-    "unbalanced": lambda: (1, ("X", "Y", "Z"),
+    "unbalanced": lambda: (("X", "Y", "Z"),
                            np.array([list(t.values()) for t in UNBALANCED]),
                            qmat.KET0, {"max_iter": 300}),
     "acceptance 09 runs": lambda: (*acceptance_09_tables(), states.dicke(3, 1), {}),
@@ -400,12 +450,11 @@ ORACLE_TOL = 1e-12
 def test_batched_mle_matches_the_per_table_loop(case):
     # the two fits take different paths to the same optimum: the fit is at
     # least as likely as the oracle's, and as faithful where that converged
-    n, settings, stack, target, options = ORACLE_CASES[case]()
-    fits = tomo._mle(n, settings, stack, **options)
+    settings, stack, target, options = ORACLE_CASES[case]()
+    fits = tomo._mle(settings, stack, **options)
     diluted = 0
     for table, fit in zip(stack, fits):
-        ref, steps = reference_mle(n, dict(zip(settings, table)),
-                                   tol=ORACLE_TOL, **options)
+        ref, steps = reference_mle(settings, table, tol=ORACLE_TOL, **options)
         diluted += steps
         assert fit.log_likelihood >= ref.log_likelihood - 1e-8 * abs(ref.log_likelihood)
         if ref.converged:
@@ -421,11 +470,11 @@ def test_batched_mle_matches_the_per_table_loop(case):
 @pytest.mark.parametrize("case", ["psi-plus, seed 44", "w1 at 50 counts",
                                   "acceptance 09 runs"])
 def test_a_table_fits_alike_in_a_block_and_alone(case):
-    n, settings, stack, target, _ = ORACLE_CASES[case]()
-    fits = tomo._mle(n, settings, stack)
+    settings, stack, target, _ = ORACLE_CASES[case]()
+    fits = tomo._mle(settings, stack)
     assert len({fit.iterations for fit in fits}) > 1  # tables leave the block
     for table, fit in zip(stack, fits):
-        alone = tomo._mle(n, settings, table[None])[0]
+        alone = tomo._mle(settings, table[None])[0]
         assert qmat.fidelity_pure(target, fit.rho) == pytest.approx(
             qmat.fidelity_pure(target, alone.rho), abs=1e-9)
         assert fit.log_likelihood == pytest.approx(
@@ -434,9 +483,9 @@ def test_a_table_fits_alike_in_a_block_and_alone(case):
 
 def test_bootstrap_blocks_match_the_per_replica_loop():
     n_boot = tomo._BOOTSTRAP_BLOCK + 1
-    n, settings, stack = bootstrap_tables(bell_counts(), n_boot, 17)
+    settings, stack = bootstrap_tables(bell_counts(), n_boot, 17)
     fids = [qmat.fidelity_pure(states.psi_plus(),
-                               tomo._mle(n, settings, table[None])[0].rho)
+                               tomo._mle(settings, table[None])[0].rho)
             for table in stack]
     mean, sigma = tomo.bootstrap_fidelity(bell_counts(), states.psi_plus(),
                                           n_boot=n_boot, seed=17)
@@ -447,7 +496,7 @@ def test_bootstrap_blocks_match_the_per_replica_loop():
 def test_mle_converges_where_the_per_table_loop_stalls():
     w_noisy, _ = states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])
     counts = tomo.simulate_counts(w_noisy, tomo.settings_full(3), 1000, 1)
-    ref, _ = reference_mle(*tomo._gather(counts))
+    ref, _ = reference_mle(counts.settings, counts.counts)
     fit = tomo.mle_reconstruct(counts)
     assert not ref.converged and ref.iterations == 5000
     assert fit.converged and fit.iterations < 500
@@ -524,19 +573,19 @@ def test_bootstrap_raises_for_the_first_replica_without_coverage():
     # the XY correlator then has no setting with data
     counts = [tomo.CountRecord(r.setting, r.outcome, int(r.outcome == "00"))
               if r.setting == "XY" else r for r in bell_counts()]
-    n, settings, stack = bootstrap_tables(counts, 60, 2)
+    settings, stack = bootstrap_tables(counts, 60, 2)
     assert not stack[:, settings.index("XY")].any(axis=1).all()
     with pytest.raises(ValueError) as expected:
         for table in stack:
-            reference_mle(n, dict(zip(settings, table)))
+            reference_mle(settings, table)
     with pytest.raises(ValueError) as raised:
         tomo.bootstrap_fidelity(counts, states.psi_plus(), n_boot=60, seed=2)
     assert str(raised.value) == str(expected.value) == "no setting with data covers XY"
     # a table with no counts at all fails as a one-table fit of it does
-    stack = np.array([list(tomo._gather(bell_counts())[1].values())] * 2)
+    stack = np.array([bell_counts().counts] * 2)
     stack[1] = 0
     with pytest.raises(ValueError, match="all settings have zero total counts"):
-        tomo._mle(n, settings, stack)
+        tomo._mle(settings, stack)
 
 
 def test_correlators_build_their_layout_once_per_table_shape(monkeypatch):
@@ -565,10 +614,10 @@ def test_bootstrap_resampling_equals_per_record_draws():
 
 def test_fixed_tables_are_cached_read_only():
     for table in (tomo.setting_projectors("XYZ"), tomo._sign_vector("XIZ"),
-                  qmat.pauli_matrix("XYZ")):
+                  qmat.pauli_matrix("XYZ"), bell_counts().counts):
         with pytest.raises(ValueError):
             table.flat[0] = 0
-    layout = tomo._correlator_layout(2, ("XZ", "ZZ"))
+    layout = tomo._correlator_layout(("XZ", "ZZ"))
     assert layout["IZ"][1] == (0, 1)
     with pytest.raises(TypeError):
         layout["IZ"] = layout["ZZ"]
