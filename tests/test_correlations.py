@@ -183,6 +183,76 @@ def test_classical_correlations_nelder_mead_panel():
         assert abs(j_new - j_old) <= 1e-6
 
 
+# (S, J, E, KW, theta_opt, phi_opt) of kw_all_permutations, recorded while
+# the sweep and zoom settings could still be passed in: the projected
+# noisy_dicke(0.765), whose six splits agree, then random three-qubit
+# states of rank 1, 2 and 8 (generator seed 20261018, drawn in that order)
+NOISY_SPLIT = (0.9525723357984601, 0.20182474310372034, 0.10886971542924256,
+               0.6418778772654972, 0.7853982897804557, 0.930994737852879)
+J_KERNEL_PIN = {
+    "noisy": (NOISY_SPLIT,) * 6,
+    1: (
+        (0.6673952495309629, 0.2045136975113187, 0.4628815391256169,
+         1.2894027234811034e-08, 0.4968374310934603, 0.2556243048242034),
+        (0.665124348712502, 0.2022427966928576, 0.46288154462794084,
+         7.391703582548814e-09, 0.4968374310934603, 0.2556243048242034),
+        (0.48764337284737946, 0.24088965545001192, 0.24675371343530592,
+         3.9620616232305395e-09, 0.2933674191707675, 1.930481668557713),
+        (0.665124348712502, 0.4183706313151345, 0.2467537080031898,
+         9.39417771350648e-09, 0.2933674191707675, 1.930481668557713),
+        (0.48764337284737946, 0.2376327845697308, 0.2500105839656847,
+         4.311963952563502e-09, 0.7337180170456737, 0.017674953476725062),
+        (0.667395249530963, 0.4173846612533143, 0.25001058725677294,
+         1.0208757172947003e-09, 0.7337180170456737, 0.017674953476725062),
+    ),
+    2: (
+        (0.89214393198861, 0.24605539943834753, 0.0,
+         0.6460885325502624, 0.17343844601182262, 2.122538265897911),
+        (0.7684377455418974, 0.3728312994079784, 0.0,
+         0.395606446133919, 0.5779286717672799, 4.606177083150387),
+        (0.9808775613397407, 0.24865940561093425, 0.28196602550631705,
+         0.4502521302224894, 0.36875693704793167, 5.343446722666667),
+        (0.7684377455418974, 0.08794449190978137, 0.2819660255063156,
+         0.3985272281258004, 0.5328965057031398, 3.2229297995852435),
+        (0.9808775613397407, 0.33572951884914515, 0.04569330923730498,
+         0.5994547332532906, 0.20071020459577332, 4.797015544369512),
+        (0.89214393198861, 0.09159420787387484, 0.04569330923730498,
+         0.7548564148774302, 0.5234326153817032, 3.8473988082277706),
+    ),
+    8: (
+        (0.9842270687924105, 0.1252581604847377, 0.0,
+         0.8589689083076728, 0.33205859433165535, 2.4627211765448016),
+        (0.9929618152234547, 0.05529763344462002, 0.0,
+         0.9376641817788347, 0.5819922869674223, 1.6056356817106596),
+        (0.9978165919527129, 0.12507651786789764, 0.0,
+         0.8727400740848152, 0.8186531730352579, 4.143266409928467),
+        (0.9929618152234547, 0.09527060933510367, 0.0,
+         0.897691205888351, 0.6516286259461126, 6.0404948519271615),
+        (0.9978165919527129, 0.05512982742876227, 0.0,
+         0.9426867645239506, 0.8173279721914228, 5.603240235977229),
+        (0.9842270687924105, 0.09558205753046634, 0.0,
+         0.8886450112619442, 0.5500680063733823, 5.946048705276535),
+    ),
+}
+
+
+def projected_noisy_dicke():
+    return states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])[0]
+
+
+def test_j_kernel_is_bit_stable():
+    rng = np.random.default_rng(20261018)
+    for key, rows in J_KERNEL_PIN.items():
+        rho = (projected_noisy_dicke() if key == "noisy"
+               else qmat.random_density_matrix(3, rng, rank=key))
+        reports, _ = corr.kw_all_permutations(rho)
+        assert [(r.S, r.J, r.E, r.KW, r.theta_opt, r.phi_opt)
+                for r in reports] == list(rows), key
+    pair = qmat.partial_trace(projected_noisy_dicke(), [0, 1])
+    j, direction = corr.classical_correlations(pair, measured=1)
+    assert (j, direction.theta, direction.phi) == NOISY_SPLIT[1:2] + NOISY_SPLIT[4:]
+
+
 seeds = st.integers(0, 2**32 - 1)
 
 
