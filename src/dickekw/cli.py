@@ -102,8 +102,7 @@ def cmd_tomo_reconstruct(args) -> int:
 def cmd_kw_exact(args) -> int:
     rho = io.load_density_matrix(args.infile)
     if args.all_permutations:
-        reports, average = corr.kw_all_permutations(
-            rho, grid=args.grid, angle_tol=args.tol)
+        reports, average = corr.kw_all_permutations(rho)
         for r in reports:
             _print_report_line(r)
         print(f"average KW = {_g(average)}")
@@ -112,8 +111,7 @@ def cmd_kw_exact(args) -> int:
             io.atomic_write_text(args.out, doc + "\n")
             print(f"wrote {args.out}")
         return 0
-    report = corr.kw_exact(rho, args.assignment, grid=args.grid,
-                           angle_tol=args.tol)
+    report = corr.kw_exact(rho, args.assignment)
     _print_report_line(report)
     if args.out:
         io.save_kw_report(args.out, report)
@@ -200,7 +198,7 @@ def _report_text(args) -> str:
     say("[monogamy balance: pure single-excitation state]")
     w1_ket = states.dicke(3, 1)
     w1 = qmat.dm(w1_ket)
-    r = corr.kw_exact(w1, "b|a,c", grid=args.grid, angle_tol=args.tol)
+    r = corr.kw_exact(w1, "b|a,c")
     say(f"  exact {r.assignment}: S={_g(r.S)} J={_g(r.J)} E={_g(r.E)} "
         f"KW={_g(r.KW)} theta*={_g(r.theta_opt)}")
     rs = corr.kw_symmetric(corr.SymmetricModel(1 / 3, 1 / 3))
@@ -220,8 +218,7 @@ def _report_text(args) -> str:
     say("")
 
     say("[monogamy balance: white-noise model, projected]")
-    reports, average = corr.kw_all_permutations(w_noisy, grid=args.grid,
-                                                angle_tol=args.tol)
+    reports, average = corr.kw_all_permutations(w_noisy)
     kws = sorted({round(r.KW, 9) for r in reports})
     say(f"  exact per assignment: {', '.join(_g(k) for k in kws)}"
         f" (six assignments); average {_g(average)}")
@@ -312,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--assignment", default="b|a,c",
                          help='measurement split, e.g. "b|a,c" (default)')
     p_exact.add_argument("--all-permutations", action="store_true")
-    p_exact.add_argument("--grid", type=int, default=64)
-    p_exact.add_argument("--tol", type=float, default=1e-6)
     p_exact.add_argument("--out", help="output report file")
     p_exact.set_defaults(func=cmd_kw_exact)
 
@@ -340,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--counts", type=float, default=10000)
     p_rep.add_argument("--bootstrap", type=int, default=100)
     p_rep.add_argument("--samples", type=int, default=2000)
-    p_rep.add_argument("--grid", type=int, default=64)
-    p_rep.add_argument("--tol", type=float, default=1e-6)
     p_rep.add_argument("--out", help="output text file")
     p_rep.set_defaults(func=cmd_report)
 

@@ -15,7 +15,7 @@ with theta in [0, pi/2] and phi in [0, 2 pi).
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, replace
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import permutations
 from math import pi
 
@@ -90,20 +90,24 @@ def _canonical_direction(theta: float, phi: float) -> MeasurementDirection:
     return MeasurementDirection(theta=float(theta), phi=float(phi % (2 * pi)))
 
 
-@lru_cache(maxsize=8)
-def _direction_grid(grid: int):
+# the J search: a _GRID x _GRID sweep of (theta, phi), then a zoom that
+# stops once its patch is narrower than _ANGLE_TOL radians
+_GRID = 64
+_ANGLE_TOL = 1e-6
+
+
+def _direction_grid():
     """(theta, phi) and Bloch vectors of the theta <= pi/4 rows of the sweep;
     as n and -n are the same measurement, the other rows add nothing."""
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points per axis")
-    thetas = np.linspace(0.0, pi / 2, grid)[: (grid + 1) // 2]
-    phis = np.linspace(0.0, 2 * pi, grid, endpoint=False)
+    thetas = np.linspace(0.0, pi / 2, _GRID)[: (_GRID + 1) // 2]
+    phis = np.linspace(0.0, 2 * pi, _GRID, endpoint=False)
     tt, pp = (m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij"))
     n = np.stack([np.sin(2 * tt) * np.cos(pp), np.sin(2 * tt) * np.sin(pp),
                   np.cos(2 * tt)], axis=-1)
     return tt, pp, n
 
 
+_SWEEP = _direction_grid()
 _PAULI4 = np.stack([PAULI[l] for l in "IXYZ"])
 # zoom patch: 5 x 5 tangent offsets in units of its half width, centre first
 # so that the current point wins ties
@@ -147,7 +151,7 @@ def _pick_starts(values, tt, pp):
     return np.stack(starts, axis=1)
 
 
-def _min_measured_entropy(rhos, grid: int, angle_tol: float):
+def _min_measured_entropy(rhos):
     """S(beta), min over measurements n on alpha of the entropy left on beta,
     and the minimizing n, for a trusted (B, 4, 4) stack of states.
 
@@ -155,17 +159,15 @@ def _min_measured_entropy(rhos, grid: int, angle_tol: float):
     the whole stack is swept over the hemisphere grid at once.  The three
     starts of every state then zoom in together: each moves to the best point
     of a patch of tangent offsets spanning +-width, and the width halves
-    until it is below ``angle_tol``.
+    until it is below ``_ANGLE_TOL``.
     """
-    if not angle_tol > 0:
-        raise ValueError("angle_tol must be positive")
     r = np.einsum("bijkl,ski,tlj->bst", rhos.reshape(-1, 2, 2, 2, 2),
                   _PAULI4, _PAULI4).real
     a, b, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
-    tt, pp, grid_n = _direction_grid(grid)
+    tt, pp, grid_n = _SWEEP
     n = grid_n[_pick_starts(_measured_entropy(a, b, t, grid_n[None]), tt, pp)]
-    width = 2 * pi / grid
-    while width >= angle_tol:
+    width = 2 * pi / _GRID
+    while width >= _ANGLE_TOL:
         axis = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
         u = axis - np.sum(axis * n, axis=-1, keepdims=True) * n
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
@@ -188,26 +190,22 @@ def _direction_of(n) -> MeasurementDirection:
     return _canonical_direction(theta, np.arctan2(n[1], n[0]))
 
 
-def classical_correlations(rho, measured: int = 0, grid: int = 64,
-                           angle_tol: float = 1e-6):
+def classical_correlations(rho, measured: int = 0):
     """Classical correlations of a two-qubit state.
 
     J = S(beta) - min over projective measurements on alpha of the average
     conditional entropy of beta, a closed form in the measurement's Bloch
     vector n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta).  The
-    minimum is located on the theta <= pi/4 half of a grid x grid sweep of
-    (theta, phi) (ties toward smaller theta, then smaller phi) and polished
-    by a zoom search on the sphere.
+    minimum is located on the theta <= pi/4 half of a fixed 64 x 64 sweep
+    of (theta, phi) (ties toward smaller theta, then smaller phi) and
+    polished by a zoom search on the sphere whose patch halves until it is
+    narrower than 1e-6 rad.
 
     Parameters
     ----------
     rho : array, shape (4, 4)
     measured : int
         Index of the measured qubit alpha (0 or 1).
-    grid : int
-        Points per angle axis for the initial sweep.
-    angle_tol : float
-        The zoom stops once its patch is narrower than this (radians).
 
     Returns
     -------
@@ -220,7 +218,7 @@ def classical_correlations(rho, measured: int = 0, grid: int = 64,
         raise ValueError("measured qubit must be 0 or 1")
     if measured == 1:
         rho = qmat.permute_qubits(rho, [1, 0])
-    s_beta, cond, n = _min_measured_entropy(rho[None], grid, angle_tol)
+    s_beta, cond, n = _min_measured_entropy(rho[None])
     return float(s_beta[0] - cond[0]), _direction_of(n[0])
 
 
@@ -262,8 +260,7 @@ def format_assignment(alpha: int, beta: int, gamma: int) -> str:
     return f"{QUBIT_NAMES[beta]}|{QUBIT_NAMES[alpha]},{QUBIT_NAMES[gamma]}"
 
 
-def kw_exact(rho, assignment=(0, 1, 2), grid: int = 64,
-             angle_tol: float = 1e-6) -> KWReport:
+def kw_exact(rho, assignment=(0, 1, 2)) -> KWReport:
     """Exact monogamy residual of a three-qubit state.
 
     Parameters
@@ -275,16 +272,16 @@ def kw_exact(rho, assignment=(0, 1, 2), grid: int = 64,
         computed for measurements on alpha, the entropy and the
         entanglement of formation belong to beta and (beta, gamma).
     """
-    return _kw_reports(rho, [assignment], grid, angle_tol)[0]
+    return _kw_reports(rho, [assignment])[0]
 
 
-def kw_all_permutations(rho, grid: int = 64, angle_tol: float = 1e-6):
+def kw_all_permutations(rho):
     """Exact reports for all six (alpha, beta, gamma) splits plus the mean KW."""
-    reports = _kw_reports(rho, permutations(range(3)), grid, angle_tol)
+    reports = _kw_reports(rho, permutations(range(3)))
     return reports, float(np.mean([r.KW for r in reports]))
 
 
-def _kw_reports(rho, assignments, grid: int, angle_tol: float):
+def _kw_reports(rho, assignments):
     """Validate rho once, then evaluate every split with one batched J."""
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (8, 8):
@@ -295,7 +292,7 @@ def _kw_reports(rho, assignments, grid: int, angle_tol: float):
         if sorted(split) != [0, 1, 2]:
             raise ValueError(f"assignment {split} must cover qubits 0, 1, 2")
     pairs = np.stack([partial_trace(rho, [alpha, beta]) for alpha, beta, _ in splits])
-    s_beta, cond, n = _min_measured_entropy(pairs, grid, angle_tol)
+    s_beta, cond, n = _min_measured_entropy(pairs)
     reports = []
     for (alpha, beta, gamma), s, h, n_opt in zip(splits, s_beta, cond, n):
         s, j = float(s), float(s - h)
@@ -324,7 +321,9 @@ class SymmetricModel:
     p: float
     c: float
 
-    def validate(self, atol: float = 1e-9):
+    def validate(self):
+        """Raise ValueError outside the domain by more than ``qmat.ATOL``."""
+        atol = qmat.ATOL
         if self.p < -atol:
             raise ValueError(f"population p={self.p} is negative")
         if not -self.p / 2 - atol <= self.c <= self.p + atol:

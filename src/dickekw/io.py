@@ -57,8 +57,9 @@ def save_density_matrix(path: str, rho) -> None:
 
 
 def load_density_matrix(path: str) -> np.ndarray:
-    """Read a density-matrix document: Hermitian within 1e-9, unit trace
-    within 1e-6 (files may hold rounded numbers; in memory it is 1e-9), and
+    """Read a density-matrix document: Hermitian within ``qmat.ATOL``, unit
+    trace within 1e-6 (files may hold rounded numbers; in memory it is
+    ``qmat.ATOL``), and
     no eigenvalue below ``qmat.EIG_FLOOR`` unless the document says
     ``"physical": false``, as it does for a linear-inversion estimate."""
     with open(path) as handle:
@@ -72,7 +73,7 @@ def load_density_matrix(path: str) -> np.ndarray:
     n = int(doc["n_qubits"])
     if rho.shape != (2**n, 2**n):
         raise ValueError(f"matrix shape {rho.shape} does not match {n} qubits")
-    if not np.allclose(rho, rho.conj().T, atol=1e-9, rtol=0):
+    if not np.allclose(rho, rho.conj().T, atol=qmat.ATOL, rtol=0):
         raise ValueError("file does not contain a Hermitian matrix")
     if abs(np.trace(rho).real - 1.0) > 1e-6:
         raise ValueError("matrix trace differs from 1")

@@ -29,10 +29,13 @@ QUBIT_NAMES = "abcd"
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
-# entropy conventions: eigenvalues below EIG_ZERO contribute nothing,
-# anything more negative than EIG_FLOOR signals an invalid state
+# eigenvalues, probabilities and amplitudes below EIG_ZERO count as zero
+# (in entropies, projections and phase fixing); an eigenvalue more negative
+# than EIG_FLOOR signals an invalid state
 EIG_ZERO = 1e-12
 EIG_FLOOR = -1e-8
+# the state checks' tolerance on norm, trace and Hermiticity
+ATOL = 1e-9
 
 
 def num_qubits(obj) -> int:
@@ -71,29 +74,30 @@ def ket_from_bits(bits) -> np.ndarray:
     return basis_ket(len(bits), index)
 
 
-def check_state_vector(psi, atol: float = 1e-9) -> np.ndarray:
-    """Validate a ket: 1-D, power-of-two length, unit norm within atol."""
+def check_state_vector(psi) -> np.ndarray:
+    """Validate a ket: 1-D, power-of-two length, unit norm within ATOL."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValueError("state vector must be one-dimensional")
     num_qubits(psi)
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"state vector norm {norm} differs from 1 beyond {atol}")
+    if abs(norm - 1.0) > ATOL:
+        raise ValueError(f"state vector norm {norm} differs from 1 beyond {ATOL}")
     return psi
 
 
-def check_density_matrix(rho, atol: float = 1e-9) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, spectrum >= -1e-8."""
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate a density matrix: Hermitian and of unit trace within ATOL,
+    spectrum >= EIG_FLOOR."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     num_qubits(rho)
-    if not np.allclose(rho, rho.conj().T, atol=atol, rtol=0):
+    if not np.allclose(rho, rho.conj().T, atol=ATOL, rtol=0):
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"density matrix trace {tr} differs from 1 beyond {atol}")
+    if abs(tr - 1.0) > ATOL:
+        raise ValueError(f"density matrix trace {tr} differs from 1 beyond {ATOL}")
     lo = float(np.linalg.eigvalsh(rho).min())
     if lo < EIG_FLOOR:
         raise ValueError(f"density matrix has eigenvalue {lo} below {EIG_FLOOR}")
@@ -114,11 +118,12 @@ def dm(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def fix_global_phase(psi, tol: float = 1e-12) -> np.ndarray:
-    """Rescale a ket so its first nonzero amplitude is real and positive."""
+def fix_global_phase(psi) -> np.ndarray:
+    """Rescale a ket so its first amplitude of magnitude above EIG_ZERO is
+    real and positive."""
     psi = np.asarray(psi, dtype=complex)
     for amp in psi:
-        if abs(amp) > tol:
+        if abs(amp) > EIG_ZERO:
             return psi * (amp.conjugate() / abs(amp))
     return psi.copy()
 
@@ -232,19 +237,19 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def eig_hermitian(h, atol: float = 1e-9) -> Spectrum:
+def eig_hermitian(h) -> Spectrum:
     """Deterministically ordered eigendecomposition of a Hermitian matrix.
 
     Eigenvalues descend; each eigenvector's global phase is fixed by making
-    its first component of magnitude above 1e-12 real and positive, which
+    its first component of magnitude above EIG_ZERO real and positive, which
     pins the output for non-degenerate spectra.
 
-    Raises ValueError if ``h`` is not Hermitian within ``atol``.
+    Raises ValueError if ``h`` is not Hermitian within ``ATOL``.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.allclose(h, h.conj().T, atol=atol, rtol=0):
+    if not np.allclose(h, h.conj().T, atol=ATOL, rtol=0):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(-vals, kind="stable")
@@ -306,12 +311,12 @@ def _outcome_ket(outcome) -> np.ndarray:
     if v.shape != (2,):
         raise ValueError("outcome ket must have shape (2,)")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > ATOL:
         raise ValueError("outcome ket must be normalized")
     return v
 
 
-def project(state, assignments, min_prob: float = 1e-12):
+def project(state, assignments):
     """Project chosen qubits onto single-qubit outcomes and renormalize.
 
     Parameters
@@ -320,8 +325,8 @@ def project(state, assignments, min_prob: float = 1e-12):
     assignments : iterable of (qubit, outcome)
         ``outcome`` is 0, 1, or a normalized single-qubit ket.  Qubits must
         be distinct.  The surviving qubits keep their relative order.
-    min_prob : float
-        Outcomes with probability at or below this raise ValueError.
+        An outcome with probability at or below EIG_ZERO (1e-12) raises
+        ValueError.
 
     Returns
     -------
@@ -342,12 +347,12 @@ def project(state, assignments, min_prob: float = 1e-12):
     if state.ndim == 1:
         post = B @ state
         prob = float(np.real(np.vdot(post, post)))
-        if prob <= min_prob:
+        if prob <= EIG_ZERO:
             raise ValueError(f"projection outcome has probability {prob}")
         return post / np.sqrt(prob), prob
     post = B @ state @ B.conj().T
     prob = float(np.trace(post).real)
-    if prob <= min_prob:
+    if prob <= EIG_ZERO:
         raise ValueError(f"projection outcome has probability {prob}")
     return post / prob, prob
 

@@ -147,13 +147,13 @@ def noisy_dicke(p: float) -> np.ndarray:
     return p * qmat.dm(dicke(4, 2)) + (1 - p) * np.eye(16, dtype=complex) / 16
 
 
-def reduce_state(state, assignments, min_prob: float = 1e-12):
+def reduce_state(state, assignments):
     """Project qubits onto outcomes; pure input yields a ket, mixed a matrix.
 
     Thin workflow wrapper over :func:`dickekw.qmat.project` that accepts
     either a ket or a density matrix and returns ``(post_state, probability)``.
     """
-    return qmat.project(qmat.check_state(state), assignments, min_prob=min_prob)
+    return qmat.project(qmat.check_state(state), assignments)
 
 
 def parse_projections(text: str, n: int):

@@ -219,7 +219,7 @@ def _psd_project(rho: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def mle_reconstruct(counts, max_iter: int = 5000, tol: float = 1e-14) -> TomographyResult:
+def mle_reconstruct(counts) -> TomographyResult:
     """Maximum-likelihood state reconstruction from a table or records.
 
     Runs accelerated projected-gradient ascent with restart on the
@@ -231,17 +231,13 @@ def mle_reconstruct(counts, max_iter: int = 5000, tol: float = 1e-14) -> Tomogra
     would lower the likelihood is not taken: it restarts the momentum from
     the current state with a smaller step, so the likelihood trace is
     monotone.  Starts from the positivity-projected linear inversion and
-    stops once a step changes the log-likelihood by at most ``tol`` times
-    its magnitude, or after ``max_iter`` steps with ``converged=False``.
+    stops once a step changes the log-likelihood by at most 1e-14 times
+    its magnitude, or after 5000 steps with ``converged=False``.
     This is the one-table call of the batched fit that
     :func:`bootstrap_fidelity` runs on its replicas.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     table = count_table(counts)
-    return _mle(table.settings, table.counts[None], max_iter, tol)[0]
+    return _mle(table.settings, table.counts[None])[0]
 
 
 def _simplex(vals: np.ndarray) -> np.ndarray:
@@ -259,8 +255,12 @@ def _project(x: np.ndarray) -> np.ndarray:
     return (vecs * _simplex(vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
-def _mle(settings, counts: np.ndarray, max_iter: int = 5000,
-         tol: float = 1e-14) -> list[TomographyResult]:
+# the fit stops once a step moves the log-likelihood by at most this
+# fraction of its magnitude
+_MLE_TOL = 1e-14
+
+
+def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyResult]:
     """:func:`mle_reconstruct` of a stack of count tables, iterated together.
 
     ``counts[r, s]`` is the outcome vector of ``settings[s]`` in table r.
@@ -319,7 +319,7 @@ def _mle(settings, counts: np.ndarray, max_iter: int = 5000,
         step = step * np.where(up, 1.5, 0.2)
         history.append(history[-1].copy())
         history[-1][rows] = ll
-        done = np.abs(gain) <= tol * np.abs(ll)
+        done = np.abs(gain) <= _MLE_TOL * np.abs(ll)
         if done.any():
             fitted[rows[done]] = rho[done]
             iterations[rows[done]] = it

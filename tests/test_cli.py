@@ -50,6 +50,18 @@ def test_usage_error_exits_two():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [("kw", "exact", "--in", "w1.dm.json", "--grid", "24"),
+                                  ("report", "--tol", "1e-3")])
+def test_removed_search_flags_are_usage_errors(capsys, argv):
+    # the J search has one fixed configuration, so its former flags are unknown
+    with pytest.raises(SystemExit) as info:
+        run(*argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+    assert "Traceback" not in err
+
+
 def test_tomo_simulate_deterministic(tmp_path, capsys):
     dm_path = tmp_path / "w1.dm.json"
     run("state", "w1", "--out", str(dm_path))
@@ -197,7 +209,7 @@ def test_kw_correlators_reports_clipped_fraction(tmp_path, capsys):
 def test_report_command(tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert run("report", "--counts", "400", "--bootstrap", "50",
-               "--samples", "200", "--grid", "24", "--out", str(out)) == 0
+               "--samples", "200", "--out", str(out)) == 0
     text = out.read_text()
     for header in ("[source state and circuit]",
                    "[projective reductions of dicke(4,2)]",

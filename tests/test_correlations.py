@@ -119,15 +119,6 @@ def test_classical_correlations_local_unitary_invariance():
     assert j1 == pytest.approx(j0, abs=1e-5)
 
 
-def test_classical_correlations_rejects_bad_search_settings():
-    rho = qmat.dm(states.psi_plus())
-    with pytest.raises(ValueError, match="grid"):
-        corr.classical_correlations(rho, grid=1)
-    for tol in (0.0, -1e-6, float("nan")):
-        with pytest.raises(ValueError, match="angle_tol"):
-            corr.classical_correlations(rho, angle_tol=tol)
-
-
 def test_assignment_parsing():
     assert corr.parse_assignment("b|a,c") == (0, 1, 2)
     assert corr.parse_assignment("a|b,d") == (1, 0, 3)

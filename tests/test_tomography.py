@@ -542,15 +542,6 @@ def test_mle_is_at_least_as_likely_as_the_true_state(n, seed, mean, rank):
     assert fit.log_likelihood >= truth - 1e-8 * abs(truth)
 
 
-@pytest.mark.parametrize("options", [{"max_iter": 0}, {"max_iter": -3},
-                                     {"tol": 0.0}, {"tol": -1e-12},
-                                     {"tol": float("nan")}])
-def test_mle_rejects_solver_settings_that_cannot_converge(options):
-    counts = tomo.exact_counts(qmat.dm(states.psi_plus()), tomo.settings_full(2))
-    with pytest.raises(ValueError, match="max_iter|tol"):
-        tomo.mle_reconstruct(counts, **options)
-
-
 def test_simplex_projection_matches_a_bisection():
     # the projection onto the simplex is max(v - shift, 0) with the shift
     # that makes it sum to one; bisect for that shift independently
