@@ -210,15 +210,6 @@ def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
     return rho / dim
 
 
-def _psd_project(rho: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    if vals.sum() <= 0:
-        return np.eye(rho.shape[0], dtype=complex) / rho.shape[0]
-    vals /= vals.sum()
-    return (vecs * vals) @ vecs.conj().T
-
-
 def mle_reconstruct(counts) -> TomographyResult:
     """Maximum-likelihood state reconstruction from a table or records.
 
@@ -230,9 +221,10 @@ def mle_reconstruct(counts) -> TomographyResult:
     (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)).  A step that
     would lower the likelihood is not taken: it restarts the momentum from
     the current state with a smaller step, so the likelihood trace is
-    monotone.  Starts from the positivity-projected linear inversion and
-    stops once a step changes the log-likelihood by at most 1e-14 times
-    its magnitude, or after 5000 steps with ``converged=False``.
+    monotone.  Starts from the linear inversion projected onto the density
+    matrices the same way, and stops once a step changes the
+    log-likelihood by at most 1e-14 times its magnitude, or after 5000
+    steps with ``converged=False``.
     This is the one-table call of the batched fit that
     :func:`bootstrap_fidelity` runs on its replicas.
     """
@@ -270,17 +262,15 @@ def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyR
     for the gradients and one batched ``eigh``; a Hermitian matrix viewed as
     real numbers is a vector whose dot product with another is the trace of
     their product.  The products keep one row per table, so a table's fit
-    does not depend on the other tables of the stack.
+    does not depend on the other tables of the stack.  A table still moving
+    after ``max_iter`` steps stops with ``converged=False``.
     """
     dim = counts.shape[-1]
     weights = counts.reshape(len(counts), 1, -1)
     flat = np.concatenate([setting_projectors(s) for s in settings]).reshape(
         weights.shape[-1], -1).view(float)
-    starts = []
-    for table in counts:
-        if not (table > 0).any():
-            raise ValueError("all settings have zero total counts")
-        starts.append(_psd_project(_linear_inversion(settings, table)))
+    if not (counts > 0).any(axis=(1, 2)).all():
+        raise ValueError("all settings have zero total counts")
 
     def probs_of(rho):
         return rho.reshape(len(rho), 1, -1).view(float) @ flat.T
@@ -289,7 +279,8 @@ def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyR
         return (weights * np.log(np.clip(p, 1e-12, None))).sum(axis=(1, 2))
 
     rows = np.arange(len(counts))
-    rho = bar = np.array(starts)
+    rho = bar = _project(np.array([_linear_inversion(settings, table)
+                                   for table in counts]))
     fitted = np.empty_like(rho)
     iterations = np.full(len(rows), max_iter)
     p = p_bar = probs_of(rho)

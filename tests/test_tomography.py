@@ -352,7 +352,7 @@ def reference_mle(settings, counts, max_iter=5000, tol=1e-10):
     def loglike(p):
         return float(weights @ np.log(p))
 
-    rho = tomo._psd_project(tomo._linear_inversion(settings, counts))
+    rho = tomo._project(tomo._linear_inversion(settings, counts)[None])[0]
     ll = loglike(probs_of(rho))
     trace = [ll]
     iterations = 0
