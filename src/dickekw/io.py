@@ -118,19 +118,22 @@ def _number(text: str, nonnegative: bool = False) -> float:
 
 
 def load_counts(path: str) -> CountTable:
-    """Read a counts file into a :class:`CountTable`, checking every row."""
-    records, n = [], None
+    """Read a counts file into a :class:`CountTable`, checking every row and
+    that the counts up to it still add up to a finite total."""
+    records, n, total = [], None, 0.0
     for number, line in _data_rows(path, "setting,"):
         try:
             setting, outcome, count = (field.strip() for field in line.split(","))
             n = n or len(setting)
             cell_index(setting, outcome, n)
-            records.append(CountRecord(setting, outcome, _number(count, nonnegative=True)))
+            count = _number(count, nonnegative=True)
+            total = _number(total + count)
+            records.append(CountRecord(setting, outcome, count))
         except ValueError:
             raise ValueError(f"{path}:{number}: bad counts row {line!r}; "
                              "expected setting,outcome,count with letters XYZ, "
-                             "bits 0/1, one length for the file and a finite "
-                             "count >= 0") from None
+                             "bits 0/1, one length for the file and finite "
+                             "counts >= 0 with a finite sum") from None
     if not records:
         raise ValueError(f"no count records in {path}")
     return count_table(records)

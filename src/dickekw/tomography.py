@@ -138,11 +138,12 @@ def cell_index(setting: str, outcome: str, n: int) -> int:
 def count_table(records) -> CountTable:
     """The :class:`CountTable` of count records (a table passes unchanged):
     settings in the order they first appear, records of the same outcome
-    added up, and zero for an outcome without a record."""
+    added up, and zero for an outcome without a record.  Every count, and
+    the total of them all, must be a finite number >= 0."""
     if isinstance(records, CountTable):
         return records
     rows: dict[str, np.ndarray] = {}
-    n = None
+    n, total = None, 0.0
     for r in records:
         n = n or len(r.setting)
         index = cell_index(r.setting, r.outcome, n)
@@ -150,6 +151,10 @@ def count_table(records) -> CountTable:
         if not 0 <= count < np.inf:
             raise ValueError(f"count {r.count!r} of {r.setting},{r.outcome} "
                              "is not a finite number >= 0")
+        total += count
+        if total == np.inf:
+            raise ValueError(f"count {r.count!r} of {r.setting},{r.outcome} "
+                             "takes the total count past the largest float")
         rows.setdefault(r.setting, np.zeros(2**n))[index] += count
     if not rows:
         raise ValueError("no count records given")

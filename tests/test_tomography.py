@@ -198,6 +198,8 @@ def test_count_table_rebuilds_from_its_records(n, data):
     ([("ZZ", "00", -1)], "not a finite number >= 0"),
     ([("ZZ", "00", float("nan"))], "not a finite number >= 0"),
     ([], "no count records"),
+    ([("Z", "0", 1e308), ("Z", "1", 1e308)], "past the largest float"),
+    ([("X", "0", 1e308), ("Z", "0", 1e308)], "past the largest float"),
 ])
 def test_count_table_rejects_malformed_records(records, message):
     with pytest.raises(ValueError, match=message):
