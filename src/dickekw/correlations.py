@@ -315,20 +315,19 @@ class SymmetricModel:
 
     The model matrix carries population p on each of |001>, |010>, |100> and
     real coherence c between every pair of them.  Physical domain: p >= 0,
-    -p/2 <= c <= p (positivity), 3p <= 1 (trace).
+    -p/2 <= c <= p (positivity), 3p <= 1 (trace); ``validate`` checks it
+    with a slack of ``qmat.ATOL``.
     """
 
     p: float
     c: float
 
     def validate(self):
-        """Raise ValueError outside the domain by more than ``qmat.ATOL``."""
-        atol = qmat.ATOL
-        if self.p < -atol:
+        if self.p < -qmat.ATOL:
             raise ValueError(f"population p={self.p} is negative")
-        if not -self.p / 2 - atol <= self.c <= self.p + atol:
+        if not -self.p / 2 - qmat.ATOL <= self.c <= self.p + qmat.ATOL:
             raise ValueError(f"coherence c={self.c} outside [-p/2, p] for p={self.p}")
-        if 3 * self.p > 1 + atol:
+        if 3 * self.p > 1 + qmat.ATOL:
             raise ValueError(f"populations 3p={3 * self.p} exceed 1")
         return self
 

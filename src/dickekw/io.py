@@ -59,9 +59,9 @@ def save_density_matrix(path: str, rho) -> None:
 def load_density_matrix(path: str) -> np.ndarray:
     """Read a density-matrix document: Hermitian within ``qmat.ATOL``, unit
     trace within 1e-6 (files may hold rounded numbers; in memory it is
-    ``qmat.ATOL``), and
-    no eigenvalue below ``qmat.EIG_FLOOR`` unless the document says
-    ``"physical": false``, as it does for a linear-inversion estimate."""
+    ``qmat.ATOL``), and no eigenvalue below ``qmat.EIG_FLOOR`` unless the
+    document says ``"physical": false``, as it does for a linear-inversion
+    estimate."""
     with open(path) as handle:
         doc = json.load(handle)
     for field in ("n_qubits", "qubit_order", "re", "im"):
@@ -127,7 +127,9 @@ def load_counts(path: str) -> CountTable:
             n = n or len(setting)
             cell_index(setting, outcome, n)
             count = _number(count, nonnegative=True)
-            total = _number(total + count)
+            total += count
+            if total == np.inf:
+                raise ValueError(line)
             records.append(CountRecord(setting, outcome, count))
         except ValueError:
             raise ValueError(f"{path}:{number}: bad counts row {line!r}; "
