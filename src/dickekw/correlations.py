@@ -32,8 +32,10 @@ from .qmat import PAULI, QUBIT_NAMES, partial_trace
 def concurrence(rho) -> float:
     """Two-qubit concurrence C = max(0, l1 - l2 - l3 - l4).
 
-    The l_i are the descending square roots of the eigenvalues of
-    rho (Y x Y) rho* (Y x Y).
+    The l_i are the descending singular values of Psi^T (Y x Y) Psi for
+    rho = Psi Psi^dagger (Wootters, PRL 80, 2245 (1998)), the square roots of
+    the eigenvalues of rho (Y x Y) rho* (Y x Y) without their rounding error
+    on rank-deficient states.
     """
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (4, 4):
@@ -42,10 +44,9 @@ def concurrence(rho) -> float:
 
 
 def _concurrence(rho) -> float:
-    yy = qmat.pauli_matrix("YY")
-    m = rho @ yy @ rho.conj() @ yy
-    lam = np.sqrt(np.clip(np.real(np.linalg.eigvals(m)), 0.0, None))
-    lam[::-1].sort()
+    w, v = np.linalg.eigh(rho)
+    psi = v * np.sqrt(np.maximum(w, 0.0))
+    lam = np.linalg.svd(psi.T @ qmat.pauli_matrix("YY") @ psi, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -92,7 +93,7 @@ def _canonical_direction(theta: float, phi: float) -> MeasurementDirection:
 
 # the J search: a _GRID x _GRID sweep of (theta, phi), then a zoom that
 # stops once its patch is narrower than _ANGLE_TOL radians
-_GRID = 64
+_GRID = 16
 _ANGLE_TOL = 1e-6
 
 
@@ -109,16 +110,21 @@ def _direction_grid():
 
 _SWEEP = _direction_grid()
 _PAULI4 = np.stack([PAULI[l] for l in "IXYZ"])
-# zoom patch: 5 x 5 tangent offsets in units of its half width, centre first
-# so that the current point wins ties
-_PATCH = np.array(sorted(((i / 2, j / 2) for i in range(-2, 3)
-                          for j in range(-2, 3)), key=lambda o: max(map(abs, o))))
+# zoom patch: 7 x 7 tangent offsets in units of its half width (0, +-1/3,
+# +-2/3, +-1), centre first so that the current point wins ties.  A best
+# point among the first _INNER offsets has the minimum in reach of a patch a
+# quarter as wide; one on the edge ring may have more to gain past it, and
+# the width only halves.
+_PATCH = np.array(sorted(((i / 3, j / 3) for i in range(-3, 4)
+                          for j in range(-3, 4)), key=lambda o: max(map(abs, o))))
+_INNER = int(np.sum(np.abs(_PATCH).max(axis=1) < 1))
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]  # n x u as np.cross computes it
 
 
 def _binary_entropy(x):
     """Entropy in bits of a qubit state with Bloch length x."""
-    return sum(-p * np.log2(np.maximum(p, 1e-300))
-               for p in ((1 + x) / 2, (1 - x) / 2))
+    p, q = (1 + x) / 2, (1 - x) / 2
+    return -p * np.log2(np.maximum(p, 1e-300)) - q * np.log2(np.maximum(q, 1e-300))
 
 
 def _measured_entropy(a, b, t, n):
@@ -132,7 +138,8 @@ def _measured_entropy(a, b, t, n):
     total = 0.0
     for s in (1.0, -1.0):
         q = np.maximum((1 + s * an) / 2, 1e-300)
-        x = np.linalg.norm(b[:, None] + s * tn, axis=-1) / (2 * q)
+        v = b[:, None] + s * tn
+        x = np.sqrt((v * v).sum(-1)) / (2 * q)
         total = total + q * _binary_entropy(np.minimum(x, 1.0))
     return total
 
@@ -158,31 +165,32 @@ def _min_measured_entropy(rhos):
     With rho = (I + a.sigma x I + I x b.sigma + sum T_ij sigma_i x sigma_j) / 4
     the whole stack is swept over the hemisphere grid at once.  The three
     starts of every state then zoom in together: each moves to the best point
-    of a patch of tangent offsets spanning +-width, and the width halves
-    until it is below ``_ANGLE_TOL``.
+    of a 7 x 7 patch of tangent offsets spanning +-width, and its width
+    shrinks fourfold (twofold if that point is on the patch's edge) until
+    every width is below ``_ANGLE_TOL``.
     """
     r = np.einsum("bijkl,ski,tlj->bst", rhos.reshape(-1, 2, 2, 2, 2),
                   _PAULI4, _PAULI4).real
     a, b, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
     tt, pp, grid_n = _SWEEP
     n = grid_n[_pick_starts(_measured_entropy(a, b, t, grid_n[None]), tt, pp)]
-    width = 2 * pi / _GRID
-    while width >= _ANGLE_TOL:
+    rows, starts = np.arange(len(n)), np.arange(n.shape[1])
+    width = np.full(n.shape[:2] + (1, 1), 2 * pi / _GRID)
+    while (width >= _ANGLE_TOL).any():
         axis = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
-        u = axis - np.sum(axis * n, axis=-1, keepdims=True) * n
-        u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        w = np.cross(n, u)
+        u = axis - (axis * n).sum(-1, keepdims=True) * n
+        u /= np.sqrt((u * u).sum(-1, keepdims=True))
+        w = n[..., _NEXT] * u[..., _LAST] - n[..., _LAST] * u[..., _NEXT]
         cand = n[..., None, :] + width * (_PATCH[:, :1] * u[..., None, :]
                                           + _PATCH[:, 1:] * w[..., None, :])
-        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+        cand /= np.sqrt((cand * cand).sum(-1, keepdims=True))
         f = _measured_entropy(a, b, t, cand.reshape(len(n), -1, 3))
         best = np.argmin(f.reshape(cand.shape[:-1]), axis=-1)
-        n = np.take_along_axis(cand, best[..., None, None], axis=-2)[..., 0, :]
-        width /= 2
+        n = cand[rows[:, None], starts, best]
+        width /= np.where(best < _INNER, 4.0, 2.0)[..., None, None]
     f = _measured_entropy(a, b, t, n)
     best = np.argmin(f, axis=1)
-    rows = np.arange(len(best))
-    return _binary_entropy(np.linalg.norm(b, axis=-1)), f[rows, best], n[rows, best]
+    return _binary_entropy(np.sqrt((b * b).sum(-1))), f[rows, best], n[rows, best]
 
 
 def _direction_of(n) -> MeasurementDirection:
@@ -196,10 +204,11 @@ def classical_correlations(rho, measured: int = 0):
     J = S(beta) - min over projective measurements on alpha of the average
     conditional entropy of beta, a closed form in the measurement's Bloch
     vector n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta).  The
-    minimum is located on the theta <= pi/4 half of a fixed 64 x 64 sweep
+    minimum is located on the theta <= pi/4 half of a fixed 16 x 16 sweep
     of (theta, phi) (ties toward smaller theta, then smaller phi) and
-    polished by a zoom search on the sphere whose patch halves until it is
-    narrower than 1e-6 rad.
+    polished by a zoom search on the sphere: a 7 x 7 patch whose width
+    shrinks fourfold each round (twofold while its best point lies on the
+    edge) until it is narrower than 1e-6 rad.
 
     Parameters
     ----------
@@ -293,10 +302,12 @@ def _kw_reports(rho, assignments):
             raise ValueError(f"assignment {split} must cover qubits 0, 1, 2")
     pairs = np.stack([partial_trace(rho, [alpha, beta]) for alpha, beta, _ in splits])
     s_beta, cond, n = _min_measured_entropy(pairs)
+    eof = {pair: eof_from_concurrence(_concurrence(partial_trace(rho, list(pair))))
+           for pair in {tuple(sorted(split[1:])) for split in splits}}  # one per pair
     reports = []
     for (alpha, beta, gamma), s, h, n_opt in zip(splits, s_beta, cond, n):
         s, j = float(s), float(s - h)
-        e = eof_from_concurrence(_concurrence(partial_trace(rho, [beta, gamma])))
+        e = eof[tuple(sorted((beta, gamma)))]
         direction = _direction_of(n_opt)
         reports.append(KWReport(
             assignment=format_assignment(alpha, beta, gamma),

@@ -6,6 +6,7 @@ implementation and are frozen here.
 """
 
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -174,14 +175,67 @@ def test_classical_correlations_nelder_mead_panel():
         assert abs(j_new - j_old) <= 1e-6
 
 
-# (S, J, E, KW, theta_opt, phi_opt) of kw_all_permutations, recorded while
-# the sweep and zoom settings could still be passed in: the projected
+# (S, J, E, KW, theta_opt, phi_opt) of kw_all_permutations from the 16 x 16
+# sweep and the 7 x 7 zoom that shrinks fourfold a round (twofold when its
+# best point is on the patch's edge) with E from singular values: the projected
 # noisy_dicke(0.765), whose six splits agree, then random three-qubit
 # states of rank 1, 2 and 8 (generator seed 20261018, drawn in that order)
-NOISY_SPLIT = (0.9525723357984601, 0.20182474310372034, 0.10886971542924256,
-               0.6418778772654972, 0.7853982897804557, 0.930994737852879)
+NOISY_SPLIT = (0.9525723357984601, 0.20182474310372633, 0.1088697154292412,
+               0.6418778772654926, 0.7853981338165575, 0.013033481097453163)
 J_KERNEL_PIN = {
     "noisy": (NOISY_SPLIT,) * 6,
+    1: (
+        (0.6673952495309629, 0.20451369751131915, 0.462881552019643,
+         7.216449660063518e-16, 0.4968374019888558, 0.25562427303346946),
+        (0.665124348712502, 0.20224279669285816, 0.462881552019643,
+         8.881784197001252e-16, 0.4968374019888558, 0.25562427303346946),
+        (0.48764337284737946, 0.2408896554500163, 0.24675371739736254,
+         6.106226635438361e-16, 0.2933674684110946, 1.9304822357052287),
+        (0.665124348712502, 0.41837063131513885, 0.24675371739736254,
+         6.38378239159465e-16, 0.2933674684110946, 1.9304822357052287),
+        (0.48764337284737946, 0.23763278456973147, 0.2500105882776468,
+         1.2212453270876722e-15, 0.8370783528629612, 3.159267670651565),
+        (0.667395249530963, 0.41738466125331514, 0.2500105882776468,
+         1.0547118733938987e-15, 0.8370783528629612, 3.159267670651565),
+    ),
+    2: (
+        (0.89214393198861, 0.24605539943835208, 0.0,
+         0.6460885325502579, 0.17343854743893944, 2.1225385966125296),
+        (0.7684377455418974, 0.3728312994080091, 0.0,
+         0.3956064461338883, 0.5779284689295234, 4.606176690426759),
+        (0.9808775613397407, 0.24865940561096345, 0.28196602550631944,
+         0.4502521302224578, 0.3687569977379169, 5.3434462044566455),
+        (0.7684377455418974, 0.08794449190978737, 0.28196602550631944,
+         0.39852722812579056, 0.5328966926414307, 3.222929135332052),
+        (0.9808775613397407, 0.3357295188491506, 0.04569330923730498,
+         0.5994547332532851, 0.2007101156100368, 4.797015548152004),
+        (0.89214393198861, 0.09159420787388328, 0.04569330923730498,
+         0.7548564148774217, 0.5234328432120365, 3.8473990670855156),
+    ),
+    8: (
+        (0.9842270687924105, 0.1252581604847396, 0.0,
+         0.8589689083076709, 0.33205852182437795, 2.4627213477230647),
+        (0.9929618152234547, 0.05529763344462191, 0.0,
+         0.9376641817788328, 0.5819925129971385, 1.6056352383252246),
+        (0.9978165919527129, 0.12507651786791163, 0.0,
+         0.8727400740848013, 0.8186531466659249, 4.143266860521863),
+        (0.9929618152234547, 0.09527060933510834, 0.0,
+         0.8976912058883464, 0.919167792324389, 2.8989023014514403),
+        (0.9978165919527129, 0.055129827428762046, 0.0,
+         0.9426867645239508, 0.8173280216742631, 5.603240496965882),
+        (0.9842270687924105, 0.09558205753046967, 0.0,
+         0.8886450112619408, 0.5500679998248904, 5.946048889327507),
+    ),
+}
+
+
+# the same rows from the 64 x 64 sweep and the 5 x 5 zoom that halved its
+# width each round, with E from the square roots of the eigenvalues of
+# rho (Y x Y) rho* (Y x Y); kept as the tolerance oracle of the retuned search
+NOISY_SPLIT_64 = (0.9525723357984601, 0.20182474310372034, 0.10886971542924256,
+               0.6418778772654972, 0.7853982897804557, 0.930994737852879)
+J_KERNEL_64_GRID = {
+    "noisy": (NOISY_SPLIT_64,) * 6,
     1: (
         (0.6673952495309629, 0.2045136975113187, 0.4628815391256169,
          1.2894027234811034e-08, 0.4968374310934603, 0.2556243048242034),
@@ -231,17 +285,107 @@ def projected_noisy_dicke():
     return states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])[0]
 
 
-def test_j_kernel_is_bit_stable():
+def j_kernel_states():
+    """The pinned three-qubit states, keyed as in ``J_KERNEL_PIN``."""
     rng = np.random.default_rng(20261018)
-    for key, rows in J_KERNEL_PIN.items():
-        rho = (projected_noisy_dicke() if key == "noisy"
-               else qmat.random_density_matrix(3, rng, rank=key))
-        reports, _ = corr.kw_all_permutations(rho)
-        assert [(r.S, r.J, r.E, r.KW, r.theta_opt, r.phi_opt)
-                for r in reports] == list(rows), key
+    for key in J_KERNEL_PIN:
+        yield key, (projected_noisy_dicke() if key == "noisy"
+                    else qmat.random_density_matrix(3, rng, rank=key))
+
+
+def j_kernel_rows(rho):
+    reports, _ = corr.kw_all_permutations(rho)
+    return [(r.S, r.J, r.E, r.KW, r.theta_opt, r.phi_opt) for r in reports]
+
+
+def test_j_kernel_is_bit_stable():
+    for key, rho in j_kernel_states():
+        assert j_kernel_rows(rho) == list(J_KERNEL_PIN[key]), key
     pair = qmat.partial_trace(projected_noisy_dicke(), [0, 1])
     j, direction = corr.classical_correlations(pair, measured=1)
     assert (j, direction.theta, direction.phi) == NOISY_SPLIT[1:2] + NOISY_SPLIT[4:]
+
+
+def on_the_side_of(theta, phi, like):
+    """(theta, phi) or (pi/2 - theta, phi + pi), the same measurement with the
+    Bloch vector reversed, whichever lies on the side of pi/4 that ``like`` does."""
+    if (theta > np.pi / 4) == (like > np.pi / 4):
+        return theta, phi
+    return np.pi / 2 - theta, (phi + np.pi) % (2 * np.pi)
+
+
+def test_j_kernel_agrees_with_the_64_grid_search():
+    # S and J moved by at most 3e-14 in the retune; E and KW by up to 1.3e-8,
+    # the error of the eigenvalue concurrence on rank-deficient pairs.  A
+    # direction may come back reversed, and the noisy state's minimum is a
+    # circle at theta = pi/4, so its phi is free.
+    for key, rho in j_kernel_states():
+        for row, old in zip(j_kernel_rows(rho), J_KERNEL_64_GRID[key]):
+            diff = np.abs(np.subtract(row[:4], old[:4]))
+            assert (diff[:2] <= 1e-12).all() and (diff[2:] <= 1e-7).all(), key
+            theta, phi = on_the_side_of(*row[4:], like=old[4])
+            assert abs(theta - old[4]) <= 1e-6, key
+            dphi = (phi - old[5] + np.pi) % (2 * np.pi) - np.pi
+            assert key == "noisy" or abs(dphi) <= 1e-6, key
+
+
+def xlog2x(x):
+    return x * np.log2(np.where(x > 0, x, 1.0))
+
+
+@functools.cache
+def dense_outcome_products():
+    """conj(v_i) v_j of the two outcome kets |theta_1>, |theta_2> on a
+    256 x 512 (theta, phi) grid of the theta <= pi/4 half, shape (2, 4, K)."""
+    theta = np.repeat(np.linspace(0.0, np.pi / 4, 256), 512)
+    phase = np.exp(1j * np.tile(np.linspace(0.0, 2 * np.pi, 512, endpoint=False), 256))
+    kets = np.array([[np.cos(theta), phase * np.sin(theta)],
+                     [np.sin(theta) / phase, -np.cos(theta)]])
+    return (kets.conj()[:, :, None] * kets[:, None, :]).reshape(2, 4, -1)
+
+
+def dense_min_conditional_entropy(rho):
+    """Minimum over the dense grid of the entropy of qubit b left by measuring
+    qubit a, from each outcome's unnormalized 2 x 2 state of b and its
+    eigenvalues."""
+    # blocks[(k, l), (i, j)] = <i k| rho |j l>, qubit a first: rows b00, b11, b01
+    blocks = rho.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)[[0, 3, 1]]
+    total = 0.0
+    for products in dense_outcome_products():
+        m00, m11, m01 = blocks @ products
+        p = (m00 + m11).real
+        gap = np.sqrt(np.maximum(((m00 - m11).real / 2) ** 2 + np.abs(m01) ** 2, 0.0))
+        lam = np.maximum(p / 2 + gap, 0.0), np.maximum(p / 2 - gap, 0.0)
+        total = total + xlog2x(p) - xlog2x(lam[0]) - xlog2x(lam[1])
+    return total.min()
+
+
+def test_j_search_reaches_the_minimum_of_a_dense_sweep():
+    rng = np.random.default_rng(20261019)
+    pairs = [qmat.random_density_matrix(2, rng, rank=1 + i % 4) for i in range(40)]
+    for _, rho in j_kernel_states():
+        pairs += [qmat.partial_trace(rho, [alpha, beta])
+                  for alpha, beta, _ in itertools.permutations(range(3))]
+    _, cond, _ = corr._min_measured_entropy(np.stack(pairs))
+    for k, (rho, h) in enumerate(zip(pairs, cond)):
+        assert h <= dense_min_conditional_entropy(rho) + 1e-12, k
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_concurrence_of_a_pair_ignores_its_order(seed):
+    # the singular-value form keeps the zero eigenvalues of rank-deficient
+    # reductions, so pure states balance to rounding error
+    rng = np.random.default_rng(seed)
+    pure = qmat.dm(qmat.random_state_vector(3, rng))
+    mixed = qmat.random_density_matrix(3, rng, rank=int(rng.integers(1, 9)))
+    for rho in (pure, mixed):
+        for beta, gamma in itertools.combinations(range(3), 2):
+            c = [corr.concurrence(qmat.partial_trace(rho, keep))
+                 for keep in ([beta, gamma], [gamma, beta])]
+            assert abs(c[0] - c[1]) <= 1e-12
+    for r in corr.kw_all_permutations(pure)[0]:
+        assert abs(r.KW) <= 1e-10
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -300,6 +444,33 @@ def test_classical_correlations_bell_diagonal_closed_form(weights):
     luo = 1 - qmat.entropy_bits([(1 + c_max) / 2, (1 - c_max) / 2])
     j, _ = corr.classical_correlations(rho)
     assert j == pytest.approx(luo, abs=1e-9)
+
+
+def measured_j(rho, kets):
+    """S(b) minus the entropy left on qubit b by measuring qubit a in ``kets``."""
+    left = 0.0
+    for ket in kets:
+        post, prob = qmat.project(rho, [(0, ket)])
+        left += prob * qmat.von_neumann_entropy(post)
+    return qmat.von_neumann_entropy(qmat.partial_trace(rho, [1])) - left
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_classical_correlations_of_x_states_beat_the_z_and_x_candidates(
+        weights, z, w):
+    # Ali, Rau and Alber, PRA 81, 042105 (2010) take J of an X state from the
+    # sigma_z and sigma_x measurements; Lu et al., PRA 83, 012327 (2011) show
+    # the optimum can lie elsewhere, so the two are lower bounds only
+    a, b, c, d = np.asarray(weights) / sum(weights)
+    rho = np.diag([a, b, c, d]).astype(complex)
+    rho[0, 3] = rho[3, 0] = z * np.sqrt(a * d)
+    rho[1, 2] = rho[2, 1] = w * np.sqrt(b * c)
+    j, _ = corr.classical_correlations(rho)
+    j_z = measured_j(rho, (qmat.KET0, qmat.KET1))
+    j_x = measured_j(rho, qmat.H)
+    assert j >= max(j_z, j_x) - 1e-12
 
 
 def test_kw_all_permutations_validates_input_once(monkeypatch):
