@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qmat
 from .correlations import CorrelatorRecord, KWReport
-from .tomography import CountRecord, CountTable, cell_index, count_table
+from .tomography import MAX_TOTAL_COUNT, CountRecord, CountTable, cell_index, count_table
 
 QUBIT_ORDER_TAG = "abcd-msb"
 
@@ -119,7 +119,7 @@ def _number(text: str, nonnegative: bool = False) -> float:
 
 def load_counts(path: str) -> CountTable:
     """Read a counts file into a :class:`CountTable`, checking every row and
-    that the counts up to it still add up to a finite total."""
+    that the counts up to it add up to at most ``MAX_TOTAL_COUNT``."""
     records, n, total = [], None, 0.0
     for number, line in _data_rows(path, "setting,"):
         try:
@@ -128,14 +128,14 @@ def load_counts(path: str) -> CountTable:
             cell_index(setting, outcome, n)
             count = _number(count, nonnegative=True)
             total += count
-            if total == np.inf:
+            if total > MAX_TOTAL_COUNT:
                 raise ValueError(line)
             records.append(CountRecord(setting, outcome, count))
         except ValueError:
             raise ValueError(f"{path}:{number}: bad counts row {line!r}; "
                              "expected setting,outcome,count with letters XYZ, "
-                             "bits 0/1, one length for the file and finite "
-                             "counts >= 0 with a finite sum") from None
+                             "bits 0/1, one length for the file and counts >= 0 "
+                             f"summing to at most {MAX_TOTAL_COUNT:.3g}") from None
     if not records:
         raise ValueError(f"no count records in {path}")
     return count_table(records)

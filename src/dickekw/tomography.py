@@ -139,7 +139,8 @@ def count_table(records) -> CountTable:
     """The :class:`CountTable` of count records (a table passes unchanged):
     settings in the order they first appear, records of the same outcome
     added up, and zero for an outcome without a record.  Every count, and
-    the total of them all, must be a finite number >= 0."""
+    the total of them all, must be a number >= 0 and at most
+    ``MAX_TOTAL_COUNT``."""
     if isinstance(records, CountTable):
         return records
     rows: dict[str, np.ndarray] = {}
@@ -152,15 +153,18 @@ def count_table(records) -> CountTable:
             raise ValueError(f"count {r.count!r} of {r.setting},{r.outcome} "
                              "is not a finite number >= 0")
         total += count
-        if total == np.inf:
-            raise ValueError(f"count {r.count!r} of {r.setting},{r.outcome} "
-                             "takes the total count past the largest float")
+        if total > MAX_TOTAL_COUNT:
+            raise ValueError(f"count {r.count!r} of {r.setting},{r.outcome} takes the "
+                             "total count past the largest float / 28")
         rows.setdefault(r.setting, np.zeros(2**n))[index] += count
     if not rows:
         raise ValueError("no count records given")
     return CountTable(tuple(rows), np.array(list(rows.values())))
 
 
+# a count weighs at most -log(1e-12) < 28 in the fit's log-likelihood, which
+# stays finite for every table whose total count is at most MAX_TOTAL_COUNT
+MAX_TOTAL_COUNT = np.finfo(float).max / 28
 # numpy's Poisson sampler accepts means up to about 9.2e18
 _MAX_MEAN_COUNTS = 1e18
 

@@ -138,10 +138,15 @@ def test_density_matrix_trace_tolerance_is_1e_6(tmp_path):
     (io.load_counts, "QQ,00,5\n", 1),
     (io.load_counts, "ZZ,0x,5\n", 1),
     (io.load_counts, "ZZ,00,5\nZZZ,000,3\n", 2),
-    # counts that each fit a float but whose cell, setting or file total does not
-    (io.load_counts, "Z,0,1e308\nZ,0,1e308\n", 2),
-    (io.load_counts, "Z,0,1e308\nZ,1,1e308\n", 2),
-    (io.load_counts, "# note\nX,0,1e308\nZ,0,1e308\nY,0,3\n", 3),
+    # counts that each keep the fit's log-likelihood finite but whose cell,
+    # setting or file total does not, and one count that does not by itself
+    (io.load_counts, "Z,0,4e306\nZ,0,4e306\n", 2),
+    (io.load_counts, "Z,0,4e306\nZ,1,4e306\n", 2),
+    (io.load_counts, "# note\nX,0,4e306\nZ,0,4e306\nY,0,3\n", 3),
+    (io.load_counts, "Z,0,1e308\n", 1),
+    pytest.param(io.load_counts, "".join(f"{s},{o},4e306\n" for s in tomo.settings_full(2)
+                                         for o in ("00", "01", "10", "11")), 2,
+                 id="load_counts-36 rows of 4e306-2"),
     (io.load_correlators, "ZZZ,-1.0\nZZI,abc,0.1\n", 2),
     (io.load_correlators, "ZZZ,-1.0,0.1,7\n", 1),
     (io.load_correlators, "\nZZZ,inf,0.1\n", 2),

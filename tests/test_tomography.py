@@ -200,6 +200,7 @@ def test_count_table_rebuilds_from_its_records(n, data):
     ([], "no count records"),
     ([("Z", "0", 1e308), ("Z", "1", 1e308)], "past the largest float"),
     ([("X", "0", 1e308), ("Z", "0", 1e308)], "past the largest float"),
+    ([("X", "0", 4e306), ("Z", "0", 4e306)], "past the largest float / 28"),
 ])
 def test_count_table_rejects_malformed_records(records, message):
     with pytest.raises(ValueError, match=message):
