@@ -43,43 +43,3 @@ from .tomography import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DICKE_CIRCUIT",
-    "KWReport",
-    "SymmetricModel",
-    "bootstrap_fidelity",
-    "circuit_to_dicke",
-    "classical_correlations",
-    "concurrence",
-    "correlations",
-    "correlator_table",
-    "correlators_from_counts",
-    "dicke",
-    "dm",
-    "eig_hermitian",
-    "entanglement_of_formation",
-    "extract_pc",
-    "fidelity_pure",
-    "io",
-    "ket_xi",
-    "kw_all_permutations",
-    "kw_exact",
-    "kw_from_correlators",
-    "kw_symmetric",
-    "linear_inversion",
-    "mle_reconstruct",
-    "noisy_dicke",
-    "partial_trace",
-    "project",
-    "psi_plus",
-    "qmat",
-    "reduce_state",
-    "settings_full",
-    "simulate_counts",
-    "states",
-    "tensor",
-    "tomography",
-    "von_neumann_entropy",
-    "w_state",
-]

@@ -326,21 +326,11 @@ class SymmetricModel:
 
     The model matrix carries population p on each of |001>, |010>, |100> and
     real coherence c between every pair of them.  Physical domain: p >= 0,
-    -p/2 <= c <= p (positivity), 3p <= 1 (trace); ``validate`` checks it
-    with a slack of ``qmat.ATOL``.
+    -p/2 <= c <= p (positivity), 3p <= 1 (trace).
     """
 
     p: float
     c: float
-
-    def validate(self):
-        if self.p < -qmat.ATOL:
-            raise ValueError(f"population p={self.p} is negative")
-        if not -self.p / 2 - qmat.ATOL <= self.c <= self.p + qmat.ATOL:
-            raise ValueError(f"coherence c={self.c} outside [-p/2, p] for p={self.p}")
-        if 3 * self.p > 1 + qmat.ATOL:
-            raise ValueError(f"populations 3p={3 * self.p} exceed 1")
-        return self
 
 
 def clip_to_domain(p: float, c: float) -> SymmetricModel:

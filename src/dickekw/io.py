@@ -147,18 +147,24 @@ def save_correlators(path: str, records) -> None:
 
 
 def load_correlators(path: str) -> list[CorrelatorRecord]:
-    records = []
+    """Read a correlator file, checking every row: a Pauli string over IXYZ
+    of one length for the whole file, a finite value and a sigma >= 0."""
+    records, n = [], None
     for number, line in _data_rows(path, "pauli,"):
         try:
             parts = line.split(",")
             if len(parts) == 2:
                 parts.append("0")
-            pauli, value, sigma = parts
-            records.append(CorrelatorRecord(pauli.strip(), _number(value),
+            pauli, value, sigma = (field.strip() for field in parts)
+            n = n or len(pauli)
+            if len(qmat.check_pauli(pauli)) != n:
+                raise ValueError(pauli)
+            records.append(CorrelatorRecord(pauli, _number(value),
                                             _number(sigma, nonnegative=True)))
         except ValueError:
             raise ValueError(f"{path}:{number}: bad correlator row {line!r}; "
-                             "expected pauli,value[,sigma] with finite numbers "
+                             "expected pauli,value[,sigma] with letters IXYZ, "
+                             "one length for the file, finite numbers "
                              "and sigma >= 0") from None
     if not records:
         raise ValueError(f"no correlator records in {path}")

@@ -143,23 +143,30 @@ def tensor(*factors) -> np.ndarray:
 
 
 def frozen_cache(fn):
-    """Cache a function of hashable arguments that builds a fixed array; the
-    cached arrays are read-only, so no caller can change them for the next."""
+    """Cache a function of hashable arguments that builds a fixed array or a
+    tuple of them; the cached arrays are read-only, so no caller can change
+    them for the next."""
     @lru_cache(maxsize=1024)
     @wraps(fn)
     def cached(*args, **kwargs):
         out = fn(*args, **kwargs)
-        out.setflags(write=False)
+        for array in out if isinstance(out, tuple) else (out,):
+            array.setflags(write=False)
         return out
     return cached
+
+
+def check_pauli(labels: str) -> str:
+    """A Pauli string of one or more letters I, X, Y, Z, or ValueError."""
+    if not labels or any(l not in PAULI for l in labels):
+        raise ValueError(f"bad Pauli string {labels!r}")
+    return labels
 
 
 @frozen_cache
 def pauli_matrix(labels: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. "ZZI" (leftmost = qubit a)."""
-    if not labels or any(l not in PAULI for l in labels):
-        raise ValueError(f"bad Pauli string {labels!r}")
-    return tensor(*(PAULI[l] for l in labels))
+    return tensor(*(PAULI[l] for l in check_pauli(labels)))
 
 
 def pauli_expectation(rho, labels: str) -> float:

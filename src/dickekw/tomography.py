@@ -9,21 +9,17 @@ denotes the +1 eigenvalue of that qubit's operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
-from math import sqrt
-from types import MappingProxyType
 
 import numpy as np
 
 from . import qmat
 from .correlations import CorrelatorRecord
-from .qmat import tensor
 
 # rows of each matrix are the outcome bras (outcome 0 first = +1 eigenvalue)
 _BASIS_BRAS = {
     "X": qmat.H,
-    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / sqrt(2),
+    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2),
     "Z": np.eye(2, dtype=complex),
 }
 
@@ -67,7 +63,7 @@ def _check_setting(setting: str) -> None:
 def setting_basis(setting: str) -> np.ndarray:
     """Matrix whose rows are the outcome bras of a setting."""
     _check_setting(setting)
-    return tensor(*(_BASIS_BRAS[l] for l in setting))
+    return qmat.tensor(*(_BASIS_BRAS[l] for l in setting))
 
 
 @qmat.frozen_cache
@@ -188,35 +184,28 @@ def exact_counts(rho, settings, mean_counts: float = 1.0) -> CountTable:
     return CountTable(settings, mean_counts * probs)
 
 
-@qmat.frozen_cache
-def _sign_vector(pauli: str) -> np.ndarray:
-    """Outcome-indexed eigenvalue signs of a Pauli string within any
-    setting that refines it."""
-    single = {True: np.array([1.0, 1.0]), False: np.array([1.0, -1.0])}
-    out = np.array([1.0])
-    for letter in pauli:
-        out = np.kron(out, single[letter == "I"])
-    return out
-
-
 def linear_inversion(counts) -> np.ndarray:
     """Direct inversion rho = 2**-n sum_P <P> P over the full correlator
-    table of :func:`correlators_from_counts`, from a table or records.
+    table of :func:`correlators_from_counts`, from a table or records: one
+    product of the 4**n correlators with the stacked Pauli matrices.
 
     The output is Hermitian with unit trace but can fail positivity on noisy
     data; consumers decide whether that matters.
     """
     table = count_table(counts)
-    return _linear_inversion(table.settings, table.counts)
+    return _linear_inversion(table.settings, table.counts[None])[0]
 
 
 def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
-    records = _correlators(settings, counts)
-    dim = counts.shape[1]
-    rho = np.zeros((dim, dim), dtype=complex)
-    for r in records:
-        rho += r.value * qmat.pauli_matrix(r.pauli)
-    return rho / dim
+    """:func:`linear_inversion` of each table of an (R, S, 2**n) stack; the
+    first table without coverage names the first string it lacks."""
+    n = len(settings[0])
+    values, _ = _correlators(settings, counts)
+    missing = np.argwhere(np.isnan(values))
+    if len(missing):
+        raise ValueError(f"no setting with data covers {pauli_strings(n)[missing[0, 1]]}")
+    rho = values[:, None] @ _pauli_stack(n)
+    return rho.reshape(len(counts), 2**n, 2**n) / 2**n
 
 
 def mle_reconstruct(counts) -> TomographyResult:
@@ -234,8 +223,6 @@ def mle_reconstruct(counts) -> TomographyResult:
     matrices the same way, and stops once a step changes the
     log-likelihood by at most 1e-14 times its magnitude, or after 5000
     steps with ``converged=False``.
-    This is the one-table call of the batched fit that
-    :func:`bootstrap_fidelity` runs on its replicas.
     """
     table = count_table(counts)
     return _mle(table.settings, table.counts[None])[0]
@@ -262,17 +249,12 @@ _MLE_TOL = 1e-14
 
 
 def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyResult]:
-    """:func:`mle_reconstruct` of a stack of count tables, iterated together.
-
-    ``counts[r, s]`` is the outcome vector of ``settings[s]`` in table r.
-    Each table has its own step size (one over its total count, x1.5 after
-    an accepted step, x0.2 after a refused one), momentum and stopping
-    test.  An iteration is one batched product for the probabilities, one
-    for the gradients and one batched ``eigh``; a Hermitian matrix viewed as
-    real numbers is a vector whose dot product with another is the trace of
-    their product.  The products keep one row per table, so a table's fit
-    does not depend on the other tables of the stack.  A table still moving
-    after ``max_iter`` steps stops with ``converged=False``.
+    """:func:`mle_reconstruct` of a stack of count tables, iterated together:
+    ``counts[r, s]`` is the outcome vector of ``settings[s]`` in table r, and
+    each table has its own step, momentum and stopping test.  A Hermitian
+    matrix viewed as real numbers is a vector whose dot product with another
+    is the trace of their product.  The products keep one row per table, so
+    a table's fit does not depend on the other tables of the stack.
     """
     dim = counts.shape[-1]
     weights = counts.reshape(len(counts), 1, -1)
@@ -288,8 +270,7 @@ def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyR
         return (weights * np.log(np.clip(p, 1e-12, None))).sum(axis=(1, 2))
 
     rows = np.arange(len(counts))
-    rho = bar = _project(np.array([_linear_inversion(settings, table)
-                                   for table in counts]))
+    rho = bar = _project(_linear_inversion(settings, counts))
     fitted = np.empty_like(rho)
     iterations = np.full(len(rows), max_iter)
     p = p_bar = probs_of(rho)
@@ -305,8 +286,6 @@ def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyR
         ll_new = loglike(p_new)
         gain = ll_new - ll
         up = gain >= 0
-        # an accepted step moves on with momentum; a refused one restarts
-        # from the current state (beta = 0) with a fifth of the step
         theta_next = (1 + np.sqrt(1 + 4 * theta**2)) / 2
         beta = np.where(up, (theta - 1) / theta_next, 0.0)[:, None, None]
         previous, p_prev = rho, p
@@ -351,11 +330,9 @@ def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
     records) from Poisson(observed value), in table order, and scores
     ``fidelity_pure(target, rho)`` of the maximum-likelihood reconstruction
     of its resampled table.  Replicas draw from independent seed-derived
-    streams; they are fitted together, in blocks of a fixed size, by one
-    batched accelerated projected-gradient iteration (see
-    :func:`mle_reconstruct`), and the correlator layout of their
-    linear-inversion starts is built once.  A replica's fit equals a
-    fit of its table alone.
+    streams and are fitted in blocks of a fixed size by the batched fit of
+    :func:`mle_reconstruct`, linear-inversion starts included; a replica's
+    fit equals a fit of its table alone.
     """
     if n_boot < 50:
         raise ValueError("at least 50 bootstrap replicas are required")
@@ -374,13 +351,24 @@ def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
 def correlators_from_counts(counts, paulis=None) -> list[CorrelatorRecord]:
     """Pauli expectations with counting uncertainties from a table or records.
 
-    Each requested Pauli string averages the signed frequencies over every
-    refining setting with data; sigma propagates the binomial variance of a
-    signed frequency, (1 - <P>_s^2) / N_s, across the settings used.
-    ``paulis=None`` evaluates the full table of 4**n strings.
+    Each requested Pauli string (letters IXYZ) averages the signed
+    frequencies over every refining setting with data; sigma propagates the
+    binomial variance of a signed frequency, (1 - <P>_s^2) / N_s, across the
+    settings used.  N_s is the setting's signed sum for ``I...I``, so that
+    string is exactly 1 +/- 0.  ``paulis=None`` evaluates all 4**n strings.
     """
     table = count_table(counts)
-    return _correlators(table.settings, table.counts, paulis)
+    n = len(table.settings[0])
+    (values,), (sigmas,) = _correlators(table.settings, table.counts[None])
+    records = []
+    for pauli in pauli_strings(n) if paulis is None else paulis:
+        if len(qmat.check_pauli(pauli)) != n:
+            raise ValueError(f"Pauli string {pauli!r} does not match {n} qubits")
+        k = int(pauli.translate(_BASE4), 4)
+        if np.isnan(values[k]):
+            raise ValueError(f"no setting with data covers {pauli}")
+        records.append(CorrelatorRecord(pauli, float(values[k]), float(sigmas[k])))
+    return records
 
 
 def pauli_strings(n: int) -> list[str]:
@@ -388,35 +376,45 @@ def pauli_strings(n: int) -> list[str]:
     return ["".join(p) for p in product("IXYZ", repeat=n)]
 
 
-@lru_cache(maxsize=64)
-def _correlator_layout(settings: tuple[str, ...]):
-    """Read-only map from each Pauli string on the settings' qubits to its
-    sign vector and the indices of the settings that refine it; built once
-    per table shape, since every bootstrap replica shares it."""
-    return MappingProxyType({
-        pauli: (_sign_vector(pauli), tuple(
-            k for k, s in enumerate(settings)
-            if all(p == "I" or p == s[i] for i, p in enumerate(pauli))))
-        for pauli in pauli_strings(len(settings[0]))})
+# a Pauli string read as a base-4 numeral is its place in pauli_strings
+_BASE4 = str.maketrans("IXYZ", "0123")
 
 
-def _correlators(settings, counts: np.ndarray, paulis=None) -> list[CorrelatorRecord]:
-    layout = _correlator_layout(settings)
+@qmat.frozen_cache
+def _layout(settings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome signs and string index of a settings tuple.  Let the bits of
+    m mark the qubits a string keeps (not I), qubit a the most significant:
+    ``signs[m, i]`` is the string's eigenvalue on outcome i in any setting,
+    and ``index[s, m]`` the place in :func:`pauli_strings` of the string
+    that ``settings[s]`` measures."""
     n = len(settings[0])
-    totals = [vec.sum() for vec in counts]
-    freqs = [vec / tot if tot > 0 else None for vec, tot in zip(counts, totals)]
-    records = []
-    for pauli in layout if paulis is None else paulis:
-        if len(pauli) != n:
-            raise ValueError(f"Pauli string {pauli!r} does not match {n} qubits")
-        sign, refines = layout.get(pauli, (None, ()))
-        refining = [k for k in refines if freqs[k] is not None]
-        if not refining:
-            raise ValueError(f"no setting with data covers {pauli}")
-        ests = np.array([sign @ freqs[k] for k in refining])
-        variances = np.array([max(0.0, 1 - e * e) / totals[k]
-                              for e, k in zip(ests, refining)])
-        records.append(CorrelatorRecord(
-            pauli, float(ests.mean()),
-            float(np.sqrt(variances.sum()) / len(refining))))
-    return records
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    letters = np.array([[int(l.translate(_BASE4)) for l in s] for s in settings])
+    return 1.0 - 2 * (bits @ bits.T % 2), (letters * 4 ** np.arange(n - 1, -1, -1)) @ bits.T
+
+
+@qmat.frozen_cache
+def _pauli_stack(n: int) -> np.ndarray:
+    """Row k is the flattened matrix of ``pauli_strings(n)[k]``."""
+    return np.stack([qmat.pauli_matrix(p).ravel() for p in pauli_strings(n)])
+
+
+def _correlators(settings, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, 4**n) values and sigmas of an (R, S, 2**n) stack of count tables,
+    NaN for a string that no setting with data refines.  Each (setting, kept
+    qubits) estimate goes into its string in setting order, so a table's
+    numbers do not depend on the rest of the stack."""
+    signs, index = _layout(settings)
+    signed = counts @ signs.T  # column 0, no qubit kept, is each setting's total
+    totals = signed[..., :1]
+    live = np.broadcast_to(totals > 0, signed.shape)
+    est = np.divide(signed, totals, out=np.zeros_like(signed), where=live)
+    var = np.divide(np.maximum(0.0, 1 - est * est), totals,
+                    out=np.zeros_like(signed), where=live)
+    strings = 4 ** len(settings[0])
+    slots = (index + strings * np.arange(len(counts))[:, None, None]).ravel()
+    used = np.bincount(slots, live.ravel(), len(counts) * strings)
+    with np.errstate(invalid="ignore"):
+        values = np.bincount(slots, est.ravel(), len(used)) / used
+        sigmas = np.sqrt(np.bincount(slots, var.ravel(), len(used))) / used
+    return values.reshape(len(counts), -1), sigmas.reshape(len(counts), -1)

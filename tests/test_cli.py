@@ -191,6 +191,17 @@ def test_kw_correlators_sign_maps_agree(tmp_path, capsys):
     assert out1.read_text() == out2.read_text()
 
 
+@pytest.mark.parametrize("sign_map", ["raw", "ideal-w1"])
+def test_kw_correlators_names_the_bad_pauli_row(tmp_path, capsys, sign_map):
+    table = tmp_path / "table.csv"
+    table.write_text("ZZZ,0.87,0.02\nZQZ,0.35,0.04\n")
+    assert run("kw", "correlators", "--table", str(table),
+               "--sign-map", sign_map) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table}:2: bad correlator row 'ZQZ,0.35,0.04'")
+    assert len(err.splitlines()) == 1
+
+
 def test_kw_correlators_reports_clipped_fraction(tmp_path, capsys):
     table = tmp_path / "table.csv"
     io.save_correlators(table, corr.REFERENCE_CORRELATOR_TABLE)

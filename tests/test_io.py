@@ -151,6 +151,11 @@ def test_density_matrix_trace_tolerance_is_1e_6(tmp_path):
     (io.load_correlators, "ZZZ,-1.0,0.1,7\n", 1),
     (io.load_correlators, "\nZZZ,inf,0.1\n", 2),
     (io.load_correlators, "ZZZ,-1.0,-0.1\n", 1),
+    (io.load_correlators, "ZZZ,0.87,0.02\nZQZ,0.35,0.04\n", 2),
+    (io.load_correlators, "zzz,0.87,0.02\n", 1),
+    (io.load_correlators, ",0.87,0.02\n", 1),
+    (io.load_correlators, "ZZZ,0.87,0.02\nZZ,0.35,0.04\n", 2),
+    (io.load_correlators, "ZZ,0.35,0.04\nZZZ,0.87,0.02\n", 2),
 ])
 @pytest.mark.filterwarnings("error")
 def test_csv_readers_name_the_bad_line(tmp_path, loader, rows, line):

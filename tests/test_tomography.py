@@ -2,6 +2,7 @@
 probabilities, count simulation, reconstruction, and error bars."""
 
 import hashlib
+import tracemalloc
 
 import hypothesis
 import numpy as np
@@ -128,15 +129,140 @@ def test_linear_inversion_missing_coverage():
         tomo.linear_inversion(counts)
 
 
+def loop_correlators(settings, counts, paulis=None):
+    """The former per-string loop, kept as the oracle of the outcome-sign
+    layout: each string's sign vector dotted with the frequencies of every
+    refining setting with data."""
+    n = len(settings[0])
+    totals = [vec.sum() for vec in counts]
+    freqs = [vec / tot if tot > 0 else None for vec, tot in zip(counts, totals)]
+    records = []
+    for pauli in tomo.pauli_strings(n) if paulis is None else paulis:
+        if len(pauli) != n:
+            raise ValueError(f"Pauli string {pauli!r} does not match {n} qubits")
+        sign = np.array([1.0])
+        for letter in pauli:
+            sign = np.kron(sign, [1.0, 1.0] if letter == "I" else [1.0, -1.0])
+        refining = [k for k, s in enumerate(settings) if freqs[k] is not None
+                    and all(p == "I" or p == s[i] for i, p in enumerate(pauli))]
+        if not refining:
+            raise ValueError(f"no setting with data covers {pauli}")
+        ests = np.array([sign @ freqs[k] for k in refining])
+        variances = np.array([max(0.0, 1 - e * e) / totals[k]
+                              for e, k in zip(ests, refining)])
+        records.append(corr.CorrelatorRecord(
+            pauli, float(ests.mean()),
+            float(np.sqrt(variances.sum()) / len(refining))))
+    return records
+
+
+def loop_linear_inversion(settings, counts):
+    """The former sum of 4**n Pauli matrices, the oracle of the contraction."""
+    dim = counts.shape[1]
+    rho = np.zeros((dim, dim), dtype=complex)
+    for r in loop_correlators(settings, counts):
+        rho += r.value * qmat.pauli_matrix(r.pauli)
+    return rho / dim
+
+
+def assert_matches_the_loop(new, old):
+    """Records agree with the loop oracle's to 1e-15.  The oracle divides
+    before it signs, so a string whose events all carry one sign can land
+    one ulp inside |<P>| = 1, and the root of (1 - <P>^2) / N magnifies that
+    ulp to up to 1e-8 of sigma: there, sigma is exactly 0 and the oracle's
+    sigma squared is below 1e-15."""
+    assert [r.pauli for r in new] == [r.pauli for r in old]
+    for a, b in zip(new, old):
+        assert abs(a.value - b.value) <= 1e-15
+        assert abs(a.sigma - b.sigma) <= 1e-15 or (a.sigma == 0 and b.sigma**2 <= 1e-15)
+
+
 def test_linear_inversion_is_bit_stable():
-    # digest of the bytes that the former per-setting loop produced; the
-    # sum over Pauli strings runs in the same order, so it must match exactly
+    # digest of the contraction's bytes; the former sum over Pauli matrices
+    # added in another order, so it is an oracle to within 1e-15
     counts = tomo.simulate_counts(states.noisy_dicke(0.765),
                                   tomo.settings_full(4), 1000, 11)
     rho = tomo.linear_inversion(counts)
     assert rho.dtype == np.complex128 and rho.shape == (16, 16)
     assert hashlib.sha256(rho.tobytes()).hexdigest() == (
-        "b1007563907c6ddbbad377454e602508995c15e669955a1543a9ed2ea67a5570")
+        "4442458bb3b00fdc7047f54d86900f6aca0322fda568ac93143cb4cf98433da9")
+    oracle = loop_linear_inversion(counts.settings, counts.counts)
+    assert np.abs(rho - oracle).max() <= 1e-15
+    assert_matches_the_loop(tomo.correlators_from_counts(counts),
+                            loop_correlators(counts.settings, counts.counts))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.integers(1, 3), st.data())
+def test_layout_matches_the_per_string_loop(n, data):
+    settings = tuple(data.draw(st.lists(st.sampled_from(tomo.settings_full(n)),
+                                        min_size=1, max_size=3**n, unique=True)))
+    stack = np.array([data.draw(st.lists(
+        st.lists(st.integers(0, 30), min_size=2**n, max_size=2**n)
+        | st.just([0] * 2**n),
+        min_size=len(settings), max_size=len(settings))) for _ in range(3)], dtype=float)
+    paulis = data.draw(st.none() | st.lists(st.sampled_from(tomo.pauli_strings(n)),
+                                            min_size=1, max_size=8))
+    for table in stack:
+        try:
+            old = loop_correlators(settings, table, paulis)
+        except ValueError as expected:
+            with pytest.raises(ValueError) as raised:
+                tomo.correlators_from_counts(tomo.CountTable(settings, table), paulis)
+            assert str(raised.value) == str(expected)
+        else:
+            new = tomo.correlators_from_counts(tomo.CountTable(settings, table), paulis)
+            assert_matches_the_loop(new, old)
+    # a block of tables gives each table's numbers bit for bit
+    values, sigmas = tomo._correlators(settings, stack)
+    for table, v, s in zip(stack, values, sigmas):
+        (v1,), (s1,) = tomo._correlators(settings, table[None])
+        assert np.array_equal(v, v1, equal_nan=True)
+        assert np.array_equal(s, s1, equal_nan=True)
+    # a block's linear inversions equal each table's, or the block fails as
+    # the oracle does on its first table without coverage
+    failures = []
+    for table in stack:
+        try:
+            loop_correlators(settings, table)
+        except ValueError as error:
+            failures.append(str(error))
+    if failures:
+        with pytest.raises(ValueError) as raised:
+            tomo._linear_inversion(settings, stack)
+        assert str(raised.value) == failures[0]
+    else:
+        rhos = tomo._linear_inversion(settings, stack)
+        for table, rho in zip(stack, rhos):
+            assert np.array_equal(rho, tomo._linear_inversion(settings, table[None])[0])
+            assert np.abs(rho - loop_linear_inversion(settings, table)).max() <= 1e-15
+
+
+def test_block_starts_stay_small_in_memory():
+    # the starts of a full 4-qubit bootstrap block share one sign layout
+    # instead of a dense (strings, settings, outcomes) sign tensor
+    counts = tomo.simulate_counts(states.noisy_dicke(0.765), tomo.settings_full(4), 1000, 11)
+    rng = np.random.default_rng(0)
+    block = np.array([rng.poisson(counts.counts) for _ in range(tomo._BOOTSTRAP_BLOCK)])
+    tomo._project(tomo._linear_inversion(counts.settings, block[:1]))
+    tracemalloc.start()
+    try:
+        tomo._project(tomo._linear_inversion(counts.settings, block))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+@pytest.mark.parametrize("pauli, message", [
+    ("QQ", "bad Pauli string 'QQ'"),
+    ("xz", "bad Pauli string 'xz'"),
+    ("", "bad Pauli string ''"),
+    ("XZI", "Pauli string 'XZI' does not match 2 qubits"),
+])
+def test_correlators_name_a_malformed_pauli_string(pauli, message):
+    with pytest.raises(ValueError, match=message):
+        tomo.correlators_from_counts(bell_counts(), ["XX", pauli])
 
 
 producers = pytest.mark.parametrize("simulate", [
@@ -296,8 +422,9 @@ def test_correlators_from_sampled_counts():
     # every event in a Z-basis setting has odd parity on this state
     assert records["ZZZ"].value == pytest.approx(-1, abs=1e-12)
     assert records["ZZZ"].sigma == pytest.approx(0, abs=1e-12)
-    assert records["III"].value == pytest.approx(1, abs=1e-9)
-    assert records["III"].sigma == pytest.approx(0, abs=1e-9)
+    # each setting's total is its signed sum for III, so III is exact
+    assert records["III"].value == 1.0
+    assert records["III"].sigma == 0.0
     assert records["XXZ"].value == pytest.approx(2 / 3, abs=0.05)
     assert records["XXZ"].sigma > 0
 
@@ -355,7 +482,7 @@ def reference_mle(settings, counts, max_iter=5000, tol=1e-10):
     def loglike(p):
         return float(weights @ np.log(p))
 
-    rho = tomo._project(tomo._linear_inversion(settings, counts)[None])[0]
+    rho = tomo._project(tomo._linear_inversion(settings, counts[None]))[0]
     ll = loglike(probs_of(rho))
     trace = [ll]
     iterations = 0
@@ -582,19 +709,15 @@ def test_bootstrap_raises_for_the_first_replica_without_coverage():
         tomo._mle(settings, stack)
 
 
-def test_correlators_build_their_layout_once_per_table_shape(monkeypatch):
-    builds = []
-    strings = tomo.pauli_strings
-    monkeypatch.setattr(tomo, "pauli_strings",
-                        lambda n: builds.append(n) or strings(n))
-    tomo._correlator_layout.cache_clear()
+def test_correlators_build_their_layout_once_per_table_shape():
+    tomo._layout.cache_clear()
     counts = bell_counts()
     tomo.bootstrap_fidelity(counts, states.psi_plus(), n_boot=100, seed=44)
-    assert builds == [2]
+    assert tomo._layout.cache_info().misses == 1
     tomo.correlators_from_counts(counts, ["XX"])
-    assert builds == [2]
+    assert tomo._layout.cache_info().misses == 1
     tomo.correlators_from_counts([r for r in counts if r.setting == "XX"], ["XX"])
-    assert builds == [2, 2]
+    assert tomo._layout.cache_info().misses == 2
 
 
 def test_bootstrap_resampling_equals_per_record_draws():
@@ -607,14 +730,15 @@ def test_bootstrap_resampling_equals_per_record_draws():
 
 
 def test_fixed_tables_are_cached_read_only():
-    for table in (tomo.setting_projectors("XYZ"), tomo._sign_vector("XIZ"),
-                  qmat.pauli_matrix("XYZ"), bell_counts().counts):
+    for table in (tomo.setting_projectors("XYZ"), *tomo._layout(("XZ", "ZZ")),
+                  tomo._pauli_stack(2), qmat.pauli_matrix("XYZ"), bell_counts().counts):
         with pytest.raises(ValueError):
             table.flat[0] = 0
-    layout = tomo._correlator_layout(("XZ", "ZZ"))
-    assert layout["IZ"][1] == (0, 1)
-    with pytest.raises(TypeError):
-        layout["IZ"] = layout["ZZ"]
+    # keeping qubit b only (mask 01), both settings measure IZ
+    signs, index = tomo._layout(("XZ", "ZZ"))
+    assert list(index[:, 1]) == [tomo.pauli_strings(2).index("IZ")] * 2
+    assert list(signs[1]) == [1, -1, 1, -1]
+    assert tomo._layout(("XZ", "ZZ")) is tomo._layout(("XZ", "ZZ"))
     assert tomo.setting_projectors("XYZ") is tomo.setting_projectors("XYZ")
     with pytest.raises(ValueError):
         tomo.setting_projectors("XQ")
