@@ -75,21 +75,6 @@ class MeasurementDirection:
     theta: float
     phi: float
 
-    def kets(self):
-        v1 = np.array([np.cos(self.theta),
-                       np.exp(1j * self.phi) * np.sin(self.theta)])
-        v2 = np.array([np.exp(-1j * self.phi) * np.sin(self.theta),
-                       -np.cos(self.theta)])
-        return v1, v2
-
-
-def _canonical_direction(theta: float, phi: float) -> MeasurementDirection:
-    theta = theta % pi
-    if theta > pi / 2:
-        theta = pi - theta
-        phi = phi + pi
-    return MeasurementDirection(theta=float(theta), phi=float(phi % (2 * pi)))
-
 
 # the J search: a _GRID x _GRID sweep of (theta, phi), then a zoom that
 # stops once its patch is narrower than _ANGLE_TOL radians
@@ -194,8 +179,13 @@ def _min_measured_entropy(rhos):
 
 
 def _direction_of(n) -> MeasurementDirection:
-    theta = 0.5 * np.arccos(np.clip(n[2], -1.0, 1.0))
-    return _canonical_direction(theta, np.arctan2(n[1], n[0]))
+    """The angles of the Bloch vector n, or of -n, the same measurement: the
+    one whose first nonzero component of (n_z, n_y, n_x) is positive, so
+    that theta <= pi/4.  phi lies in [0, 2 pi)."""
+    if tuple(n[::-1]) < (0, 0, 0):
+        n = -n
+    return MeasurementDirection(theta=float(0.5 * np.arccos(min(n[2], 1.0))),
+                                phi=float(np.arctan2(n[1], n[0]) % (2 * pi)))
 
 
 def classical_correlations(rho, measured: int = 0):
@@ -429,11 +419,6 @@ def class_of(pauli: str) -> str | None:
 def kw_correlator_paulis() -> tuple[str, ...]:
     """All Pauli strings entering the extraction: III plus the seven classes."""
     return tuple(_CLASS_OF)
-
-
-def canonical_setting(pauli: str) -> str:
-    """Measurement setting that covers a Pauli string (I slots filled with Z)."""
-    return pauli.replace("I", "Z")
 
 
 def correlator_table(rho) -> list[CorrelatorRecord]:

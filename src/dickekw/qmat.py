@@ -63,17 +63,6 @@ def basis_ket(n: int, index: int) -> np.ndarray:
     return psi
 
 
-def ket_from_bits(bits) -> np.ndarray:
-    """Basis ket from a bit string such as "0011" (leftmost bit = qubit a)."""
-    bits = [int(b) for b in bits]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bit string must contain only 0 and 1")
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    return basis_ket(len(bits), index)
-
-
 def check_state_vector(psi) -> np.ndarray:
     """Validate a ket: 1-D, power-of-two length, unit norm within ATOL."""
     psi = np.asarray(psi, dtype=complex)

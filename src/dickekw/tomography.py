@@ -66,13 +66,6 @@ def setting_basis(setting: str) -> np.ndarray:
     return qmat.tensor(*(_BASIS_BRAS[l] for l in setting))
 
 
-@qmat.frozen_cache
-def setting_projectors(setting: str) -> np.ndarray:
-    """Stack of rank-1 projectors, indexed by outcome; cached, so read-only."""
-    b = setting_basis(setting)
-    return np.einsum("oi,oj->oij", b.conj(), b)
-
-
 def born_probabilities(rho, setting: str) -> np.ndarray:
     """Outcome probabilities of a setting; nonnegative, summing to one."""
     return _born_table(rho, [setting])[1][0]
@@ -106,9 +99,15 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.array(self.counts)
+        settings, counts = tuple(self.settings), np.array(self.counts)
+        for setting in settings:
+            _check_setting(setting)
+        lengths = set(map(len, settings))
+        if len(lengths) != 1 or counts.shape != (len(settings), 2 ** min(lengths)):
+            raise ValueError(f"need settings of one length and counts of shape (settings, "
+                             f"2**length), got {list(settings)} and {counts.shape}")
         counts.flags.writeable = False
-        object.__setattr__(self, "settings", tuple(self.settings))
+        object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
@@ -204,8 +203,7 @@ def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
     missing = np.argwhere(np.isnan(values))
     if len(missing):
         raise ValueError(f"no setting with data covers {pauli_strings(n)[missing[0, 1]]}")
-    rho = values[:, None] @ _pauli_stack(n)
-    return rho.reshape(len(counts), 2**n, 2**n) / 2**n
+    return _from_strings(values, n)
 
 
 def mle_reconstruct(counts) -> TomographyResult:
@@ -248,23 +246,31 @@ def _project(x: np.ndarray) -> np.ndarray:
 _MLE_TOL = 1e-14
 
 
+def _fit_probabilities(settings, rho: np.ndarray) -> np.ndarray:
+    """(R, 1, S * 2**n) outcome probabilities of an (R, 2**n, 2**n) stack: its
+    Pauli coordinates Tr[rho P] = sum conj(rho) * P, signed into the outcomes."""
+    signs, index = _layout(settings)
+    n = len(settings[0])
+    coords = (rho.conj().reshape(len(rho), 1, -1) @ _pauli_stack(n).T).real
+    return (coords[:, 0, index] @ signs / 2**n).reshape(len(rho), 1, -1)
+
+
+def _fit_gradient(settings, ratio: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_fit_probabilities`: sum_k ratio[r, 0, k] Pi_k."""
+    signs, index = _layout(settings)
+    signed = ratio.reshape(len(ratio), len(settings), -1) @ signs.T
+    return _from_strings(_to_strings(index, signed), len(settings[0]))
+
+
 def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyResult]:
     """:func:`mle_reconstruct` of a stack of count tables, iterated together:
     ``counts[r, s]`` is the outcome vector of ``settings[s]`` in table r, and
-    each table has its own step, momentum and stopping test.  A Hermitian
-    matrix viewed as real numbers is a vector whose dot product with another
-    is the trace of their product.  The products keep one row per table, so
-    a table's fit does not depend on the other tables of the stack.
+    each table has its own step, momentum and stopping test.  The products
+    keep one row per table, so a table's fit does not depend on the others.
     """
-    dim = counts.shape[-1]
     weights = counts.reshape(len(counts), 1, -1)
-    flat = np.concatenate([setting_projectors(s) for s in settings]).reshape(
-        weights.shape[-1], -1).view(float)
     if not (counts > 0).any(axis=(1, 2)).all():
         raise ValueError("all settings have zero total counts")
-
-    def probs_of(rho):
-        return rho.reshape(len(rho), 1, -1).view(float) @ flat.T
 
     def loglike(p):
         return (weights * np.log(np.clip(p, 1e-12, None))).sum(axis=(1, 2))
@@ -273,16 +279,15 @@ def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyR
     rho = bar = _project(_linear_inversion(settings, counts))
     fitted = np.empty_like(rho)
     iterations = np.full(len(rows), max_iter)
-    p = p_bar = probs_of(rho)
+    p = p_bar = _fit_probabilities(settings, rho)
     ll = loglike(p)
     history = [ll.copy()]
     theta = np.ones(len(rows))
     step = 1 / weights.sum(axis=(1, 2))
     for it in range(1, max_iter + 1):
-        grad = (weights / np.clip(p_bar, 1e-12, None)) @ flat
-        candidate = _project(bar + step[:, None, None]
-                             * grad.view(complex).reshape(-1, dim, dim))
-        p_new = probs_of(candidate)
+        grad = _fit_gradient(settings, weights / np.clip(p_bar, 1e-12, None))
+        candidate = _project(bar + step[:, None, None] * grad)
+        p_new = _fit_probabilities(settings, candidate)
         ll_new = loglike(p_new)
         gain = ll_new - ll
         up = gain >= 0
@@ -401,9 +406,7 @@ def _pauli_stack(n: int) -> np.ndarray:
 
 def _correlators(settings, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, 4**n) values and sigmas of an (R, S, 2**n) stack of count tables,
-    NaN for a string that no setting with data refines.  Each (setting, kept
-    qubits) estimate goes into its string in setting order, so a table's
-    numbers do not depend on the rest of the stack."""
+    NaN for a string that no setting with data refines."""
     signs, index = _layout(settings)
     signed = counts @ signs.T  # column 0, no qubit kept, is each setting's total
     totals = signed[..., :1]
@@ -411,10 +414,19 @@ def _correlators(settings, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     est = np.divide(signed, totals, out=np.zeros_like(signed), where=live)
     var = np.divide(np.maximum(0.0, 1 - est * est), totals,
                     out=np.zeros_like(signed), where=live)
-    strings = 4 ** len(settings[0])
-    slots = (index + strings * np.arange(len(counts))[:, None, None]).ravel()
-    used = np.bincount(slots, live.ravel(), len(counts) * strings)
+    used = _to_strings(index, live)
     with np.errstate(invalid="ignore"):
-        values = np.bincount(slots, est.ravel(), len(used)) / used
-        sigmas = np.sqrt(np.bincount(slots, var.ravel(), len(used))) / used
-    return values.reshape(len(counts), -1), sigmas.reshape(len(counts), -1)
+        return _to_strings(index, est) / used, np.sqrt(_to_strings(index, var)) / used
+
+
+def _to_strings(index: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(R, 4**n) sums of an (R, S, 2**n) stack by ``index``, table by table."""
+    strings = index.shape[1] ** 2
+    slots = (index + strings * np.arange(len(x))[:, None, None]).ravel()
+    return np.bincount(slots, x.ravel(), len(x) * strings).reshape(len(x), strings)
+
+
+def _from_strings(coords: np.ndarray, n: int) -> np.ndarray:
+    """(R, 2**n, 2**n) matrices 2**-n sum_P coords[r, P] P."""
+    return (coords[:, None] @ _pauli_stack(n)).reshape(len(coords), 2**n, 2**n) / 2**n
+

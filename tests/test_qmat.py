@@ -33,15 +33,15 @@ def test_tensor_matches_bell_outer_product():
 def test_basis_ket_and_bits():
     v = qmat.basis_ket(3, 5)
     assert v[5] == 1 and np.count_nonzero(v) == 1
-    np.testing.assert_allclose(qmat.ket_from_bits((1, 0, 1)), v)
+    np.testing.assert_allclose(qmat.tensor(qmat.KET1, qmat.KET0, qmat.KET1), v)
     with pytest.raises(ValueError):
         qmat.basis_ket(2, 4)
 
 
 def test_permute_qubits_swap():
-    psi = qmat.ket_from_bits((0, 1))
+    psi = qmat.basis_ket(2, int("01", 2))
     swapped = qmat.permute_qubits(psi, (1, 0))
-    np.testing.assert_allclose(swapped, qmat.ket_from_bits((1, 0)))
+    np.testing.assert_allclose(swapped, qmat.basis_ket(2, int("10", 2)))
 
 
 def test_permute_qubits_identity_and_composition():
@@ -149,7 +149,7 @@ def test_fidelity_pure():
     psi = states.psi_plus()
     assert qmat.fidelity_pure(psi, psi) == pytest.approx(1, abs=1e-12)
     assert qmat.fidelity_pure(psi, qmat.dm(psi)) == pytest.approx(1, abs=1e-12)
-    orth = qmat.ket_from_bits((0, 0))
+    orth = qmat.basis_ket(2, int("00", 2))
     assert qmat.fidelity_pure(psi, orth) == pytest.approx(0, abs=1e-12)
     mixed = np.eye(4) / 4
     assert qmat.fidelity_pure(psi, mixed) == pytest.approx(0.25, abs=1e-12)

@@ -94,8 +94,8 @@ def test_single_qubit_decomposition_every_qubit():
 def test_bell_pair_decomposition():
     d42 = states.dicke(4, 2)
     bell = states.psi_plus()
-    rebuilt = (qmat.ket_from_bits((0, 0, 1, 1))
-               + qmat.ket_from_bits((1, 1, 0, 0))) / np.sqrt(6)
+    rebuilt = (qmat.basis_ket(4, int("0011", 2))
+               + qmat.basis_ket(4, int("1100", 2))) / np.sqrt(6)
     rebuilt = rebuilt + np.sqrt(2 / 3) * qmat.tensor(bell, bell)
     np.testing.assert_allclose(rebuilt, d42, atol=1e-12)
 
@@ -148,7 +148,7 @@ def test_reduce_noisy_dicke_gives_noisy_w():
 
 def test_reduce_state_zero_probability():
     with pytest.raises(ValueError):
-        states.reduce_state(qmat.ket_from_bits((0, 0)), [(0, 1)])
+        states.reduce_state(qmat.basis_ket(2, int("00", 2)), [(0, 1)])
 
 
 def test_parse_projections():

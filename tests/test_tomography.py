@@ -17,6 +17,12 @@ def w1_dm():
     return qmat.dm(states.dicke(3, 1))
 
 
+def projectors(setting):
+    """The rank-1 projectors onto the outcome kets of a setting, by outcome."""
+    b = tomo.setting_basis(setting)
+    return np.einsum("oi,oj->oij", b.conj(), b)
+
+
 def test_settings_full_lexicographic():
     s2 = tomo.settings_full(2)
     assert len(s2) == 9
@@ -30,7 +36,7 @@ def test_setting_basis_orthonormal_and_complete():
         b = tomo.setting_basis(setting)
         d = b.shape[0]
         np.testing.assert_allclose(b @ b.conj().T, np.eye(d), atol=1e-12)
-        proj = tomo.setting_projectors(setting)
+        proj = projectors(setting)
         np.testing.assert_allclose(proj.sum(axis=0), np.eye(d), atol=1e-12)
     with pytest.raises(ValueError):
         tomo.setting_basis("XQ")
@@ -70,7 +76,7 @@ def test_born_matches_projector_trace():
     rng = np.random.default_rng(21)
     rho = qmat.random_density_matrix(2, rng)
     for setting in tomo.settings_full(2):
-        proj = tomo.setting_projectors(setting)
+        proj = projectors(setting)
         direct = np.real(np.einsum("oij,ji->o", proj, rho))
         np.testing.assert_allclose(tomo.born_probabilities(rho, setting),
                                    direct, atol=1e-12)
@@ -333,6 +339,20 @@ def test_count_table_rejects_malformed_records(records, message):
         tomo.count_table([tomo.CountRecord(*r) for r in records])
 
 
+@pytest.mark.parametrize("settings, shape, message", [
+    ((), (0, 4), "need settings of one length"),
+    (("QZ", "ZZ"), (2, 4), "bad measurement setting 'QZ'"),
+    (("XZ", ""), (2, 4), "bad measurement setting ''"),
+    (("XZ", "Z"), (2, 4), "need settings of one length"),
+    (("XZ", "ZZ"), (2, 2), r"counts of shape .*got \['XZ', 'ZZ'\] and \(2, 2\)"),
+    (("XZ", "ZZ"), (3, 4), r"got \['XZ', 'ZZ'\] and \(3, 4\)"),
+    (("XZ", "ZZ"), (8,), r"got \['XZ', 'ZZ'\] and \(8,\)"),
+])
+def test_count_table_checks_its_settings_and_counts(settings, shape, message):
+    with pytest.raises(ValueError, match=message):
+        tomo.CountTable(settings, np.ones(shape))
+
+
 def test_coarse_graining_consistency():
     # an estimate of a coarse observable agrees across refining settings
     rho = qmat.random_density_matrix(2, np.random.default_rng(23))
@@ -469,7 +489,7 @@ def reference_mle(settings, counts, max_iter=5000, tol=1e-10):
     accelerated fit, plus a count of the iterations that took a diluted
     step."""
     dim = counts.shape[1]
-    projs = np.concatenate([tomo.setting_projectors(s)[vec > 0]
+    projs = np.concatenate([projectors(s)[vec > 0]
                             for s, vec in zip(settings, counts)])
     weights = counts[counts > 0]
     if not len(weights):
@@ -654,6 +674,57 @@ def test_mle_converges_on_four_qubits(p, mean, seed):
         p + (1 - p) / 16, abs=0.02)
 
 
+def assert_fit_maps_match_the_projectors(settings, rhos, ratio):
+    # the fit's probabilities are Tr[rho Pi] and its gradient sum ratio * Pi
+    # over the outcome projectors Pi, setting by setting
+    projs = np.concatenate([projectors(s) for s in settings])
+    probs = np.real(np.einsum("kij,rji->rk", projs, rhos))[:, None]
+    assert np.abs(tomo._fit_probabilities(settings, rhos) - probs).max() <= 1e-15
+    grad = np.einsum("rk,kij->rij", ratio[:, 0], projs)
+    new = tomo._fit_gradient(settings, ratio)
+    assert new.shape == grad.shape
+    assert np.abs(new - grad).max() <= 1e-14 * np.abs(grad).max()
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_fit_maps_match_the_projectors(n, seed, data):
+    settings = tuple(data.draw(st.lists(st.sampled_from(tomo.settings_full(n)),
+                                        min_size=1, max_size=3**n, unique=True)))
+    rng = np.random.default_rng(seed)
+    rhos = np.array([qmat.random_density_matrix(n, rng, rank=rank)
+                     for rank in data.draw(st.lists(st.sampled_from([1, None]),
+                                                    min_size=1, max_size=3))])
+    # counts / probability: zero for an outcome without counts, up to 1e12
+    # times the count where the fit clips a probability
+    shape = (len(rhos), 1, len(settings) * 2**n)
+    ratio = (rng.choice([0.0, 1.0, 1e12], shape, p=[0.3, 0.6, 0.1])
+             * rng.exponential(100.0, shape))
+    assert_fit_maps_match_the_projectors(settings, rhos, ratio)
+
+
+def test_fit_maps_match_the_projectors_on_four_qubits():
+    rng = np.random.default_rng(4)
+    rhos = np.array([qmat.random_density_matrix(4, rng), qmat.dm(states.dicke(4, 2))])
+    ratio = rng.exponential(100.0, (2, 1, 81 * 16))
+    assert_fit_maps_match_the_projectors(tuple(tomo.settings_full(4)), rhos, ratio)
+
+
+def test_four_qubit_fit_stays_small_in_memory():
+    # the fit works on the Pauli coordinates of its states: no step builds a
+    # (settings x outcomes, 4**n) stack of outcome projectors (5.3 MB here)
+    counts = tomo.simulate_counts(states.noisy_dicke(0.9), tomo.settings_full(4), 1000, 1)
+    tomo.linear_inversion(counts)  # builds the cached layout and Pauli stack
+    tracemalloc.start()
+    try:
+        fit = tomo.mle_reconstruct(counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < 2e6
+
+
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(st.integers(1, 2), st.integers(0, 2**32 - 1),
        st.sampled_from([30.0, 300.0, 3000.0]), st.sampled_from([1, None]))
@@ -730,8 +801,8 @@ def test_bootstrap_resampling_equals_per_record_draws():
 
 
 def test_fixed_tables_are_cached_read_only():
-    for table in (tomo.setting_projectors("XYZ"), *tomo._layout(("XZ", "ZZ")),
-                  tomo._pauli_stack(2), qmat.pauli_matrix("XYZ"), bell_counts().counts):
+    for table in (*tomo._layout(("XZ", "ZZ")), tomo._pauli_stack(2),
+                  qmat.pauli_matrix("XYZ"), bell_counts().counts):
         with pytest.raises(ValueError):
             table.flat[0] = 0
     # keeping qubit b only (mask 01), both settings measure IZ
@@ -739,6 +810,5 @@ def test_fixed_tables_are_cached_read_only():
     assert list(index[:, 1]) == [tomo.pauli_strings(2).index("IZ")] * 2
     assert list(signs[1]) == [1, -1, 1, -1]
     assert tomo._layout(("XZ", "ZZ")) is tomo._layout(("XZ", "ZZ"))
-    assert tomo.setting_projectors("XYZ") is tomo.setting_projectors("XYZ")
     with pytest.raises(ValueError):
-        tomo.setting_projectors("XQ")
+        projectors("XQ")
