@@ -76,10 +76,17 @@ class MeasurementDirection:
     phi: float
 
 
-# the J search: a _GRID x _GRID sweep of (theta, phi), then a zoom that
-# stops once its patch is narrower than _ANGLE_TOL radians
+# the J search (see _min_measured_entropy): a _GRID x _GRID sweep of
+# (theta, phi) picks three starts per state for a trust-region Newton polish
+# that stops below _ANGLE_TOL radians or a predicted decrease of _F_TOL bits,
+# rounding level.  A larger _CURVATURE_FLOOR makes the steps crawl toward a
+# minimum where f is flat to second order.  No state tried takes more than
+# 20 steps; _MAX_STEPS only bounds the loop.
 _GRID = 16
 _ANGLE_TOL = 1e-6
+_F_TOL = 4 * np.finfo(float).eps
+_CURVATURE_FLOOR = 1e-6
+_MAX_STEPS = 50
 
 
 def _direction_grid():
@@ -95,15 +102,10 @@ def _direction_grid():
 
 _SWEEP = _direction_grid()
 _PAULI4 = np.stack([PAULI[l] for l in "IXYZ"])
-# zoom patch: 7 x 7 tangent offsets in units of its half width (0, +-1/3,
-# +-2/3, +-1), centre first so that the current point wins ties.  A best
-# point among the first _INNER offsets has the minimum in reach of a patch a
-# quarter as wide; one on the edge ring may have more to gain past it, and
-# the width only halves.
-_PATCH = np.array(sorted(((i / 3, j / 3) for i in range(-3, 4)
-                          for j in range(-3, 4)), key=lambda o: max(map(abs, o))))
-_INNER = int(np.sum(np.abs(_PATCH).max(axis=1) < 1))
-_NEXT, _LAST = [1, 2, 0], [2, 0, 1]  # n x u as np.cross computes it
+_EYE3 = np.eye(3)
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # n x u as np.cross computes it
+_SIGNS = np.array([1.0, -1.0])[:, None, None, None]  # the outcome s, on axis 0
+_CURVE = 1 / (8 * np.log(2))  # the second derivatives' factor, in bits
 
 
 def _binary_entropy(x):
@@ -143,39 +145,122 @@ def _pick_starts(values, tt, pp):
     return np.stack(starts, axis=1)
 
 
+def _newton_terms(coords, n):
+    """The measured entropy f (M,) at unit vectors n (M, 3), its gradient
+    (M, 2) and Riemannian Hessian (M, 2, 2) in a tangent basis (u, w), and
+    that basis as rows (n, u, w), w = n x u.  coords (M, 4, 4) holds each
+    state's Pauli coordinates Tr[rho (P_i x P_j)]: 1 at [0, 0], then
+    a = coords[1:, 0], b = coords[0, 1:] and T = coords[1:, 1:].
+
+    Outcome s leaves beta unnormalized with eigenvalues lambda+- = (alpha +-
+    r) / 2, where alpha = 1 + s a.n, beta = b + s T^T n and r = |beta|, and
+    f = sum_s (alpha log alpha - lambda+ log lambda+ - lambda- log lambda-) / 2
+    in bits.  The chain rule runs through alpha (linear in n) and r, whose
+    second derivative is (T T^T - dr dr^T) / r; the sphere's curvature
+    subtracts n . grad f from the diagonal.  Call under ``np.errstate``: a
+    pure conditional state (lambda- = 0) or a vanishing r gives non-finite
+    derivatives.
+    """
+    axis = _EYE3[np.argmin(np.abs(n), axis=-1)]
+    u = axis - (axis * n).sum(-1, keepdims=True) * n
+    u /= np.sqrt((u * u).sum(-1, keepdims=True))
+    w = n[:, _NEXT] * u[:, _LAST] - n[:, _LAST] * u[:, _NEXT]
+    basis = np.stack([n, u, w], axis=1)
+    x = basis @ coords[:, 1:]  # rows (a.d, T^T d) for d = n, u, w
+    ab = coords[:, :1] + _SIGNS * x[:, :1]  # (2, M, 1, 4): (alpha, beta) per outcome
+    beta = ab[..., 1:]
+    r = np.sqrt((beta * beta).sum(-1))[..., 0]
+    lam = np.stack([ab[..., 0, 0], ab[..., 0, 0] + r, ab[..., 0, 0] - r])
+    lam[1:] /= 2
+    log = np.log2(lam)  # alpha, lambda+, lambda- on axis 0
+    xlog = np.where(lam > 0, lam * log, 0.0)
+    f = (xlog[0] - xlog[1] - xlog[2]).sum(0) / 2
+    f_a, f_r = (2 * log[0] - log[1] - log[2]) / 4, (log[2] - log[1]) / 4
+    d_a = _SIGNS[..., 0] * x[..., 0]  # (2, M, 3): d alpha along n, u, w
+    d_r = (_SIGNS * (x[..., 1:] @ beta.swapaxes(-1, -2)))[..., 0] / r[..., None]
+    grad = (f_a[..., None] * d_a + f_r[..., None] * d_r).sum(0)
+    inv = _CURVE / lam
+    f_r_by_r = f_r / r
+    # rows of the (alpha, r) Hessian times the Jacobian (d_a, d_r)
+    v_a = (4 * inv[0] - inv[1] - inv[2])[..., None] * d_a + (inv[2] - inv[1])[..., None] * d_r
+    v_r = (inv[2] - inv[1])[..., None] * d_a - (inv[1] + inv[2] + f_r_by_r)[..., None] * d_r
+    hess = (v_a[..., 1:, None] * d_a[..., None, 1:]
+            + v_r[..., 1:, None] * d_r[..., None, 1:]).sum(0)
+    tangent = x[:, 1:, 1:]
+    hess += f_r_by_r.sum(0)[:, None, None] * (tangent @ tangent.swapaxes(-1, -2))
+    hess[:, [0, 1], [0, 1]] -= grad[:, :1]
+    return f, grad[:, 1:], hess, basis
+
+
+def _newton_step(grad, hess, radius):
+    """The Newton step in the tangent plane, the lowest curvature shifted up
+    to ``_CURVATURE_FLOOR`` and the length capped at ``radius``, with its
+    length and the decrease the quadratic model predicts for it."""
+    uu, uw, ww = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    shift = _CURVATURE_FLOOR - (uu + ww) / 2 + np.hypot((uu - ww) / 2, uw)
+    shift = np.maximum(shift, 0.0)
+    gu, gw = grad[:, 0], grad[:, 1]
+    su, sw = uu + shift, ww + shift
+    det = su * sw - uw * uw
+    step = np.stack([uw * gw - sw * gu, uw * gu - su * gw], axis=-1) / det[:, None]
+    length = np.sqrt((step * step).sum(-1))
+    step *= np.minimum(1.0, radius / length)[:, None]
+    pu, pw = step[:, 0], step[:, 1]
+    pred = -(gu * pu + gw * pw) - (uu * pu * pu + 2 * uw * pu * pw + ww * pw * pw) / 2
+    return step, np.minimum(length, radius), pred
+
+
 def _min_measured_entropy(rhos):
     """S(beta), min over measurements n on alpha of the entropy left on beta,
     and the minimizing n, for a trusted (B, 4, 4) stack of states.
 
     With rho = (I + a.sigma x I + I x b.sigma + sum T_ij sigma_i x sigma_j) / 4
-    the whole stack is swept over the hemisphere grid at once.  The three
-    starts of every state then zoom in together: each moves to the best point
-    of a 7 x 7 patch of tangent offsets spanning +-width, and its width
-    shrinks fourfold (twofold if that point is on the patch's edge) until
-    every width is below ``_ANGLE_TOL``.
+    the whole stack is swept over the hemisphere grid at once.  Each of the
+    three starts of every state is then polished by trust-region Newton
+    steps on the sphere, from the closed-form gradient and Hessian of
+    ``_newton_terms``.  A step is taken only if f does not rise; otherwise
+    the radius becomes a quarter of the step.  A start stops, and stays where
+    it is while the rest of the stack runs, once it has taken a step shorter
+    than ``_ANGLE_TOL``, its radius is below that, or its next step is not
+    finite or predicts a decrease below ``_F_TOL``.  A state's result
+    therefore does not depend on the other states of the stack.
     """
-    r = np.einsum("bijkl,ski,tlj->bst", rhos.reshape(-1, 2, 2, 2, 2),
-                  _PAULI4, _PAULI4).real
-    a, b, t = r[:, 1:, 0], r[:, 0, 1:], r[:, 1:, 1:]
+    coords = np.einsum("bijkl,ski,tlj->bst", rhos.reshape(-1, 2, 2, 2, 2),
+                       _PAULI4, _PAULI4).real
+    a, b, t = coords[:, 1:, 0], coords[:, 0, 1:], coords[:, 1:, 1:]
     tt, pp, grid_n = _SWEEP
-    n = grid_n[_pick_starts(_measured_entropy(a, b, t, grid_n[None]), tt, pp)]
-    rows, starts = np.arange(len(n)), np.arange(n.shape[1])
-    width = np.full(n.shape[:2] + (1, 1), 2 * pi / _GRID)
-    while (width >= _ANGLE_TOL).any():
-        axis = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
-        u = axis - (axis * n).sum(-1, keepdims=True) * n
-        u /= np.sqrt((u * u).sum(-1, keepdims=True))
-        w = n[..., _NEXT] * u[..., _LAST] - n[..., _LAST] * u[..., _NEXT]
-        cand = n[..., None, :] + width * (_PATCH[:, :1] * u[..., None, :]
-                                          + _PATCH[:, 1:] * w[..., None, :])
-        cand /= np.sqrt((cand * cand).sum(-1, keepdims=True))
-        f = _measured_entropy(a, b, t, cand.reshape(len(n), -1, 3))
-        best = np.argmin(f.reshape(cand.shape[:-1]), axis=-1)
-        n = cand[rows[:, None], starts, best]
-        width /= np.where(best < _INNER, 4.0, 2.0)[..., None, None]
-    f = _measured_entropy(a, b, t, n)
-    best = np.argmin(f, axis=1)
-    return _binary_entropy(np.sqrt((b * b).sum(-1))), f[rows, best], n[rows, best]
+    starts = _pick_starts(_measured_entropy(a, b, t, grid_n[None]), tt, pp)
+    n = grid_n[starts.ravel()]
+    coords = np.repeat(coords, starts.shape[1], axis=0)
+    live = np.arange(len(n))
+    with np.errstate(all="ignore"):
+        f, grad, hess, basis = _newton_terms(coords, n)
+        radius = np.full(len(n), 2 * pi / _GRID)
+        step, length, pred = _newton_step(grad, hess, radius)
+        keep = np.isfinite(step).all(-1) & (pred > _F_TOL)
+        f_live = f
+        for _ in range(_MAX_STEPS):
+            if not keep.all():
+                live, coords, f_live, grad, hess, basis, radius, step, length = (
+                    v[keep] for v in (live, coords, f_live, grad, hess, basis,
+                                      radius, step, length))
+            if not len(live):
+                break
+            cand = basis[:, 0] + (step[:, :, None] * basis[:, 1:]).sum(1)
+            cand /= np.sqrt((cand * cand).sum(-1, keepdims=True))
+            f_c, grad_c, hess_c, basis_c = _newton_terms(coords, cand)
+            up = f_c <= f_live
+            f_live = np.where(up, f_c, f_live)
+            grad = np.where(up[:, None], grad_c, grad)
+            hess = np.where(up[:, None, None], hess_c, hess)
+            basis = np.where(up[:, None, None], basis_c, basis)
+            radius = np.where(up, radius, length / 4)
+            moved = np.where(up, length, radius)
+            n[live], f[live] = basis[:, 0], f_live
+            step, length, pred = _newton_step(grad, hess, radius)
+            keep = (moved >= _ANGLE_TOL) & np.isfinite(step).all(-1) & (pred > _F_TOL)
+    best = np.argmin(f.reshape(starts.shape), axis=1) + np.arange(0, len(n), starts.shape[1])
+    return _binary_entropy(np.sqrt((b * b).sum(-1))), f[best], n[best]
 
 
 def _direction_of(n) -> MeasurementDirection:
@@ -195,10 +280,11 @@ def classical_correlations(rho, measured: int = 0):
     conditional entropy of beta, a closed form in the measurement's Bloch
     vector n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta).  The
     minimum is located on the theta <= pi/4 half of a fixed 16 x 16 sweep
-    of (theta, phi) (ties toward smaller theta, then smaller phi) and
-    polished by a zoom search on the sphere: a 7 x 7 patch whose width
-    shrinks fourfold each round (twofold while its best point lies on the
-    edge) until it is narrower than 1e-6 rad.
+    of (theta, phi) (ties toward smaller theta, then smaller phi).  Three
+    starts from the sweep are polished by trust-region Newton steps on the
+    sphere, with the closed-form gradient and Hessian, until a step or the
+    trust radius is below 1e-6 rad or the predicted decrease is at rounding
+    level; the best of the three is the result.
 
     Parameters
     ----------
@@ -290,10 +376,16 @@ def _kw_reports(rho, assignments):
     for split in splits:
         if sorted(split) != [0, 1, 2]:
             raise ValueError(f"assignment {split} must cover qubits 0, 1, 2")
-    pairs = np.stack([partial_trace(rho, [alpha, beta]) for alpha, beta, _ in splits])
+    # each unordered pair is reduced once; the swap that reverses its qubits
+    # moves entries, each a sum of the same two terms in either order
+    reduced = {pair: partial_trace(rho, list(pair)) for pair in
+               {tuple(sorted(part)) for split in splits for part in (split[:2], split[1:])}}
+    pairs = np.stack([reduced[alpha, beta] if alpha < beta else
+                      qmat.permute_qubits(reduced[beta, alpha], [1, 0])
+                      for alpha, beta, _ in splits])
     s_beta, cond, n = _min_measured_entropy(pairs)
-    eof = {pair: eof_from_concurrence(_concurrence(partial_trace(rho, list(pair))))
-           for pair in {tuple(sorted(split[1:])) for split in splits}}  # one per pair
+    eof = {pair: eof_from_concurrence(_concurrence(reduced[pair]))
+           for pair in {tuple(sorted(split[1:])) for split in splits}}
     reports = []
     for (alpha, beta, gamma), s, h, n_opt in zip(splits, s_beta, cond, n):
         s, j = float(s), float(s - h)

@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_kw_exact_accepts_tuple_assignment():
 
 # J of 36 seeded two-qubit states (ranks 1-4 in turn, generator seed
 # 20241018), recorded from the scipy Nelder-Mead optimizer that the
-# closed-form zoom search replaced
+# closed-form search replaced
 NELDER_MEAD_J = (
     0.24236436309238918, 0.25782209340087586, 0.2553599894528811,
     0.15750435437894628, 0.16073500141671512, 0.4305856518177672,
@@ -169,56 +170,57 @@ def test_classical_correlations_nelder_mead_panel():
 
 
 # (S, J, E, KW, theta_opt, phi_opt) of kw_all_permutations from the 16 x 16
-# sweep and the 7 x 7 zoom that shrinks fourfold a round (twofold when its
-# best point is on the patch's edge) with E from singular values and the
-# direction reported with theta <= pi/4: the projected noisy_dicke(0.765),
-# whose six splits agree, then random three-qubit states of rank 1, 2 and 8
-# (generator seed 20261018, drawn in that order)
-NOISY_SPLIT = (0.9525723357984601, 0.20182474310372633, 0.1088697154292412,
-               0.6418778772654926, 0.7853981338165575, 0.013033481097453163)
+# sweep and the trust-region Newton polish on the sphere, with E from
+# singular values and the direction reported with theta <= pi/4: the
+# projected noisy_dicke(0.765), whose six splits agree (its minimum is the
+# circle theta = pi/4, and the polish stays at its start's phi = 0), then
+# random three-qubit states of rank 1, 2 and 8 (generator seed 20261018,
+# drawn in that order)
+NOISY_SPLIT = (0.9525723357984601, 0.20182474310372622, 0.1088697154292412,
+               0.6418778772654927, 0.7853981618699395, 0.0)
 J_KERNEL_PIN = {
     "noisy": (NOISY_SPLIT,) * 6,
     1: (
-        (0.6673952495309629, 0.20451369751131915, 0.462881552019643,
-         7.216449660063518e-16, 0.4968374019888558, 0.25562427303346946),
-        (0.665124348712502, 0.20224279669285816, 0.462881552019643,
-         8.881784197001252e-16, 0.4968374019888558, 0.25562427303346946),
-        (0.48764337284737946, 0.2408896554500163, 0.24675371739736254,
-         6.106226635438361e-16, 0.2933674684110946, 1.9304822357052287),
-        (0.665124348712502, 0.41837063131513885, 0.24675371739736254,
-         6.38378239159465e-16, 0.2933674684110946, 1.9304822357052287),
-        (0.48764337284737946, 0.23763278456973147, 0.2500105882776468,
-         1.2212453270876722e-15, 0.7337179739319354, 0.017675017061772293),
-        (0.667395249530963, 0.41738466125331514, 0.2500105882776468,
-         1.0547118733938987e-15, 0.7337179739319354, 0.017675017061772293),
+        (0.6673952495309629, 0.20451369751131931, 0.462881552019643,
+         5.551115123125783e-16, 0.49683737713289194, 0.2556242559835572),
+        (0.665124348712502, 0.20224279669285827, 0.462881552019643,
+         7.771561172376096e-16, 0.49683737712783066, 0.2556242559901815),
+        (0.48764337284737946, 0.24088965545001648, 0.24675371739736254,
+         4.440892098500626e-16, 0.2933674635971156, 1.9304821922503588),
+        (0.665124348712502, 0.4183706313151394, 0.24675371739736254,
+         8.326672684688674e-17, 0.29336746359711635, 1.9304821922503628),
+        (0.48764337284737946, 0.2376327845697318, 0.2500105882776468,
+         8.881784197001252e-16, 0.733718010087525, 0.01767504533780688),
+        (0.667395249530963, 0.4173846612533157, 0.2500105882776468,
+         4.996003610813204e-16, 0.7337180202399741, 0.017675053080258397),
     ),
     2: (
-        (0.89214393198861, 0.24605539943835208, 0.0,
-         0.6460885325502579, 0.17343854743893944, 2.1225385966125296),
-        (0.7684377455418974, 0.3728312994080091, 0.0,
-         0.3956064461338883, 0.5779284689295234, 4.606176690426759),
-        (0.9808775613397407, 0.24865940561096345, 0.28196602550631944,
-         0.4502521302224578, 0.3687569977379169, 5.3434462044566455),
-        (0.7684377455418974, 0.08794449190978737, 0.28196602550631944,
-         0.39852722812579056, 0.5328966926414307, 3.222929135332052),
-        (0.9808775613397407, 0.3357295188491506, 0.04569330923730498,
-         0.5994547332532851, 0.2007101156100368, 4.797015548152004),
-        (0.89214393198861, 0.09159420787388328, 0.04569330923730498,
-         0.7548564148774217, 0.5234328432120365, 3.8473990670855156),
+        (0.89214393198861, 0.2460553994383562, 0.0,
+         0.6460885325502538, 0.17343850584379325, 2.1225388762946578),
+        (0.7684377455418974, 0.3728312994080134, 0.0,
+         0.39560644613388396, 0.5779285454862185, 4.606176730718818),
+        (0.9808775613397407, 0.24865940561097, 0.28196602550631944,
+         0.45025213022245125, 0.36875694121374014, 5.343446053086035),
+        (0.7684377455418974, 0.08794449190978804, 0.28196602550631944,
+         0.3985272281257899, 0.5328966513253504, 3.2229292788751005),
+        (0.9808775613397407, 0.33572951884915314, 0.04569330923730498,
+         0.5994547332532826, 0.20071009846294602, 4.797015840846477),
+        (0.89214393198861, 0.09159420787388561, 0.04569330923730498,
+         0.7548564148774194, 0.5234327742139109, 3.8473988977612805),
     ),
     8: (
-        (0.9842270687924105, 0.1252581604847396, 0.0,
-         0.8589689083076709, 0.33205852182437795, 2.4627213477230647),
-        (0.9929618152234547, 0.05529763344462191, 0.0,
-         0.9376641817788328, 0.5819925129971385, 1.6056352383252246),
-        (0.9978165919527129, 0.12507651786791163, 0.0,
-         0.8727400740848013, 0.7521431801289716, 1.0016742069320705),
-        (0.9929618152234547, 0.09527060933510834, 0.0,
-         0.8976912058883464, 0.6516285344705075, 6.0404949550412335),
-        (0.9978165919527129, 0.055129827428762046, 0.0,
-         0.9426867645239508, 0.7534683051206336, 2.461647843376089),
-        (0.9842270687924105, 0.09558205753046967, 0.0,
-         0.8886450112619408, 0.5500679998248904, 5.946048889327507),
+        (0.9842270687924105, 0.12525816048474003, 0.0,
+         0.8589689083076705, 0.3320585230091528, 2.4627212501371956),
+        (0.9929618152234547, 0.055297633444623906, 0.0,
+         0.9376641817788308, 0.5819923976396467, 1.6056353062014488),
+        (0.9978165919527129, 0.12507651786791263, 0.0,
+         0.8727400740848003, 0.7521432064869917, 1.0016741165340703),
+        (0.9929618152234547, 0.09527060933510878, 0.0,
+         0.8976912058883459, 0.6516285354129421, 6.040495029895729),
+        (0.9978165919527129, 0.05512982742876282, 0.0,
+         0.9426867645239501, 0.7534683009559405, 2.4616476709585973),
+        (0.9842270687924105, 0.09558205753047033, 0.0,
+         0.8886450112619402, 0.5500679498191046, 5.946048911394878),
     ),
 }
 
@@ -378,6 +380,91 @@ def test_j_search_reaches_the_minimum_of_a_dense_sweep():
     _, cond, _ = corr._min_measured_entropy(np.stack(pairs))
     for k, (rho, h) in enumerate(zip(pairs, cond)):
         assert h <= dense_min_conditional_entropy(rho) + 1e-12, k
+
+
+def test_a_split_reads_alike_alone_and_in_its_stack():
+    # a stopped start stays where it is while the others run, so a split's J
+    # and direction do not depend on which states share its stack
+    rng = np.random.default_rng(20261020)
+    for k in range(40):
+        rho = qmat.random_density_matrix(3, rng, rank=1 + k % 8)
+        reports, _ = corr.kw_all_permutations(rho)
+        for split, row in zip(itertools.permutations(range(3)), reports):
+            alone = corr.kw_exact(rho, split)
+            assert dataclasses.astuple(alone) == dataclasses.astuple(row), (k, split)
+            j, direction = corr.classical_correlations(qmat.partial_trace(rho, split[:2]))
+            assert (j, direction.theta, direction.phi) == (row.J, row.theta_opt,
+                                                           row.phi_opt), (k, split)
+
+
+def pauli_coordinates(rho):
+    """(4, 4) real Tr[rho (P_i x P_j)] over P = I, X, Y, Z."""
+    return np.einsum("ijkl,ski,tlj->st", rho.reshape(2, 2, 2, 2),
+                     corr._PAULI4, corr._PAULI4).real
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_newton_terms_match_finite_differences(seed):
+    # mixed with white noise, every outcome leaves beta mixed, so f is smooth.
+    # The retraction (n + x u + y w) / |...| is second order, so the Hessian
+    # of f along it at 0 is the Riemannian Hessian: central differences.
+    rng = np.random.default_rng(seed)
+    rho = (0.9 * qmat.random_density_matrix(2, rng, rank=int(rng.integers(1, 5)))
+           + 0.1 * np.eye(4) / 4)
+    r = pauli_coordinates(rho)
+    n = rng.normal(size=3)
+    f, grad, hess, basis = corr._newton_terms(r[None], n[None] / np.linalg.norm(n))
+    h = 1e-4
+    offsets = np.array([(x, y) for x in (-h, 0, h) for y in (-h, 0, h)])
+    points = basis[0, 0] + offsets @ basis[0, 1:]
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    v = corr._measured_entropy(r[None, 1:, 0], r[None, 0, 1:], r[None, 1:, 1:],
+                               points[None])[0].reshape(3, 3)
+    assert abs(f[0] - v[1, 1]) <= 1e-14
+    fd_grad = np.array([v[2, 1] - v[0, 1], v[1, 2] - v[1, 0]]) / (2 * h)
+    uu = (v[2, 1] - 2 * v[1, 1] + v[0, 1]) / h**2
+    ww = (v[1, 2] - 2 * v[1, 1] + v[1, 0]) / h**2
+    uw = (v[2, 2] - v[2, 0] - v[0, 2] + v[0, 0]) / (4 * h**2)
+    fd_hess = np.array([[uu, uw], [uw, ww]])
+    assert np.abs(grad[0] - fd_grad).max() <= 1e-7
+    assert np.abs(hess[0] - fd_hess).max() <= 1e-5 * (1 + np.abs(fd_hess).max())
+
+
+def cusp_pairs(count, rng):
+    """p |0><0| x |psi0><psi0| + (1 - p) |1><1| x |psi1><psi1|, alpha rotated
+    by a random unitary: measuring alpha in the rotated basis leaves beta
+    pure, so the minimum conditional entropy is 0, at a point where f is not
+    smooth."""
+    pairs = []
+    for _ in range(count):
+        p = rng.uniform(0.05, 0.95)
+        psi0, psi1 = (qmat.dm(qmat.random_state_vector(1, rng)) for _ in range(2))
+        rho = (p * qmat.tensor(np.diag([1.0, 0.0]), psi0)
+               + (1 - p) * qmat.tensor(np.diag([0.0, 1.0]), psi1))
+        u = qmat.tensor(qmat.random_unitary(2, rng), np.eye(2))
+        pairs.append(u @ rho @ u.conj().T)
+    return pairs
+
+
+def test_j_search_reaches_the_cusp_minimum():
+    _, cond, _ = corr._min_measured_entropy(np.stack(cusp_pairs(300, np.random.default_rng(7))))
+    assert cond.max() <= 1e-11
+
+
+def test_j_search_raises_no_numpy_warnings():
+    # pure conditional states make the Newton terms infinite; the kernel
+    # stops there without a RuntimeWarning
+    rng = np.random.default_rng(20261021)
+    zz = (np.eye(4) + qmat.tensor(qmat.PAULI["Z"], qmat.PAULI["Z"])) / 4
+    pairs = ([qmat.dm(states.psi_plus()), zz] + cusp_pairs(20, rng)
+             + [qmat.random_density_matrix(2, rng, rank=1) for _ in range(20)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in pairs:
+            for measured in (0, 1):
+                corr.classical_correlations(rho, measured)
+        corr.kw_all_permutations(qmat.dm(qmat.random_state_vector(3, rng)))
 
 
 @settings(max_examples=30, deadline=None)
