@@ -11,6 +11,7 @@ from .correlations import (
     extract_pc,
     kw_all_permutations,
     kw_exact,
+    kw_exact_many,
     kw_from_correlators,
     kw_symmetric,
 )

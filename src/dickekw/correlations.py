@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, replace
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 from math import pi
 
 import numpy as np
 
 from . import qmat
-from .qmat import PAULI, QUBIT_NAMES, partial_trace
+from .qmat import PAULI, QUBIT_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -40,23 +40,28 @@ def concurrence(rho) -> float:
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("concurrence is defined for two-qubit states")
-    return _concurrence(rho)
+    return float(_concurrence(rho[None])[0])
 
 
-def _concurrence(rho) -> float:
-    w, v = np.linalg.eigh(rho)
-    psi = v * np.sqrt(np.maximum(w, 0.0))
-    lam = np.linalg.svd(psi.T @ qmat.pauli_matrix("YY") @ psi, compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+def _concurrence(rhos):
+    """``concurrence`` of every state of a trusted (..., 4, 4) stack."""
+    w, v = np.linalg.eigh(rhos)
+    psi = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    lam = np.linalg.svd(psi.swapaxes(-1, -2) @ _YY @ psi, compute_uv=False)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation in bits from a concurrence value."""
     if not -1e-9 <= c <= 1 + 1e-9:
         raise ValueError(f"concurrence {c} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
-    x = (1 + np.sqrt(1 - c * c)) / 2
-    return qmat.entropy_bits([x, 1 - x])
+    return float(_eof(np.array([c]))[0])
+
+
+def _eof(c):
+    """``eof_from_concurrence`` of an array, each value clipped to [0, 1]."""
+    x = (1 + np.sqrt(1 - np.clip(c, 0.0, 1.0) ** 2)) / 2
+    return qmat.entropy_bits(np.stack([x, 1 - x]))
 
 
 def entanglement_of_formation(rho) -> float:
@@ -90,45 +95,46 @@ _MAX_STEPS = 50
 
 
 def _direction_grid():
-    """(theta, phi) and Bloch vectors of the theta <= pi/4 rows of the sweep;
-    as n and -n are the same measurement, the other rows add nothing."""
+    """(theta, phi), Bloch vectors n and (4, 2K) outcome columns (1, n) then
+    (1, -n) of the theta <= pi/4 rows of the sweep; as n and -n are the same
+    measurement, the other rows add nothing."""
     thetas = np.linspace(0.0, pi / 2, _GRID)[: (_GRID + 1) // 2]
     phis = np.linspace(0.0, 2 * pi, _GRID, endpoint=False)
     tt, pp = (m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij"))
     n = np.stack([np.sin(2 * tt) * np.cos(pp), np.sin(2 * tt) * np.sin(pp),
                   np.cos(2 * tt)], axis=-1)
-    return tt, pp, n
+    return tt, pp, n, np.vstack([np.ones(2 * len(n)), np.concatenate([n, -n]).T])
 
 
 _SWEEP = _direction_grid()
 _PAULI4 = np.stack([PAULI[l] for l in "IXYZ"])
-_EYE3 = np.eye(3)
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # n x u as np.cross computes it
-_SIGNS = np.array([1.0, -1.0])[:, None, None, None]  # the outcome s, on axis 0
+_YY = np.kron(PAULI["Y"], PAULI["Y"])
+_EYE3, _EZ, _DIAG = np.eye(3), np.array([0.0, 0.0, 1.0]), [1, 2, 3]
 _CURVE = 1 / (8 * np.log(2))  # the second derivatives' factor, in bits
 
 
-def _binary_entropy(x):
-    """Entropy in bits of a qubit state with Bloch length x."""
-    p, q = (1 + x) / 2, (1 - x) / 2
-    return -p * np.log2(np.maximum(p, 1e-300)) - q * np.log2(np.maximum(q, 1e-300))
+def _outcome_entropy(alpha, r):
+    """lambda = (alpha, lambda+, lambda-) on a new axis 0, its log2, and each
+    outcome's share (alpha log alpha - lambda+ log lambda+ - lambda- log
+    lambda-) / 2 in bits of the measured entropy, lambda+- = (alpha +- r) / 2
+    being the eigenvalues of the state it leaves on beta, unnormalized."""
+    lam = np.empty((3,) + r.shape)
+    lam[0], lam[1], lam[2] = alpha, alpha + r, alpha - r
+    lam[1:] /= 2
+    log = np.log2(lam)
+    xlog = lam * log
+    xlog[lam <= 0] = 0.0
+    return lam, log, (xlog[0] - xlog[1] - xlog[2]) / 2
 
 
-def _measured_entropy(a, b, t, n):
-    """Entropy of beta left by measuring Bloch vector n on alpha, (B, K).
-
-    Outcome s = +-1 has probability q = (1 + s a.n) / 2 and leaves beta with
-    Bloch vector (b + s T^T n) / (2q).  Shapes: a, b (B, 3), t (B, 3, 3),
-    n (B or 1, K, 3).
-    """
-    an, tn = (n @ a[:, :, None])[..., 0], n @ t
-    total = 0.0
-    for s in (1.0, -1.0):
-        q = np.maximum((1 + s * an) / 2, 1e-300)
-        v = b[:, None] + s * tn
-        x = np.sqrt((v * v).sum(-1)) / (2 * q)
-        total = total + q * _binary_entropy(np.minimum(x, 1.0))
-    return total
+def _measured_entropy(coords, columns):
+    """Entropy of beta left by measuring alpha along K directions, (M, K):
+    coords^T (see ``_newton_terms``) times the outcome column (1, s n) of
+    ``columns`` (4, 2K) is the outcome's (alpha, beta).  Call under errstate."""
+    ab = coords.swapaxes(1, 2) @ columns
+    beta = ab[:, 1:]
+    f = _outcome_entropy(ab[:, 0], np.sqrt((beta * beta).sum(1)))[2]
+    return f.reshape(len(f), 2, columns.shape[1] // 2).sum(1)
 
 
 def _pick_starts(values, tt, pp):
@@ -146,67 +152,68 @@ def _pick_starts(values, tt, pp):
 
 
 def _newton_terms(coords, n):
-    """The measured entropy f (M,) at unit vectors n (M, 3), its gradient
-    (M, 2) and Riemannian Hessian (M, 2, 2) in a tangent basis (u, w), and
-    that basis as rows (n, u, w), w = n x u.  coords (M, 4, 4) holds each
-    state's Pauli coordinates Tr[rho (P_i x P_j)]: 1 at [0, 0], then
-    a = coords[1:, 0], b = coords[0, 1:] and T = coords[1:, 1:].
+    """The measured entropy and its derivatives at unit vectors n (M, 3):
+    terms (M, 7) holds f, the gradient (g_u, g_w) and the Riemannian Hessian
+    (h_uu, h_uw, h_wu, h_ww) in a tangent basis (u, w), and basis (M, 3, 3)
+    holds that basis as rows (n, u, w).  coords (M, 4, 4) holds each state's
+    Pauli coordinates Tr[rho (P_i x P_j)]: 1 at [0, 0], then a = coords[1:, 0],
+    b = coords[0, 1:] and T = coords[1:, 1:].
 
-    Outcome s leaves beta unnormalized with eigenvalues lambda+- = (alpha +-
-    r) / 2, where alpha = 1 + s a.n, beta = b + s T^T n and r = |beta|, and
-    f = sum_s (alpha log alpha - lambda+ log lambda+ - lambda- log lambda-) / 2
-    in bits.  The chain rule runs through alpha (linear in n) and r, whose
-    second derivative is (T T^T - dr dr^T) / r; the sphere's curvature
-    subtracts n . grad f from the diagonal.  Call under ``np.errstate``: a
-    pure conditional state (lambda- = 0) or a vanishing r gives non-finite
-    derivatives.
+    f sums the shares of ``_outcome_entropy`` of the outcomes s = +-1, with
+    alpha = 1 + s a.n and r = |beta|, beta = b + s T^T n.  Their gradients and
+    Hessians in (alpha, beta) run through r, whose Hessian in beta is
+    (I - beta beta^T / r^2) / r; along d, (alpha, beta) moves by s (a.d, T^T d).
+    The sphere's curvature subtracts n . grad f from the diagonal.  Call under
+    ``np.errstate``: a pure conditional state (lambda- = 0) or a vanishing r
+    gives non-finite derivatives.
     """
-    axis = _EYE3[np.argmin(np.abs(n), axis=-1)]
-    u = axis - (axis * n).sum(-1, keepdims=True) * n
-    u /= np.sqrt((u * u).sum(-1, keepdims=True))
-    w = n[:, _NEXT] * u[:, _LAST] - n[:, _LAST] * u[:, _NEXT]
-    basis = np.stack([n, u, w], axis=1)
+    m = len(n)
+    # rows 0 and 1 of the Householder reflection that takes e_z to -+n
+    v = n + np.copysign(_EZ, n[:, 2:])
+    basis = np.empty((m, 3, 3))
+    basis[:, 0] = n
+    basis[:, 1:] = _EYE3[:2] - v[:, :2, None] * v[:, None] / (1 + abs(n[:, 2:, None]))
     x = basis @ coords[:, 1:]  # rows (a.d, T^T d) for d = n, u, w
-    ab = coords[:, :1] + _SIGNS * x[:, :1]  # (2, M, 1, 4): (alpha, beta) per outcome
+    ab = np.empty((m, 2, 4))  # (alpha, beta) of outcome s = +1, -1
+    np.add(coords[:, 0], x[:, 0], out=ab[:, 0])
+    np.subtract(coords[:, 0], x[:, 0], out=ab[:, 1])
     beta = ab[..., 1:]
-    r = np.sqrt((beta * beta).sum(-1))[..., 0]
-    lam = np.stack([ab[..., 0, 0], ab[..., 0, 0] + r, ab[..., 0, 0] - r])
-    lam[1:] /= 2
-    log = np.log2(lam)  # alpha, lambda+, lambda- on axis 0
-    xlog = np.where(lam > 0, lam * log, 0.0)
-    f = (xlog[0] - xlog[1] - xlog[2]).sum(0) / 2
+    r = np.sqrt((beta * beta).sum(-1))
+    lam, log, f = _outcome_entropy(ab[..., 0], r)
     f_a, f_r = (2 * log[0] - log[1] - log[2]) / 4, (log[2] - log[1]) / 4
-    d_a = _SIGNS[..., 0] * x[..., 0]  # (2, M, 3): d alpha along n, u, w
-    d_r = (_SIGNS * (x[..., 1:] @ beta.swapaxes(-1, -2)))[..., 0] / r[..., None]
-    grad = (f_a[..., None] * d_a + f_r[..., None] * d_r).sum(0)
+    unit = beta / r[..., None]
+    grad_ab = np.concatenate([f_a[..., None], f_r[..., None] * unit], axis=-1)
+    grad = (x @ (grad_ab[:, 0] - grad_ab[:, 1])[..., None])[..., 0]
     inv = _CURVE / lam
     f_r_by_r = f_r / r
-    # rows of the (alpha, r) Hessian times the Jacobian (d_a, d_r)
-    v_a = (4 * inv[0] - inv[1] - inv[2])[..., None] * d_a + (inv[2] - inv[1])[..., None] * d_r
-    v_r = (inv[2] - inv[1])[..., None] * d_a - (inv[1] + inv[2] + f_r_by_r)[..., None] * d_r
-    hess = (v_a[..., 1:, None] * d_a[..., None, 1:]
-            + v_r[..., 1:, None] * d_r[..., None, 1:]).sum(0)
-    tangent = x[:, 1:, 1:]
-    hess += f_r_by_r.sum(0)[:, None, None] * (tangent @ tangent.swapaxes(-1, -2))
-    hess[:, [0, 1], [0, 1]] -= grad[:, :1]
-    return f, grad[:, 1:], hess, basis
+    hess_ab = np.empty((m, 4, 4))
+    hess_ab[:, 0, 0] = (4 * inv[0] - inv[1] - inv[2]).sum(1)
+    hess_ab[:, 0, 1:] = hess_ab[:, 1:, 0] = ((inv[2] - inv[1])[:, None] @ unit)[:, 0]
+    hess_ab[:, 1:, 1:] = unit.swapaxes(1, 2) @ (-(inv[1] + inv[2] + f_r_by_r)[..., None] * unit)
+    hess_ab[:, _DIAG, _DIAG] += f_r_by_r.sum(1)[:, None]
+    tangent = x[:, 1:]
+    terms = np.empty((m, 7))
+    terms[:, 0] = f.sum(1)
+    terms[:, 1:3] = grad[:, 1:]
+    terms[:, 3:] = (tangent @ hess_ab @ tangent.swapaxes(1, 2)).reshape(m, 4)
+    terms[:, 3::3] -= grad[:, :1]
+    return terms, basis
 
 
-def _newton_step(grad, hess, radius):
+def _newton_step(terms, radius):
     """The Newton step in the tangent plane, the lowest curvature shifted up
     to ``_CURVATURE_FLOOR`` and the length capped at ``radius``, with its
     length and the decrease the quadratic model predicts for it."""
-    uu, uw, ww = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
-    shift = _CURVATURE_FLOOR - (uu + ww) / 2 + np.hypot((uu - ww) / 2, uw)
-    shift = np.maximum(shift, 0.0)
-    gu, gw = grad[:, 0], grad[:, 1]
-    su, sw = uu + shift, ww + shift
-    det = su * sw - uw * uw
-    step = np.stack([uw * gw - sw * gu, uw * gu - su * gw], axis=-1) / det[:, None]
-    length = np.sqrt((step * step).sum(-1))
+    grad, hess = terms[:, 1:3], terms[:, 3:].reshape(-1, 2, 2)
+    uu, uw, ww = terms[:, 3], terms[:, 4], terms[:, 6]
+    mid, gap = (uu + ww) / 2, np.hypot((uu - ww) / 2, uw)
+    shifted = mid + np.maximum(_CURVATURE_FLOOR - mid + gap, 0.0)
+    # (H + shift)^-1 g = ((tr H + shift) g - H g) / det(H + shift)
+    step = (hess @ grad[..., None])[..., 0] - (shifted + mid)[:, None] * grad
+    step /= ((shifted - gap) * (shifted + gap))[:, None]
+    length = np.hypot(step[:, 0], step[:, 1])
     step *= np.minimum(1.0, radius / length)[:, None]
-    pu, pw = step[:, 0], step[:, 1]
-    pred = -(gu * pu + gw * pw) - (uu * pu * pu + 2 * uw * pu * pw + ww * pw * pw) / 2
+    pred = -(step * (grad + (hess @ step[..., None])[..., 0] / 2)).sum(1)
     return step, np.minimum(length, radius), pred
 
 
@@ -215,62 +222,64 @@ def _min_measured_entropy(rhos):
     and the minimizing n, for a trusted (B, 4, 4) stack of states.
 
     With rho = (I + a.sigma x I + I x b.sigma + sum T_ij sigma_i x sigma_j) / 4
-    the whole stack is swept over the hemisphere grid at once.  Each of the
-    three starts of every state is then polished by trust-region Newton
-    steps on the sphere, from the closed-form gradient and Hessian of
-    ``_newton_terms``.  A step is taken only if f does not rise; otherwise
-    the radius becomes a quarter of the step.  A start stops, and stays where
-    it is while the rest of the stack runs, once it has taken a step shorter
-    than ``_ANGLE_TOL``, its radius is below that, or its next step is not
-    finite or predicts a decrease below ``_F_TOL``.  A state's result
-    therefore does not depend on the other states of the stack.
+    the stack is swept over the hemisphere grid by one product of its Pauli
+    coordinates with the grid's outcome columns.  Each of the three starts
+    of every state is then polished by trust-region Newton steps on the
+    sphere, from the gradient and Hessian of ``_newton_terms``.  A step is
+    taken only if f does not rise; otherwise the radius becomes a quarter of
+    the step.  A start stops, and stays where it is while the rest of the
+    stack runs, once it has taken a step shorter than ``_ANGLE_TOL``, its
+    radius is below that, or its next step is not finite or predicts a
+    decrease below ``_F_TOL``.  A state's result therefore does not depend on
+    the other states of the stack.
     """
     coords = np.einsum("bijkl,ski,tlj->bst", rhos.reshape(-1, 2, 2, 2, 2),
                        _PAULI4, _PAULI4).real
-    a, b, t = coords[:, 1:, 0], coords[:, 0, 1:], coords[:, 1:, 1:]
-    tt, pp, grid_n = _SWEEP
-    starts = _pick_starts(_measured_entropy(a, b, t, grid_n[None]), tt, pp)
-    n = grid_n[starts.ravel()]
-    coords = np.repeat(coords, starts.shape[1], axis=0)
-    live = np.arange(len(n))
+    tt, pp, grid_n, columns = _SWEEP
     with np.errstate(all="ignore"):
-        f, grad, hess, basis = _newton_terms(coords, n)
+        s_beta = 2 * _outcome_entropy(1.0, np.sqrt((coords[:, 0, 1:] ** 2).sum(-1)))[2]
+        starts = _pick_starts(_measured_entropy(coords, columns), tt, pp)
+        n = grid_n[starts.ravel()]
+        coords = np.repeat(coords, starts.shape[1], axis=0)
+        live = np.arange(len(n))
+        terms, basis = _newton_terms(coords, n)
+        f = terms[:, 0].copy()
         radius = np.full(len(n), 2 * pi / _GRID)
-        step, length, pred = _newton_step(grad, hess, radius)
+        step, length, pred = _newton_step(terms, radius)
         keep = np.isfinite(step).all(-1) & (pred > _F_TOL)
-        f_live = f
         for _ in range(_MAX_STEPS):
             if not keep.all():
-                live, coords, f_live, grad, hess, basis, radius, step, length = (
-                    v[keep] for v in (live, coords, f_live, grad, hess, basis,
-                                      radius, step, length))
+                live, coords, terms, basis, radius, step, length = (
+                    v[keep] for v in (live, coords, terms, basis, radius, step, length))
             if not len(live):
                 break
-            cand = basis[:, 0] + (step[:, :, None] * basis[:, 1:]).sum(1)
+            cand = basis[:, 0] + (step[:, None] @ basis[:, 1:])[:, 0]
             cand /= np.sqrt((cand * cand).sum(-1, keepdims=True))
-            f_c, grad_c, hess_c, basis_c = _newton_terms(coords, cand)
-            up = f_c <= f_live
-            f_live = np.where(up, f_c, f_live)
-            grad = np.where(up[:, None], grad_c, grad)
-            hess = np.where(up[:, None, None], hess_c, hess)
-            basis = np.where(up[:, None, None], basis_c, basis)
-            radius = np.where(up, radius, length / 4)
-            moved = np.where(up, length, radius)
-            n[live], f[live] = basis[:, 0], f_live
-            step, length, pred = _newton_step(grad, hess, radius)
+            terms_c, basis_c = _newton_terms(coords, cand)
+            up = terms_c[:, 0] <= terms[:, 0]
+            if up.all():
+                terms, basis, moved = terms_c, basis_c, length
+            else:
+                terms = np.where(up[:, None], terms_c, terms)
+                basis = np.where(up[:, None, None], basis_c, basis)
+                radius = np.where(up, radius, length / 4)
+                moved = np.where(up, length, radius)
+            n[live], f[live] = basis[:, 0], terms[:, 0]
+            step, length, pred = _newton_step(terms, radius)
             keep = (moved >= _ANGLE_TOL) & np.isfinite(step).all(-1) & (pred > _F_TOL)
     best = np.argmin(f.reshape(starts.shape), axis=1) + np.arange(0, len(n), starts.shape[1])
-    return _binary_entropy(np.sqrt((b * b).sum(-1))), f[best], n[best]
+    return s_beta, f[best], n[best]
 
 
-def _direction_of(n) -> MeasurementDirection:
-    """The angles of the Bloch vector n, or of -n, the same measurement: the
-    one whose first nonzero component of (n_z, n_y, n_x) is positive, so
-    that theta <= pi/4.  phi lies in [0, 2 pi)."""
-    if tuple(n[::-1]) < (0, 0, 0):
-        n = -n
-    return MeasurementDirection(theta=float(0.5 * np.arccos(min(n[2], 1.0))),
-                                phi=float(np.arctan2(n[1], n[0]) % (2 * pi)))
+def _direction_of(n):
+    """theta (M,) and phi in [0, 2 pi) of the Bloch vectors n (M, 3), each
+    read as n or -n, the same measurement: the one whose first nonzero
+    component of (n_z, n_y, n_x) is positive, so that theta <= pi/4."""
+    x, y, z = n.T
+    lead = np.where(z != 0, z, np.where(y != 0, y, x))
+    n = np.where(lead[:, None] < 0, -n, n)
+    return (0.5 * np.arccos(np.minimum(n[:, 2], 1.0)),
+            np.arctan2(n[:, 1], n[:, 0]) % (2 * pi))
 
 
 def classical_correlations(rho, measured: int = 0):
@@ -304,7 +313,8 @@ def classical_correlations(rho, measured: int = 0):
     if measured == 1:
         rho = qmat.permute_qubits(rho, [1, 0])
     s_beta, cond, n = _min_measured_entropy(rho[None])
-    return float(s_beta[0] - cond[0]), _direction_of(n[0])
+    theta, phi = _direction_of(n)
+    return float(s_beta[0] - cond[0]), MeasurementDirection(float(theta[0]), float(phi[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,45 +367,64 @@ def kw_exact(rho, assignment=(0, 1, 2)) -> KWReport:
         computed for measurements on alpha, the entropy and the
         entanglement of formation belong to beta and (beta, gamma).
     """
-    return _kw_reports(rho, [assignment])[0]
+    return _kw_reports(_three_qubit(rho)[None], [assignment])[0][0]
+
+
+def kw_exact_many(rhos, assignment=(0, 1, 2)) -> list[KWReport]:
+    """``kw_exact`` of each state of a sequence or (B, 8, 8) stack in one array
+    pass, alike bit for bit; a state that is not valid fails with its index."""
+    stack = []
+    for k, rho in enumerate(rhos):
+        try:
+            stack.append(_three_qubit(rho))
+        except ValueError as err:
+            raise ValueError(f"state {k}: {err}") from None
+    return [row[0] for row in _kw_reports(np.array(stack).reshape(-1, 8, 8), [assignment])]
 
 
 def kw_all_permutations(rho):
     """Exact reports for all six (alpha, beta, gamma) splits plus the mean KW."""
-    reports = _kw_reports(rho, permutations(range(3)))
+    reports = _kw_reports(_three_qubit(rho)[None], permutations(range(3)))[0]
     return reports, float(np.mean([r.KW for r in reports]))
 
 
-def _kw_reports(rho, assignments):
-    """Validate rho once, then evaluate every split with one batched J."""
+def _three_qubit(rho):
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (8, 8):
         raise ValueError("exact evaluation expects a three-qubit state")
+    return rho
+
+
+# the unordered pairs of three qubits, then their reverses; _PAIR_INDEX[p, i, t]
+# is the basis index at which pair p reads i and the third qubit reads t
+_PAIRS = list(combinations(range(3), 2))
+_PAIRS += [pair[::-1] for pair in _PAIRS]
+_PAIR_INDEX = np.stack([np.arange(8).reshape(2, 2, 2).transpose(a, b, 3 - a - b).reshape(4, 2)
+                        for a, b in _PAIRS])
+
+
+def _kw_reports(rhos, assignments):
+    """The reports of every split of every state of a trusted (B, 8, 8) stack,
+    one list per state, from one array pass: all pairs reduced at once (each
+    entry a sum of the same two terms, so a pair and its reverse read alike),
+    one J search of every split's (alpha, beta) and one concurrence of the
+    three unordered pairs."""
     splits = [parse_assignment(x) if isinstance(x, str) else tuple(x)
               for x in assignments]
     for split in splits:
         if sorted(split) != [0, 1, 2]:
             raise ValueError(f"assignment {split} must cover qubits 0, 1, 2")
-    # each unordered pair is reduced once; the swap that reverses its qubits
-    # moves entries, each a sum of the same two terms in either order
-    reduced = {pair: partial_trace(rho, list(pair)) for pair in
-               {tuple(sorted(part)) for split in splits for part in (split[:2], split[1:])}}
-    pairs = np.stack([reduced[alpha, beta] if alpha < beta else
-                      qmat.permute_qubits(reduced[beta, alpha], [1, 0])
-                      for alpha, beta, _ in splits])
-    s_beta, cond, n = _min_measured_entropy(pairs)
-    eof = {pair: eof_from_concurrence(_concurrence(reduced[pair]))
-           for pair in {tuple(sorted(split[1:])) for split in splits}}
-    reports = []
-    for (alpha, beta, gamma), s, h, n_opt in zip(splits, s_beta, cond, n):
-        s, j = float(s), float(s - h)
-        e = eof[tuple(sorted((beta, gamma)))]
-        direction = _direction_of(n_opt)
-        reports.append(KWReport(
-            assignment=format_assignment(alpha, beta, gamma),
-            S=s, J=j, E=e, KW=s - j - e, method="exact",
-            theta_opt=direction.theta, phi_opt=direction.phi))
-    return reports
+    pairs = rhos[:, _PAIR_INDEX[:, :, None], _PAIR_INDEX[:, None]].sum(-1)
+    s, h, n = _min_measured_entropy(
+        pairs[:, [_PAIRS.index(split[:2]) for split in splits]].reshape(-1, 4, 4))
+    theta, phi = _direction_of(n)
+    e = _eof(_concurrence(pairs[:, :3]))
+    e = e[:, [_PAIRS.index(tuple(sorted(split[1:]))) for split in splits]].ravel()
+    j = s - h
+    columns = (v.reshape(len(rhos), len(splits)).tolist()
+               for v in (s, j, e, s - j - e, theta, phi))
+    return [[KWReport(format_assignment(*split), S, J, E, KW, "exact", theta_opt=t, phi_opt=p)
+             for split, S, J, E, KW, t, p in zip(splits, *state)] for state in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------
