@@ -17,7 +17,6 @@ from .correlations import (
 )
 from .qmat import (
     dm,
-    eig_hermitian,
     fidelity_pure,
     partial_trace,
     project,
@@ -32,7 +31,6 @@ from .states import (
     noisy_dicke,
     psi_plus,
     reduce_state,
-    w_state,
 )
 from .tomography import (
     bootstrap_fidelity,

@@ -81,11 +81,11 @@ def cmd_tomo_reconstruct(args) -> int:
               f"log_likelihood={_g(result.log_likelihood)} "
               f"converged={result.converged}")
     if args.target:
-        target_rho = io.load_density_matrix(args.target)
-        spectrum = qmat.eig_hermitian(target_rho)
-        if spectrum.eigenvalues[0] < 1 - 1e-6:
+        # the file is Hermitian, and the fidelity ignores the global phase
+        values, vectors = np.linalg.eigh(io.load_density_matrix(args.target))
+        if values[-1] < 1 - 1e-6:
             raise ValueError("fidelity target must be a pure state")
-        target = spectrum.eigenvectors[:, 0]
+        target = vectors[:, -1]
         fid = qmat.fidelity_pure(target, rho)
         if args.bootstrap:
             mean, sigma = tomography.bootstrap_fidelity(

@@ -391,7 +391,7 @@ def kw_all_permutations(rho):
 def _three_qubit(rho):
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (8, 8):
-        raise ValueError("exact evaluation expects a three-qubit state")
+        raise ValueError(f"expected a three-qubit state, got shape {rho.shape}")
     return rho
 
 
@@ -532,11 +532,6 @@ _CLASS_OF = {member: rep for rep in ("III",) + KW_CLASS_REPS
              for member in pauli_class(rep)}
 
 
-def class_of(pauli: str) -> str | None:
-    """Representative class of a three-qubit Pauli string, if it has one."""
-    return _CLASS_OF.get(pauli)
-
-
 def kw_correlator_paulis() -> tuple[str, ...]:
     """All Pauli strings entering the extraction: III plus the seven classes."""
     return tuple(_CLASS_OF)
@@ -544,9 +539,7 @@ def kw_correlator_paulis() -> tuple[str, ...]:
 
 def correlator_table(rho) -> list[CorrelatorRecord]:
     """Exact correlator table of a three-qubit state (sigma = 0)."""
-    rho = qmat.check_density_matrix(rho)
-    if rho.shape != (8, 8):
-        raise ValueError("correlator table expects a three-qubit state")
+    rho = _three_qubit(rho)
     return [CorrelatorRecord(p, qmat._pauli_expectation(rho, p), 0.0)
             for p in _CLASS_OF]
 
@@ -555,28 +548,25 @@ _IDEAL_SIGNS = {"III": 1, "ZZZ": -1, "ZZI": -1, "ZII": 1,
                 "XXZ": 1, "YYZ": 1, "XXI": 1, "YYI": 1}
 
 
-def ideal_sign(pauli: str) -> int:
-    """Sign of the correlator on the ideal single-excitation state."""
-    rep = _CLASS_OF.get(pauli)
-    if rep is None:
-        raise ValueError(f"no ideal sign for Pauli string {pauli!r}")
-    return _IDEAL_SIGNS[rep]
-
-
 def apply_sign_map(records, mode: str = "ideal-w1") -> list[CorrelatorRecord]:
     """Resolve correlator signs before extraction.
 
-    mode "ideal-w1": |value| times the ideal single-excitation-state sign
-    (tables quoting magnitudes); mode "raw": records pass through as given.
+    mode "ideal-w1": |value| times the sign of the correlator's class on the
+    ideal single-excitation state (tables quoting magnitudes); mode "raw":
+    records pass through as given.
     """
     if mode == "raw":
         return [CorrelatorRecord(r.pauli, float(r.value), float(r.sigma))
                 for r in records]
     if mode != "ideal-w1":
         raise ValueError(f"unknown sign map {mode!r}; use raw or ideal-w1")
-    return [CorrelatorRecord(r.pauli, ideal_sign(r.pauli) * abs(float(r.value)),
-                             float(r.sigma))
-            for r in records]
+    out = []
+    for r in records:
+        if r.pauli not in _CLASS_OF:
+            raise ValueError(f"no ideal sign for Pauli string {r.pauli!r}")
+        out.append(CorrelatorRecord(r.pauli, _IDEAL_SIGNS[_CLASS_OF[r.pauli]]
+                                    * abs(float(r.value)), float(r.sigma)))
+    return out
 
 
 def _extract_pc(paulis, values, printed_form: bool = False):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qmat
 from .correlations import CorrelatorRecord, KWReport
-from .tomography import MAX_TOTAL_COUNT, CountRecord, CountTable, cell_index, count_table
+from .tomography import MAX_TOTAL_COUNT, CountTable, cell_index
 
 QUBIT_ORDER_TAG = "abcd-msb"
 
@@ -57,32 +57,30 @@ def save_density_matrix(path: str, rho) -> None:
 
 
 def load_density_matrix(path: str) -> np.ndarray:
-    """Read a density-matrix document: Hermitian within ``qmat.ATOL``, unit
-    trace within 1e-6 (files may hold rounded numbers; in memory it is
-    ``qmat.ATOL``), and no eigenvalue below ``qmat.EIG_FLOOR`` unless the
-    document says ``"physical": false``, as it does for a linear-inversion
-    estimate."""
-    with open(path) as handle:
-        doc = json.load(handle)
-    for field in ("n_qubits", "qubit_order", "re", "im"):
-        if field not in doc:
-            raise ValueError(f"density-matrix file missing field {field!r}")
-    if doc["qubit_order"] != QUBIT_ORDER_TAG:
-        raise ValueError(f"unsupported qubit order {doc['qubit_order']!r}")
-    rho = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    n = int(doc["n_qubits"])
-    if rho.shape != (2**n, 2**n):
-        raise ValueError(f"matrix shape {rho.shape} does not match {n} qubits")
-    if not np.allclose(rho, rho.conj().T, atol=qmat.ATOL, rtol=0):
-        raise ValueError("file does not contain a Hermitian matrix")
-    if abs(np.trace(rho).real - 1.0) > 1e-6:
-        raise ValueError("matrix trace differs from 1")
-    if doc.get("physical", True) is not False:
-        lo = np.linalg.eigvalsh(rho).min()
-        if lo < qmat.EIG_FLOOR:
-            raise ValueError(f"{path}: matrix has eigenvalue {lo} below "
-                             f"{qmat.EIG_FLOOR}")
-    return rho
+    """Read a density-matrix document and check it as
+    ``qmat.check_density_matrix`` does, except that the trace may differ
+    from one by 1e-6 (files may hold rounded numbers) and the spectrum goes
+    unchecked if the document says ``"physical": false``, as it does for a
+    linear-inversion estimate.  Every error names the file."""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+        for field in ("n_qubits", "qubit_order", "re", "im"):
+            if field not in doc:
+                raise ValueError(f"density-matrix file missing field {field!r}")
+        if doc["qubit_order"] != QUBIT_ORDER_TAG:
+            raise ValueError(f"unsupported qubit order {doc['qubit_order']!r}")
+        real, imag = (np.asarray(doc[part], dtype=float) for part in ("re", "im"))
+        n = int(doc["n_qubits"])
+        if not real.shape == imag.shape == (2**n, 2**n):
+            raise ValueError(f"matrix parts of shapes {real.shape} and {imag.shape} "
+                             f"do not match {n} qubits")
+        # set, not added: inf * 1j would warn before the finite check
+        rho = real.astype(complex)
+        rho.imag = imag
+        return qmat._check_matrix(rho, 1e-6, physical=doc.get("physical") is not False)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _fmt_count(x: float) -> str:
@@ -113,32 +111,31 @@ def _data_rows(path: str, header: str):
 def _number(text: str, nonnegative: bool = False) -> float:
     value = float(text)
     if not np.isfinite(value) or (nonnegative and value < 0):
-        raise ValueError(text)
+        raise ValueError(f"{text} is not a finite number" + " >= 0" * nonnegative)
     return value
 
 
 def load_counts(path: str) -> CountTable:
-    """Read a counts file into a :class:`CountTable`, checking every row and
-    that the counts up to it add up to at most ``MAX_TOTAL_COUNT``."""
-    records, n, total = [], None, 0.0
+    """Read a counts file into a :class:`CountTable`: settings in the order
+    they first appear, rows of the same cell added up, zero for a cell
+    without a row, and a bad row named with its line and reason."""
+    rows: dict[str, np.ndarray] = {}
+    n, total = None, 0.0
     for number, line in _data_rows(path, "setting,"):
         try:
             setting, outcome, count = (field.strip() for field in line.split(","))
             n = n or len(setting)
-            cell_index(setting, outcome, n)
+            index = cell_index(setting, outcome, n)
             count = _number(count, nonnegative=True)
             total += count
             if total > MAX_TOTAL_COUNT:
-                raise ValueError(line)
-            records.append(CountRecord(setting, outcome, count))
-        except ValueError:
-            raise ValueError(f"{path}:{number}: bad counts row {line!r}; "
-                             "expected setting,outcome,count with letters XYZ, "
-                             "bits 0/1, one length for the file and counts >= 0 "
-                             f"summing to at most {MAX_TOTAL_COUNT:.3g}") from None
-    if not records:
+                raise ValueError("it takes the total count past the largest float / 28")
+            rows.setdefault(setting, np.zeros(2**n))[index] += count
+        except ValueError as err:
+            raise ValueError(f"{path}:{number}: bad counts row {line!r}: {err}") from None
+    if not rows:
         raise ValueError(f"no count records in {path}")
-    return count_table(records)
+    return CountTable(tuple(rows), np.array(list(rows.values())))
 
 
 def save_correlators(path: str, records) -> None:
@@ -171,12 +168,8 @@ def load_correlators(path: str) -> list[CorrelatorRecord]:
     return records
 
 
-def kw_report_document(report: KWReport) -> str:
-    return json.dumps(dataclasses.asdict(report), indent=1)
-
-
 def save_kw_report(path: str, report: KWReport) -> None:
-    atomic_write_text(path, kw_report_document(report) + "\n")
+    atomic_write_text(path, json.dumps(dataclasses.asdict(report), indent=1) + "\n")
 
 
 def load_kw_report(path: str) -> KWReport:

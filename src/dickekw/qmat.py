@@ -12,7 +12,6 @@ are 2-D complex arrays of shape ``(2**n, 2**n)``.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -29,9 +28,9 @@ QUBIT_NAMES = "abcd"
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
-# eigenvalues, probabilities and amplitudes below EIG_ZERO count as zero
-# (in entropies, projections and phase fixing); an eigenvalue more negative
-# than EIG_FLOOR signals an invalid state
+# eigenvalues and probabilities below EIG_ZERO count as zero (in entropies
+# and projections); an eigenvalue more negative than EIG_FLOOR signals an
+# invalid state
 EIG_ZERO = 1e-12
 EIG_FLOOR = -1e-8
 # the state checks' tolerance on norm, trace and Hermiticity
@@ -76,20 +75,29 @@ def check_state_vector(psi) -> np.ndarray:
 
 
 def check_density_matrix(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian and of unit trace within ATOL,
-    spectrum >= EIG_FLOOR."""
+    """Validate a density matrix: finite, Hermitian and of unit trace within
+    ATOL, spectrum >= EIG_FLOOR."""
+    return _check_matrix(rho, ATOL, physical=True)
+
+
+def _check_matrix(rho, trace_atol: float, physical: bool) -> np.ndarray:
+    """:func:`check_density_matrix` with a trace tolerance of ``trace_atol``,
+    and no spectrum check unless ``physical``; files share it."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     num_qubits(rho)
-    if not np.allclose(rho, rho.conj().T, atol=ATOL, rtol=0):
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has an entry that is not a finite number")
+    if np.abs(rho - rho.conj().T).max() > ATOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > ATOL:
-        raise ValueError(f"density matrix trace {tr} differs from 1 beyond {ATOL}")
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < EIG_FLOOR:
-        raise ValueError(f"density matrix has eigenvalue {lo} below {EIG_FLOOR}")
+    if abs(tr - 1.0) > trace_atol:
+        raise ValueError(f"density matrix trace {tr} differs from 1 beyond {trace_atol}")
+    if physical:
+        lo = float(np.linalg.eigvalsh(rho).min())
+        if lo < EIG_FLOOR:
+            raise ValueError(f"density matrix has eigenvalue {lo} below {EIG_FLOOR}")
     return rho
 
 
@@ -105,16 +113,6 @@ def dm(psi) -> np.ndarray:
     """Outer product |psi><psi| of a ket."""
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
-
-
-def fix_global_phase(psi) -> np.ndarray:
-    """Rescale a ket so its first amplitude of magnitude above EIG_ZERO is
-    real and positive."""
-    psi = np.asarray(psi, dtype=complex)
-    for amp in psi:
-        if abs(amp) > EIG_ZERO:
-            return psi * (amp.conjugate() / abs(amp))
-    return psi.copy()
 
 
 def tensor(*factors) -> np.ndarray:
@@ -219,41 +217,6 @@ def partial_trace(rho, keep) -> np.ndarray:
     sub = "".join(row) + "".join(col) + "->" + "".join(out)
     k = len(keep)
     return np.einsum(sub, rho.reshape((2,) * (2 * n))).reshape(2**k, 2**k)
-
-
-@dataclass
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    eigenvalues are sorted descending; eigenvectors[:, i] belongs to
-    eigenvalues[i] and has its first nonzero component real-positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(h) -> Spectrum:
-    """Deterministically ordered eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues descend; each eigenvector's global phase is fixed by making
-    its first component of magnitude above EIG_ZERO real and positive, which
-    pins the output for non-degenerate spectra.
-
-    Raises ValueError if ``h`` is not Hermitian within ``ATOL``.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(h, h.conj().T, atol=ATOL, rtol=0):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for i in range(vecs.shape[1]):
-        vecs[:, i] = fix_global_phase(vecs[:, i])
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def entropy_bits(probs):

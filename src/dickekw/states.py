@@ -1,4 +1,4 @@
-"""State engineering: source state, gate circuit, Dicke/W/Bell constructors.
+"""State engineering: source state, gate circuit, Dicke and Bell constructors.
 
 Qubits are named a, b, c, d (a = most significant bit).  The photonic
 carriers map to the abstract basis as H -> 0, V -> 1 (polarization) and
@@ -125,11 +125,6 @@ def dicke(n: int, k: int) -> np.ndarray:
         index = sum(1 << (n - 1 - q) for q in ones)
         psi[index] = amp
     return psi
-
-
-def w_state() -> np.ndarray:
-    """Three-qubit single-excitation W state."""
-    return dicke(3, 1)
 
 
 def psi_plus() -> np.ndarray:

@@ -88,12 +88,17 @@ def _born_table(rho, settings) -> tuple[tuple[str, ...], np.ndarray]:
     return settings, np.clip(probs, 0.0, None)
 
 
+# a count weighs at most -log(1e-12) < 28 in the fit's log-likelihood, which
+# stays finite for every table whose total count is at most MAX_TOTAL_COUNT
+MAX_TOTAL_COUNT = np.finfo(float).max / 28
+
+
 @dataclass(frozen=True, eq=False)
 class CountTable:
-    """Read-only counts: ``counts[s, i]`` is the number of events of
-    ``settings[s]`` whose outcome bits (qubit a first) spell ``i``.
-    ``len()`` is the number of cells; iterating yields one
-    :class:`CountRecord` per cell, setting by setting."""
+    """Read-only counts, checked: ``counts[s, i]`` >= 0 is the number of
+    events of ``settings[s]`` whose outcome bits (qubit a first) spell ``i``,
+    and the total is at most ``MAX_TOTAL_COUNT``.  ``len()`` is the number of
+    cells; iterating yields one :class:`CountRecord` per cell."""
 
     settings: tuple[str, ...]
     counts: np.ndarray
@@ -106,6 +111,11 @@ class CountTable:
         if len(lengths) != 1 or counts.shape != (len(settings), 2 ** min(lengths)):
             raise ValueError(f"need settings of one length and counts of shape (settings, "
                              f"2**length), got {list(settings)} and {counts.shape}")
+        with np.errstate(over="ignore"):
+            if not (np.isfinite(counts).all() and counts.min() >= 0
+                    and counts.sum(dtype=float) <= MAX_TOTAL_COUNT):
+                raise ValueError("counts must be finite numbers >= 0 whose total "
+                                 "is at most the largest float / 28")
         counts.flags.writeable = False
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
@@ -130,36 +140,6 @@ def cell_index(setting: str, outcome: str, n: int) -> int:
     return int(outcome, 2)
 
 
-def count_table(records) -> CountTable:
-    """The :class:`CountTable` of count records (a table passes unchanged):
-    settings in the order they first appear, records of the same outcome
-    added up, and zero for an outcome without a record.  Every count, and
-    the total of them all, must be a number >= 0 and at most
-    ``MAX_TOTAL_COUNT``."""
-    if isinstance(records, CountTable):
-        return records
-    rows: dict[str, np.ndarray] = {}
-    n, total = None, 0.0
-    for r in records:
-        n = n or len(r.setting)
-        index = cell_index(r.setting, r.outcome, n)
-        count = float(r.count)
-        if not 0 <= count < np.inf:
-            raise ValueError(f"count {r.count!r} of {r.setting},{r.outcome} "
-                             "is not a finite number >= 0")
-        total += count
-        if total > MAX_TOTAL_COUNT:
-            raise ValueError(f"count {r.count!r} of {r.setting},{r.outcome} takes the "
-                             "total count past the largest float / 28")
-        rows.setdefault(r.setting, np.zeros(2**n))[index] += count
-    if not rows:
-        raise ValueError("no count records given")
-    return CountTable(tuple(rows), np.array(list(rows.values())))
-
-
-# a count weighs at most -log(1e-12) < 28 in the fit's log-likelihood, which
-# stays finite for every table whose total count is at most MAX_TOTAL_COUNT
-MAX_TOTAL_COUNT = np.finfo(float).max / 28
 # numpy's Poisson sampler accepts means up to about 9.2e18
 _MAX_MEAN_COUNTS = 1e18
 
@@ -183,15 +163,14 @@ def exact_counts(rho, settings, mean_counts: float = 1.0) -> CountTable:
     return CountTable(settings, mean_counts * probs)
 
 
-def linear_inversion(counts) -> np.ndarray:
+def linear_inversion(table: CountTable) -> np.ndarray:
     """Direct inversion rho = 2**-n sum_P <P> P over the full correlator
-    table of :func:`correlators_from_counts`, from a table or records: one
-    product of the 4**n correlators with the stacked Pauli matrices.
+    table of :func:`correlators_from_counts`: one product of the 4**n
+    correlators with the stacked Pauli matrices.
 
     The output is Hermitian with unit trace but can fail positivity on noisy
     data; consumers decide whether that matters.
     """
-    table = count_table(counts)
     return _linear_inversion(table.settings, table.counts[None])[0]
 
 
@@ -206,8 +185,8 @@ def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
     return _from_strings(values, n)
 
 
-def mle_reconstruct(counts) -> TomographyResult:
-    """Maximum-likelihood state reconstruction from a table or records.
+def mle_reconstruct(table: CountTable) -> TomographyResult:
+    """Maximum-likelihood state reconstruction from a count table.
 
     Runs accelerated projected-gradient ascent with restart on the
     Poisson/multinomial log-likelihood (Shang, Zhang and Ng, PRA 95,
@@ -222,7 +201,6 @@ def mle_reconstruct(counts) -> TomographyResult:
     log-likelihood by at most 1e-14 times its magnitude, or after 5000
     steps with ``converged=False``.
     """
-    table = count_table(counts)
     return _mle(table.settings, table.counts[None])[0]
 
 
@@ -328,11 +306,11 @@ def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyR
 _BOOTSTRAP_BLOCK = 64
 
 
-def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
+def bootstrap_fidelity(table: CountTable, target, n_boot: int = 100, seed: int = 0):
     """Bootstrap mean and standard deviation of the fidelity to a pure target.
 
-    Each replica resamples every cell of the count table (a table or
-    records) from Poisson(observed value), in table order, and scores
+    Each replica resamples every cell of the count table from
+    Poisson(observed value), in table order, and scores
     ``fidelity_pure(target, rho)`` of the maximum-likelihood reconstruction
     of its resampled table.  Replicas draw from independent seed-derived
     streams and are fitted in blocks of a fixed size by the batched fit of
@@ -341,7 +319,6 @@ def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
     """
     if n_boot < 50:
         raise ValueError("at least 50 bootstrap replicas are required")
-    table = count_table(counts)
     target = qmat.check_state_vector(target)
     streams = np.random.SeedSequence(seed).spawn(n_boot)
     fids = []
@@ -353,8 +330,8 @@ def bootstrap_fidelity(counts, target, n_boot: int = 100, seed: int = 0):
     return float(np.mean(fids)), float(np.std(fids, ddof=1))
 
 
-def correlators_from_counts(counts, paulis=None) -> list[CorrelatorRecord]:
-    """Pauli expectations with counting uncertainties from a table or records.
+def correlators_from_counts(table: CountTable, paulis=None) -> list[CorrelatorRecord]:
+    """Pauli expectations with counting uncertainties from a count table.
 
     Each requested Pauli string (letters IXYZ) averages the signed
     frequencies over every refining setting with data; sigma propagates the
@@ -362,7 +339,6 @@ def correlators_from_counts(counts, paulis=None) -> list[CorrelatorRecord]:
     settings used.  N_s is the setting's signed sum for ``I...I``, so that
     string is exactly 1 +/- 0.  ``paulis=None`` evaluates all 4**n strings.
     """
-    table = count_table(counts)
     n = len(table.settings[0])
     (values,), (sigmas,) = _correlators(table.settings, table.counts[None])
     records = []

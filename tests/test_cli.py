@@ -91,6 +91,23 @@ def test_tomo_reconstruct_with_target(tmp_path, capsys):
     qmat.check_density_matrix(rho)
 
 
+def test_tomo_reconstruct_scores_against_the_top_eigenvector(tmp_path, capsys):
+    w1, counts = tmp_path / "w1.dm.json", tmp_path / "counts.csv"
+    run("state", "w1", "--out", str(w1))
+    run("tomo", "simulate", "--in", str(w1), "--counts", "200", "--out", str(counts))
+    capsys.readouterr()
+    assert run("tomo", "reconstruct", "--counts", str(counts), "--target", str(w1),
+               "--bootstrap", "50") == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "fidelity = 0.999309 (bootstrap 0.9981 +/- 0.000728383)"
+    # a mixed target fails after the fit, with one line
+    mixed = tmp_path / "noisy.dm.json"
+    run("state", "noisy-dicke:p=0.765", "--project", "d=1", "--out", str(mixed))
+    capsys.readouterr()
+    assert run("tomo", "reconstruct", "--counts", str(counts), "--target", str(mixed)) == 1
+    assert capsys.readouterr().err == "error: fidelity target must be a pure state\n"
+
+
 def test_tomo_reconstruct_bootstrap(tmp_path, capsys):
     dm_path = tmp_path / "bell.dm.json"
     counts = tmp_path / "counts.csv"

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickekw import correlations as corr
@@ -552,7 +552,9 @@ def pair_concurrence_and_eof(rho):
     psi = v * np.sqrt(np.maximum(w, 0.0))
     lam = np.linalg.svd(psi.T @ qmat.pauli_matrix("YY") @ psi, compute_uv=False)
     c = float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-    x = (1 + np.sqrt(1 - min(c, 1.0) ** 2)) / 2
+    # c * c, not c ** 2: numpy squares exactly rounded, Python's pow may not
+    clipped = min(c, 1.0)
+    x = (1 + np.sqrt(1 - clipped * clipped)) / 2
     return c, qmat.entropy_bits([x, 1 - x])
 
 
@@ -561,6 +563,13 @@ BELL_KETS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
 
 @settings(max_examples=40, deadline=None)
 @given(seeds)
+# seeds on which min(c, 1.0) ** 2 in the oracle rounded apart from c * c
+@example(3404)
+@example(3465)
+@example(5367)
+@example(5514)
+@example(6626)
+@example(8814)
 def test_batched_concurrence_matches_the_per_pair_oracle(seed):
     # LAPACK still runs per matrix, so each pair of the stack comes out bit
     # for bit as it does alone, in either qubit order
@@ -806,8 +815,10 @@ def test_correlator_table_matches_direct_expectations():
 
 def test_pauli_class_machinery():
     assert corr.pauli_class("ZZI") == ("ZZI", "ZIZ", "IZZ")
-    assert corr.class_of("IZZ") == "ZZI"
-    assert corr.class_of("ZZZ") == "ZZZ"
+    # a member takes the ideal sign of its class
+    mapped = corr.apply_sign_map([corr.CorrelatorRecord("IZZ", 0.5),
+                                  corr.CorrelatorRecord("ZZZ", 0.5)])
+    assert [r.value for r in mapped] == [-0.5, -0.5]
     paulis = corr.kw_correlator_paulis()
     assert len(paulis) == 20
     assert len(set(paulis)) == 20
@@ -824,12 +835,22 @@ def test_correlator_table_validates_input_once(monkeypatch):
 
 
 def test_class_of_matches_brute_force():
+    # the extraction's strings are those of exactly one class; the sign map
+    # gives each the sign of its class on the ideal state, and rejects the rest
+    ideal = {r.pauli: r.value for r in corr.correlator_table(w1_dm())}
     for letters in itertools.product("IXYZ", repeat=3):
         pauli = "".join(letters)
         owners = [rep for rep in ("III",) + corr.KW_CLASS_REPS
                   if pauli in corr.pauli_class(rep)]
         assert len(owners) <= 1
-        assert corr.class_of(pauli) == (owners[0] if owners else None)
+        assert (pauli in corr.kw_correlator_paulis()) == bool(owners)
+        record = [corr.CorrelatorRecord(pauli, -0.5)]
+        if owners:
+            (mapped,) = corr.apply_sign_map(record)
+            assert mapped.value == 0.5 * np.sign(ideal[owners[0]])
+        else:
+            with pytest.raises(ValueError, match="no ideal sign"):
+                corr.apply_sign_map(record)
 
 
 def test_ideal_sign_map():

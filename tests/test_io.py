@@ -43,6 +43,51 @@ def test_density_matrix_rejects_corrupt_document(tmp_path):
         io.load_density_matrix(path)
 
 
+QUBIT = {"n_qubits": 1, "qubit_order": "abcd-msb", "re": [[0.5, 0], [0, 0.5]],
+         "im": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({**QUBIT, "re": [[1, 0], [1, 0]]}, "not Hermitian"),
+    ({**QUBIT, "re": [[0.6, 0], [0, 0.5]]}, "trace 1.1 differs from 1 beyond 1e-06"),
+    ({**QUBIT, "re": [[1.5, 0], [0, -0.5]]}, "eigenvalue -0.5"),
+    ({**QUBIT, "qubit_order": "other"}, "unsupported qubit order"),
+    ({**QUBIT, "n_qubits": 2}, "do not match 2 qubits"),
+    ({**QUBIT, "im": [0, 0]}, r"shapes \(2, 2\) and \(2,\)"),
+    ({**QUBIT, "im": None}, "do not match 1 qubits"),
+    ({**QUBIT, "re": [[1, 0], [0]]}, "with a sequence"),
+    ({**QUBIT, "n_qubits": [1]}, r"int\(\)"),
+    ({k: v for k, v in QUBIT.items() if k != "im"}, "missing field 'im'"),
+    (5, "not iterable"),
+    ("{", "Expecting"),
+])
+@pytest.mark.filterwarnings("error")
+def test_density_matrix_errors_name_the_file(tmp_path, doc, reason):
+    path = tmp_path / "bad.dm.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ValueError, match=reason) as raised:
+        io.load_density_matrix(path)
+    assert str(raised.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("part, i, j", [("re", 0, 0), ("re", 0, 1), ("im", 1, 1), ("im", 0, 1)])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("physical", [True, False])
+@pytest.mark.filterwarnings("error")
+def test_density_matrix_rejects_non_finite_entries(tmp_path, part, i, j, bad, physical):
+    # off the diagonal the entry and its mirror look Hermitian; before, an
+    # Infinity there ended in "Eigenvalues did not converge"
+    doc = json.loads(json.dumps(QUBIT))
+    doc[part][i][j] = doc[part][j][i] = bad
+    if not physical:
+        doc["physical"] = False
+    path = tmp_path / "bad.dm.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="not a finite number") as raised:
+        io.load_density_matrix(path)
+    assert str(raised.value).startswith(f"{path}: ")
+
+
 def test_non_psd_matrix_round_trips(tmp_path):
     # linear-inversion output may dip below zero; the format keeps it
     rho = np.diag([1.05, -0.05]).astype(complex)
@@ -138,6 +183,9 @@ def test_density_matrix_trace_tolerance_is_1e_6(tmp_path):
     (io.load_counts, "QQ,00,5\n", 1),
     (io.load_counts, "ZZ,0x,5\n", 1),
     (io.load_counts, "ZZ,00,5\nZZZ,000,3\n", 2),
+    (io.load_counts, "ZZZ,1_0,7\n", 1),
+    (io.load_counts, "ZZ,00,5\nZZ,01,-inf\n", 2),
+    (io.load_counts, "ZZ,00,5\nZZ,01,5,5\n", 2),
     # counts that each keep the fit's log-likelihood finite but whose cell,
     # setting or file total does not, and one count that does not by itself
     (io.load_counts, "Z,0,4e306\nZ,0,4e306\n", 2),

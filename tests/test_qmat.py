@@ -62,7 +62,7 @@ def test_permute_qubits_density_matrix():
 
 
 def test_partial_trace_w_state_pair():
-    rho = qmat.dm(states.w_state())
+    rho = qmat.dm(states.dicke(3, 1))
     third = 1 / 3
     expected = np.array([
         [third, 0, 0, 0],
@@ -90,34 +90,6 @@ def test_partial_trace_product_state():
     np.testing.assert_allclose(qmat.partial_trace(rho, (0,)), a, atol=1e-12)
     np.testing.assert_allclose(qmat.partial_trace(rho, (1, 2)), b, atol=1e-12)
     assert abs(np.trace(qmat.partial_trace(rho, (2,))) - 1) < 1e-12
-
-
-def test_eig_hermitian_simple():
-    spec = qmat.eig_hermitian(np.diag([1.0, 3.0, 2.0]))
-    np.testing.assert_allclose(spec.eigenvalues, [3, 2, 1])
-    spec = qmat.eig_hermitian(qmat.X)
-    np.testing.assert_allclose(spec.eigenvalues, [1, -1], atol=1e-12)
-    # eigenvector phase: first sizable component is real positive
-    assert spec.eigenvectors[0, 0].real > 0
-    assert abs(spec.eigenvectors[0, 0].imag) < 1e-12
-
-
-def test_eig_hermitian_random_invariants():
-    rng = np.random.default_rng(8)
-    for _ in range(1000):
-        d = int(rng.integers(2, 17))
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (g + g.conj().T) / 2
-        spec = qmat.eig_hermitian(h)
-        vals, vecs = spec.eigenvalues, spec.eigenvectors
-        assert np.all(np.diff(vals) <= 1e-12)
-        np.testing.assert_allclose(h @ vecs, vecs * vals, atol=1e-9)
-        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(d), atol=1e-9)
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        qmat.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_entropy_reference_points():
@@ -211,12 +183,6 @@ def test_checks_reject_malformed_input():
     with pytest.raises(ValueError):
         qmat.check_density_matrix(np.diag([1.5, -0.5]))
     qmat.check_density_matrix(np.diag([1.0, 0.0]))
-
-
-def test_fix_global_phase():
-    psi = np.array([0, 1j, 0, 0], dtype=complex)
-    fixed = qmat.fix_global_phase(psi)
-    np.testing.assert_allclose(fixed, [0, 1, 0, 0], atol=1e-12)
 
 
 def test_random_generators_reproducible():

@@ -66,7 +66,6 @@ def test_dicke_amplitudes():
     for i in range(16):
         expected = amp if i in hot else 0.0
         assert d42[i] == pytest.approx(expected, abs=1e-15)
-    np.testing.assert_allclose(states.w_state(), states.dicke(3, 1))
     np.testing.assert_allclose(states.psi_plus(),
                                np.array([0, 1, 1, 0]) / np.sqrt(2))
     with pytest.raises(ValueError):

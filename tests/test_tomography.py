@@ -10,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from dickekw import correlations as corr
-from dickekw import qmat, states, tomography as tomo
+from dickekw import io, qmat, states, tomography as tomo
 
 
 def w1_dm():
@@ -295,9 +295,12 @@ def test_count_simulation_needs_settings_that_fit_the_state(simulate, settings):
         simulate(qmat.dm(states.psi_plus()), settings)
 
 
-@hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(st.integers(1, 3), st.data())
-def test_count_table_rebuilds_from_its_records(n, data):
+@hypothesis.settings(max_examples=60, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
+@hypothesis.given(n=st.integers(1, 3), data=st.data())
+def test_count_table_rebuilds_from_its_records(tmp_path, n, data):
+    # the counts reader turns rows into a table: settings in the order they
+    # first appear, rows of the same cell added up
     settings = data.draw(st.lists(st.sampled_from(tomo.settings_full(n)),
                                   min_size=1, max_size=4, unique=True))
     values = data.draw(st.lists(st.one_of(st.integers(0, 10**9), st.floats(0, 1e9)),
@@ -307,17 +310,21 @@ def test_count_table_rebuilds_from_its_records(n, data):
                             np.reshape(values, (len(settings), 2**n)))
     records = list(table)
     assert len(records) == len(table) == len(settings) * 2**n
-    assert tomo.count_table(table) is table
-    again = tomo.count_table(records)
+    path = tmp_path / "counts.csv"
+
+    def reread(rows):
+        io.save_counts(path, rows)
+        return io.load_counts(path)
+
+    again = reread(records)
     assert again.settings == table.settings
     np.testing.assert_array_equal(again.counts, table.counts)
-    # shuffled records fill the same rows; settings keep first appearance
     shuffled = data.draw(st.permutations(records))
-    mixed = tomo.count_table(shuffled)
+    mixed = reread(shuffled)
     assert mixed.settings == tuple(dict.fromkeys(r.setting for r in shuffled))
     for setting, row in zip(mixed.settings, mixed.counts):
         np.testing.assert_array_equal(row, table.counts[settings.index(setting)])
-    doubled = tomo.count_table(records + shuffled)
+    doubled = reread(records + shuffled)
     assert doubled.settings == table.settings
     np.testing.assert_array_equal(doubled.counts, 2 * table.counts)
 
@@ -334,9 +341,14 @@ def test_count_table_rebuilds_from_its_records(n, data):
     ([("X", "0", 1e308), ("Z", "0", 1e308)], "past the largest float"),
     ([("X", "0", 4e306), ("Z", "0", 4e306)], "past the largest float / 28"),
 ])
-def test_count_table_rejects_malformed_records(records, message):
-    with pytest.raises(ValueError, match=message):
-        tomo.count_table([tomo.CountRecord(*r) for r in records])
+def test_count_table_rejects_malformed_records(tmp_path, records, message):
+    # records become a table only through the counts reader, which names the
+    # file and the reason
+    path = tmp_path / "counts.csv"
+    path.write_text("".join(f"{s},{o},{c!r}\n" for s, o, c in records))
+    with pytest.raises(ValueError, match=message) as raised:
+        io.load_counts(path)
+    assert str(path) in str(raised.value)
 
 
 @pytest.mark.parametrize("settings, shape, message", [
@@ -351,6 +363,22 @@ def test_count_table_rejects_malformed_records(records, message):
 def test_count_table_checks_its_settings_and_counts(settings, shape, message):
     with pytest.raises(ValueError, match=message):
         tomo.CountTable(settings, np.ones(shape))
+
+
+@pytest.mark.parametrize("counts", [
+    [[50, 50], [50, 50], [90, -3]],
+    [[50, 50], [50, np.nan], [50, 50]],
+    [[50, np.inf], [50, 50], [50, 50]],
+    [[50, 50], [50, 50], [-np.inf, 50]],
+    [[tomo.MAX_TOTAL_COUNT, 0], [0, 0], [1e300, 0]],
+    [[1e308, 1e308], [1e308, 1e308], [0, 0]],
+])
+@pytest.mark.filterwarnings("error")
+def test_count_table_rejects_bad_count_values(counts):
+    # a table built directly is checked as one read from a file: before,
+    # [90, -3] gave <Z> = 1.069 and a fit that reported converged=True
+    with pytest.raises(ValueError, match="counts must be finite numbers >= 0"):
+        tomo.CountTable(("X", "Y", "Z"), counts)
 
 
 def test_coarse_graining_consistency():
@@ -406,8 +434,8 @@ def test_mle_fidelity_improves_with_counts():
 
 
 def test_mle_rejects_empty_counts():
-    with pytest.raises(ValueError):
-        tomo.mle_reconstruct([])
+    with pytest.raises(ValueError, match="all settings have zero total counts"):
+        tomo.mle_reconstruct(tomo.CountTable(("ZZ",), np.zeros((1, 4))))
 
 
 def test_bootstrap_fidelity():
@@ -544,10 +572,9 @@ def reference_mle(settings, counts, max_iter=5000, tol=1e-10):
         converged=converged, log_likelihood_trace=np.array(trace)), diluted
 
 
-def bootstrap_tables(counts, n_boot, seed):
+def bootstrap_tables(table, n_boot, seed):
     """The bootstrap's resampled tables as a (replicas, settings, outcomes)
     stack, drawn one table cell at a time in table order."""
-    table = tomo.count_table(counts)
     stack = []
     for stream in np.random.SeedSequence(seed).spawn(n_boot):
         rng = np.random.default_rng(stream)
@@ -763,8 +790,10 @@ def test_simplex_projection_matches_a_bisection():
 def test_bootstrap_raises_for_the_first_replica_without_coverage():
     # one XY count: about a third of the replicas resample XY to zero, and
     # the XY correlator then has no setting with data
-    counts = [tomo.CountRecord(r.setting, r.outcome, int(r.outcome == "00"))
-              if r.setting == "XY" else r for r in bell_counts()]
+    table = bell_counts()
+    cells = table.counts.copy()
+    cells[table.settings.index("XY")] = [1, 0, 0, 0]
+    counts = tomo.CountTable(table.settings, cells)
     settings, stack = bootstrap_tables(counts, 60, 2)
     assert not stack[:, settings.index("XY")].any(axis=1).all()
     with pytest.raises(ValueError) as expected:
@@ -787,7 +816,7 @@ def test_correlators_build_their_layout_once_per_table_shape():
     assert tomo._layout.cache_info().misses == 1
     tomo.correlators_from_counts(counts, ["XX"])
     assert tomo._layout.cache_info().misses == 1
-    tomo.correlators_from_counts([r for r in counts if r.setting == "XX"], ["XX"])
+    tomo.correlators_from_counts(tomo.CountTable(("XX",), counts.counts[:1]), ["XX"])
     assert tomo._layout.cache_info().misses == 2
 
 
