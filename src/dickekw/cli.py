@@ -3,7 +3,8 @@
 Subcommands: ``state``, ``tomo simulate``, ``tomo reconstruct``,
 ``kw exact|symmetric|correlators``, and ``report``.  Numbers print with six
 significant digits; files keep full precision and are written atomically.
-Exit status is 0 only when all requested outputs were produced.
+Exit status is 0 only when all requested outputs were produced.  Each
+command imports only the layers it runs.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import time
 
 import numpy as np
 
-from . import io, qmat, states, tomography
-from . import correlations as corr
+from . import io, qmat, states
 
 
 def _g(x: float) -> str:
@@ -31,7 +31,7 @@ def _emit(out_path: str | None, text: str) -> None:
         print(text)
 
 
-def _print_report_line(r: corr.KWReport) -> None:
+def _print_report_line(r) -> None:  # r: correlations.KWReport
     line = (f"{r.assignment} [{r.method}]: S={_g(r.S)} J={_g(r.J)} "
             f"E={_g(r.E)} KW={_g(r.KW)}")
     if r.sigma is not None:
@@ -53,6 +53,7 @@ def cmd_state(args) -> int:
 
 
 def cmd_tomo_simulate(args) -> int:
+    from . import tomography
     rho = io.load_density_matrix(args.infile)
     n = qmat.num_qubits(rho)
     settings = tomography.settings_full(n)
@@ -68,6 +69,7 @@ def cmd_tomo_simulate(args) -> int:
 
 
 def cmd_tomo_reconstruct(args) -> int:
+    from . import tomography
     table = io.load_counts(args.counts)
     if args.method == "linear":
         rho = tomography.linear_inversion(table)
@@ -100,6 +102,7 @@ def cmd_tomo_reconstruct(args) -> int:
 
 
 def cmd_kw_exact(args) -> int:
+    from . import correlations as corr
     rho = io.load_density_matrix(args.infile)
     if args.all_permutations:
         reports, average = corr.kw_all_permutations(rho)
@@ -120,6 +123,7 @@ def cmd_kw_exact(args) -> int:
 
 
 def cmd_kw_symmetric(args) -> int:
+    from . import correlations as corr
     report = corr.kw_symmetric(corr.SymmetricModel(args.p, args.c),
                                strict=args.strict)
     _print_report_line(report)
@@ -130,6 +134,7 @@ def cmd_kw_symmetric(args) -> int:
 
 
 def cmd_kw_correlators(args) -> int:
+    from . import correlations as corr
     records = io.load_correlators(args.table)
     records = corr.apply_sign_map(records, args.sign_map)
     model = corr.extract_pc(records)
@@ -145,6 +150,7 @@ def cmd_kw_correlators(args) -> int:
 
 
 def _report_text(args) -> str:
+    from . import correlations as corr, tomography
     lines = []
     say = lines.append
     say("dicke resource reproduction report")

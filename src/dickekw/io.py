@@ -10,13 +10,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
 
 from . import qmat
-from .correlations import CorrelatorRecord, KWReport
-from .tomography import MAX_TOTAL_COUNT, CountTable, cell_index
 
 QUBIT_ORDER_TAG = "abcd-msb"
 
@@ -108,8 +107,13 @@ def _data_rows(path: str, header: str):
             raise ValueError(f"{path}: cannot be decoded as text") from None
 
 
+# plain decimal or exponent notation; float() also reads 1_0, "infinity"
+# and non-ASCII digits
+_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def _number(text: str, nonnegative: bool = False) -> float:
-    value = float(text)
+    value = float(text) if _NUMBER.fullmatch(text) else np.nan
     if not np.isfinite(value) or (nonnegative and value < 0):
         raise ValueError(f"{text} is not a finite number" + " >= 0" * nonnegative)
     return value
@@ -119,6 +123,7 @@ def load_counts(path: str) -> CountTable:
     """Read a counts file into a :class:`CountTable`: settings in the order
     they first appear, rows of the same cell added up, zero for a cell
     without a row, and a bad row named with its line and reason."""
+    from .tomography import MAX_TOTAL_COUNT, CountTable, cell_index
     rows: dict[str, np.ndarray] = {}
     n, total = None, 0.0
     for number, line in _data_rows(path, "setting,"):
@@ -146,6 +151,7 @@ def save_correlators(path: str, records) -> None:
 def load_correlators(path: str) -> list[CorrelatorRecord]:
     """Read a correlator file, checking every row: a Pauli string over IXYZ
     of one length for the whole file, a finite value and a sigma >= 0."""
+    from .correlations import CorrelatorRecord
     records, n = [], None
     for number, line in _data_rows(path, "pauli,"):
         try:
@@ -173,6 +179,7 @@ def save_kw_report(path: str, report: KWReport) -> None:
 
 
 def load_kw_report(path: str) -> KWReport:
+    from .correlations import KWReport
     with open(path) as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict):

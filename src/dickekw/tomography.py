@@ -14,14 +14,6 @@ from itertools import product
 import numpy as np
 
 from . import qmat
-from .correlations import CorrelatorRecord
-
-# rows of each matrix are the outcome bras (outcome 0 first = +1 eigenvalue)
-_BASIS_BRAS = {
-    "X": qmat.H,
-    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2),
-    "Z": np.eye(2, dtype=complex),
-}
 
 
 @dataclass
@@ -56,14 +48,8 @@ def settings_full(n: int) -> list[str]:
 
 
 def _check_setting(setting: str) -> None:
-    if not setting or any(l not in _BASIS_BRAS for l in setting):
+    if not setting or any(l not in "XYZ" for l in setting):
         raise ValueError(f"bad measurement setting {setting!r}")
-
-
-def setting_basis(setting: str) -> np.ndarray:
-    """Matrix whose rows are the outcome bras of a setting."""
-    _check_setting(setting)
-    return qmat.tensor(*(_BASIS_BRAS[l] for l in setting))
 
 
 def born_probabilities(rho, setting: str) -> np.ndarray:
@@ -79,12 +65,10 @@ def _born_table(rho, settings) -> tuple[tuple[str, ...], np.ndarray]:
     if not settings or any(len(s) != n for s in settings):
         raise ValueError(f"a {n}-qubit state needs one or more settings of "
                          f"{n} letters, got {list(settings)}")
-    probs = []
-    for b in map(setting_basis, settings):
-        if rho.ndim == 1:
-            probs.append(np.abs(b @ rho) ** 2)
-        else:
-            probs.append(np.real(np.einsum("oi,ij,oj->o", b, rho, b.conj())))
+    for setting in settings:
+        _check_setting(setting)
+    rho = qmat.dm(rho) if rho.ndim == 1 else rho
+    probs = _fit_probabilities(settings, rho[None]).reshape(len(settings), 2**n)
     return settings, np.clip(probs, 0.0, None)
 
 
@@ -111,9 +95,10 @@ class CountTable:
         if len(lengths) != 1 or counts.shape != (len(settings), 2 ** min(lengths)):
             raise ValueError(f"need settings of one length and counts of shape (settings, "
                              f"2**length), got {list(settings)} and {counts.shape}")
+        # the kind test goes first: isfinite raises a TypeError on strings
         with np.errstate(over="ignore"):
-            if not (np.isfinite(counts).all() and counts.min() >= 0
-                    and counts.sum(dtype=float) <= MAX_TOTAL_COUNT):
+            if not (counts.dtype.kind in "biuf" and np.isfinite(counts).all()
+                    and counts.min() >= 0 and counts.sum(dtype=float) <= MAX_TOTAL_COUNT):
                 raise ValueError("counts must be finite numbers >= 0 whose total "
                                  "is at most the largest float / 28")
         counts.flags.writeable = False
@@ -339,6 +324,7 @@ def correlators_from_counts(table: CountTable, paulis=None) -> list[CorrelatorRe
     settings used.  N_s is the setting's signed sum for ``I...I``, so that
     string is exactly 1 +/- 0.  ``paulis=None`` evaluates all 4**n strings.
     """
+    from .correlations import CorrelatorRecord
     n = len(table.settings[0])
     (values,), (sigmas,) = _correlators(table.settings, table.counts[None])
     records = []
@@ -376,8 +362,14 @@ def _layout(settings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 @qmat.frozen_cache
 def _pauli_stack(n: int) -> np.ndarray:
-    """Row k is the flattened matrix of ``pauli_strings(n)[k]``."""
-    return np.stack([qmat.pauli_matrix(p).ravel() for p in pauli_strings(n)])
+    """Row k is the flattened matrix of ``pauli_strings(n)[k]``: the Kronecker
+    products of the single-qubit Paulis, one qubit appended at a time."""
+    single = stack = np.stack([qmat.PAULI[l] for l in "IXYZ"])
+    for _ in range(n - 1):
+        d = 2 * stack.shape[1]
+        stack = (stack[:, None, :, None, :, None]
+                 * single[None, :, None, :, None, :]).reshape(-1, d, d)
+    return stack.reshape(4**n, -1)
 
 
 def _correlators(settings, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -281,3 +281,63 @@ def test_cli_import_leaves_scipy_out():
                             text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+LAYERS = {"dickekw", "dickekw.cli", "dickekw.io", "dickekw.qmat", "dickekw.states"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("state", "w1", "--out", "w1.dm.json"), LAYERS),
+    (("tomo", "simulate", "--in", "w1.dm.json", "--counts", "200", "--out", "counts.csv"),
+     LAYERS | {"dickekw.tomography"}),
+    (("tomo", "reconstruct", "--counts", "counts.csv", "--out", "fit.dm.json"),
+     LAYERS | {"dickekw.tomography"}),
+    (("kw", "exact", "--in", "w1.dm.json", "--all-permutations"),
+     LAYERS | {"dickekw.correlations"}),
+    (("kw", "correlators", "--table", "table.csv", "--samples", "200"),
+     LAYERS | {"dickekw.correlations"}),
+    (("report", "--bootstrap", "50", "--samples", "200"),
+     LAYERS | {"dickekw.correlations", "dickekw.tomography"}),
+], ids=["state", "tomo simulate", "tomo reconstruct", "kw exact", "kw correlators", "report"])
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, capsys, argv, loaded):
+    run("state", "w1", "--out", str(tmp_path / "w1.dm.json"))
+    run("tomo", "simulate", "--in", str(tmp_path / "w1.dm.json"), "--counts", "200",
+        "--out", str(tmp_path / "counts.csv"))
+    io.save_correlators(tmp_path / "table.csv", corr.REFERENCE_CORRELATOR_TABLE)
+    capsys.readouterr()
+    code = ("import sys; from dickekw import cli; status = cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dickekw')); "
+            "sys.exit(status)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(sorted(loaded))
+
+
+PACKAGE_NAMES = """
+    correlations io qmat states tomography
+    KWReport SymmetricModel classical_correlations concurrence correlator_table
+    entanglement_of_formation extract_pc kw_all_permutations kw_exact kw_exact_many
+    kw_from_correlators kw_symmetric
+    dm fidelity_pure partial_trace project tensor von_neumann_entropy
+    DICKE_CIRCUIT circuit_to_dicke dicke ket_xi noisy_dicke psi_plus reduce_state
+    bootstrap_fidelity correlators_from_counts linear_inversion mle_reconstruct
+    settings_full simulate_counts""".split()
+
+
+def test_package_names_resolve_on_first_use():
+    # the names that the package imported eagerly before it loaded lazily
+    import dickekw
+
+    for name in PACKAGE_NAMES:
+        namespace = {}
+        exec(f"from dickekw import {name}", namespace)
+        assert namespace[name] is getattr(dickekw, name)
+        assert name in dir(dickekw)
+    assert sorted(dickekw.__all__) == sorted(PACKAGE_NAMES)
+    assert dickekw.kw_exact is corr.kw_exact and dickekw.qmat is qmat
+    with pytest.raises(AttributeError, match="no attribute 'w_state'"):
+        dickekw.w_state

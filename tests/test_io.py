@@ -186,6 +186,9 @@ def test_density_matrix_trace_tolerance_is_1e_6(tmp_path):
     (io.load_counts, "ZZZ,1_0,7\n", 1),
     (io.load_counts, "ZZ,00,5\nZZ,01,-inf\n", 2),
     (io.load_counts, "ZZ,00,5\nZZ,01,5,5\n", 2),
+    # numbers that float() reads but a typo made: 1_0 would load as 10 events
+    (io.load_counts, "Z,0,1_0\n", 1),
+    (io.load_counts, "Z,0,5\nZ,1,\u0663\n", 2),
     # counts that each keep the fit's log-likelihood finite but whose cell,
     # setting or file total does not, and one count that does not by itself
     (io.load_counts, "Z,0,4e306\nZ,0,4e306\n", 2),
@@ -199,6 +202,7 @@ def test_density_matrix_trace_tolerance_is_1e_6(tmp_path):
     (io.load_correlators, "ZZZ,-1.0,0.1,7\n", 1),
     (io.load_correlators, "\nZZZ,inf,0.1\n", 2),
     (io.load_correlators, "ZZZ,-1.0,-0.1\n", 1),
+    (io.load_correlators, "ZZZ,0.87,0.02\nZZI,-0.3_5,0.04\n", 2),
     (io.load_correlators, "ZZZ,0.87,0.02\nZQZ,0.35,0.04\n", 2),
     (io.load_correlators, "zzz,0.87,0.02\n", 1),
     (io.load_correlators, ",0.87,0.02\n", 1),

@@ -198,7 +198,7 @@ def test_random_generators_reproducible():
 
 
 def test_fixed_tables_cannot_change_module_constants():
-    x_before, h_before = qmat.X.copy(), qmat.H.copy()
+    x_before = qmat.X.copy()
     assert qmat.tensor(qmat.X) is not qmat.X
     single = qmat.tensor(qmat.X)
     single[0, 0] = 7
@@ -206,13 +206,14 @@ def test_fixed_tables_cannot_change_module_constants():
     assert pauli is not qmat.X and pauli is qmat.pauli_matrix("X")
     with pytest.raises(ValueError):
         pauli[0, 0] = 7
-    basis = tomo.setting_basis("X")
-    assert basis is not qmat.H
-    basis[0, 0] = 7
+    # the one-qubit Pauli stack is built from the module's matrices
+    stack = tomo._pauli_stack(1)
+    assert not np.shares_memory(stack, qmat.X) and stack is tomo._pauli_stack(1)
+    with pytest.raises(ValueError):
+        stack[1, 0] = 7
     np.testing.assert_array_equal(qmat.X, x_before)
-    np.testing.assert_array_equal(qmat.H, h_before)
     np.testing.assert_array_equal(qmat.pauli_matrix("X"), x_before)
-    np.testing.assert_array_equal(tomo.setting_basis("X"), h_before)
+    np.testing.assert_array_equal(tomo._pauli_stack(1)[1], x_before.ravel())
 
 
 def test_entropy_bits_of_a_stack_matches_each_column():

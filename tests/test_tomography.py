@@ -17,9 +17,38 @@ def w1_dm():
     return qmat.dm(states.dicke(3, 1))
 
 
+# The former Kronecker-basis model of a measurement, kept as the oracle of
+# the Born tables that the producers take from the outcome-sign layout: the
+# rows of each matrix are the outcome bras, outcome 0 (eigenvalue +1) first.
+BASIS_BRAS = {
+    "X": qmat.H,
+    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2),
+    "Z": np.eye(2, dtype=complex),
+}
+
+
+def setting_basis(setting):
+    """Matrix whose rows are the outcome bras of a setting."""
+    if not setting or any(l not in BASIS_BRAS for l in setting):
+        raise ValueError(f"bad measurement setting {setting!r}")
+    return qmat.tensor(*(BASIS_BRAS[l] for l in setting))
+
+
+def basis_born_table(rho, settings):
+    """The former route to the outcome probabilities: one sandwich of the
+    state with each setting's basis, clipped at zero."""
+    probs = []
+    for b in map(setting_basis, settings):
+        if rho.ndim == 1:
+            probs.append(np.abs(b @ rho) ** 2)
+        else:
+            probs.append(np.real(np.einsum("oi,ij,oj->o", b, rho, b.conj())))
+    return np.clip(probs, 0.0, None)
+
+
 def projectors(setting):
     """The rank-1 projectors onto the outcome kets of a setting, by outcome."""
-    b = tomo.setting_basis(setting)
+    b = setting_basis(setting)
     return np.einsum("oi,oj->oij", b.conj(), b)
 
 
@@ -33,13 +62,13 @@ def test_settings_full_lexicographic():
 
 def test_setting_basis_orthonormal_and_complete():
     for setting in ("X", "Y", "Z", "XY", "ZYX"):
-        b = tomo.setting_basis(setting)
+        b = setting_basis(setting)
         d = b.shape[0]
         np.testing.assert_allclose(b @ b.conj().T, np.eye(d), atol=1e-12)
         proj = projectors(setting)
         np.testing.assert_allclose(proj.sum(axis=0), np.eye(d), atol=1e-12)
     with pytest.raises(ValueError):
-        tomo.setting_basis("XQ")
+        setting_basis("XQ")
 
 
 def test_born_probabilities_bell_pair():
@@ -93,6 +122,75 @@ def test_simulate_counts_reproducible():
     assert [r.count for r in a] != [r.count for r in c]
     assert len(a) == 27 * 8 and a.counts.shape == (27, 8)
     assert all(type(r.count) is int and r.count >= 0 for r in a)
+
+
+def test_exact_counts_match_the_basis_route():
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3, 4):
+        settings = tomo.settings_full(n)
+        for _ in range(3):
+            for rho in (qmat.random_state_vector(n, rng),
+                        qmat.random_density_matrix(n, rng),
+                        qmat.random_density_matrix(n, rng, rank=1)):
+                table = tomo.exact_counts(rho, settings)
+                assert table.settings == tuple(settings)
+                assert np.abs(table.counts - basis_born_table(rho, settings)).max() <= 1e-15
+
+
+def report_and_acceptance_draws():
+    """(state, settings, mean counts, seed) of every simulation that
+    ``dickekw report --seed 42/7/3`` and the acceptance tests make."""
+    w1 = w1_dm()
+    bell = qmat.dm(states.psi_plus())
+    w_noisy, _ = states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])
+    s2, s3 = tomo.settings_full(2), tomo.settings_full(3)
+    draws = [(w1, s3, 1000, seed) for seed in range(5)]
+    for seed in (42, 7, 3):
+        draws += [(w1, s3, 10000, seed), (bell, s2, 200, seed + 1),
+                  (w_noisy, s3, 10000, seed)]
+    return draws
+
+
+def test_simulate_counts_match_the_basis_route_bit_for_bit():
+    for rho, settings, mean, seed in report_and_acceptance_draws():
+        oracle = np.random.default_rng(seed).poisson(mean * basis_born_table(rho, settings))
+        table = tomo.simulate_counts(rho, settings, mean, seed)
+        assert table.counts.dtype == oracle.dtype
+        assert np.array_equal(table.counts, oracle)
+
+
+PAULI_EIGENKETS = [qmat.KET0, qmat.KET1, np.array([1, 1]) / np.sqrt(2),
+                   np.array([1, -1]) / np.sqrt(2), np.array([1, 1j]) / np.sqrt(2),
+                   np.array([1, -1j]) / np.sqrt(2)]
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(st.integers(1, 4), st.data())
+def test_zero_probability_outcomes_draw_no_events(n, data):
+    # Dicke states and products of Pauli eigenstates have outcomes of
+    # probability zero.  Rounding may leave 1e-17 there at four qubits, in
+    # the basis route too; at a mean of 1e6 counts that draws an event once
+    # in 1e10 cells.
+    if data.draw(st.booleans(), label="dicke"):
+        psi = states.dicke(n, data.draw(st.integers(0, n), label="excitations"))
+    else:
+        psi = qmat.tensor(*data.draw(st.lists(st.sampled_from(PAULI_EIGENKETS),
+                                              min_size=n, max_size=n)))
+    rho = psi if data.draw(st.booleans(), label="ket") else qmat.dm(psi)
+    # the all-Z setting has zero cells for every Dicke state
+    settings = ["Z" * n] + data.draw(st.lists(st.sampled_from(tomo.settings_full(n)[:-1]),
+                                              max_size=8, unique=True))
+    zero = basis_born_table(qmat.dm(psi), settings) < 1e-12
+    assert (tomo.exact_counts(rho, settings).counts[zero] <= 1e-15).all()
+    mean = data.draw(st.sampled_from([1e2, 1e4, 1e6]))
+    drawn = tomo.simulate_counts(rho, settings, mean, data.draw(st.integers(0, 2**32 - 1)))
+    assert not drawn.counts[zero].any()
+
+
+def test_pauli_stack_matches_the_kronecker_route():
+    for n in (1, 2, 3, 4):
+        kron = np.stack([qmat.pauli_matrix(p).ravel() for p in tomo.pauli_strings(n)])
+        assert np.array_equal(tomo._pauli_stack(n), kron)
 
 
 def test_simulate_counts_zero_probability_outcomes():
@@ -372,6 +470,8 @@ def test_count_table_checks_its_settings_and_counts(settings, shape, message):
     [[50, 50], [50, 50], [-np.inf, 50]],
     [[tomo.MAX_TOTAL_COUNT, 0], [0, 0], [1e300, 0]],
     [[1e308, 1e308], [1e308, 1e308], [0, 0]],
+    [["50", "50"], ["a", "b"], ["50", "50"]],
+    [[50, 50j], [50, 50], [50, 50]],
 ])
 @pytest.mark.filterwarnings("error")
 def test_count_table_rejects_bad_count_values(counts):
