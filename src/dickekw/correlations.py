@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, replace
 from functools import reduce
 from itertools import combinations, permutations
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -107,7 +107,6 @@ def _direction_grid():
 
 
 _SWEEP = _direction_grid()
-_PAULI4 = np.stack([PAULI[l] for l in "IXYZ"])
 _YY = np.kron(PAULI["Y"], PAULI["Y"])
 _EYE3, _EZ, _DIAG = np.eye(3), np.array([0.0, 0.0, 1.0]), [1, 2, 3]
 _CURVE = 1 / (8 * np.log(2))  # the second derivatives' factor, in bits
@@ -233,8 +232,7 @@ def _min_measured_entropy(rhos):
     decrease below ``_F_TOL``.  A state's result therefore does not depend on
     the other states of the stack.
     """
-    coords = np.einsum("bijkl,ski,tlj->bst", rhos.reshape(-1, 2, 2, 2, 2),
-                       _PAULI4, _PAULI4).real
+    coords = qmat._pauli_coords(rhos).reshape(-1, 4, 4)
     tt, pp, grid_n, columns = _SWEEP
     with np.errstate(all="ignore"):
         s_beta = 2 * _outcome_entropy(1.0, np.sqrt((coords[:, 0, 1:] ** 2).sum(-1)))[2]
@@ -464,8 +462,8 @@ def kw_symmetric(model: SymmetricModel, strict: bool = False) -> KWReport:
     sits at theta = pi/4, independent of phi.
     """
     p, c = model.p, model.c
-    if p <= 0:
-        raise ValueError(f"population p={p} must be positive")
+    if not (isfinite(p) and isfinite(c) and p > 0):
+        raise ValueError(f"population p={p} and coherence c={c} must be finite, p positive")
     if strict and abs(3 * p - 1) > 1e-6:
         raise ValueError(f"strict mode requires 3p = 1, got 3p = {3 * p}")
     (s,), (j,), (e,) = _symmetric_forms(*np.array([[p], [c]], dtype=float))
@@ -539,8 +537,8 @@ def kw_correlator_paulis() -> tuple[str, ...]:
 
 def correlator_table(rho) -> list[CorrelatorRecord]:
     """Exact correlator table of a three-qubit state (sigma = 0)."""
-    rho = _three_qubit(rho)
-    return [CorrelatorRecord(p, qmat._pauli_expectation(rho, p), 0.0)
+    coords = qmat._pauli_coords(_three_qubit(rho)[None])[0]
+    return [CorrelatorRecord(p, float(coords[qmat._pauli_index(p)]), 0.0)
             for p in _CLASS_OF]
 
 

@@ -181,7 +181,10 @@ def save_kw_report(path: str, report: KWReport) -> None:
 def load_kw_report(path: str) -> KWReport:
     from .correlations import KWReport
     with open(path) as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a monogamy report is a JSON object")
     fields = {f.name: f for f in dataclasses.fields(KWReport)}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import string
 from functools import lru_cache, wraps
+from itertools import product
 
 import numpy as np
 
@@ -46,7 +47,7 @@ def num_qubits(obj) -> int:
         dim = int(obj)
     else:
         arr = np.asarray(obj)
-        dim = arr.shape[0]
+        dim = arr.shape[0] if arr.ndim else 0
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
@@ -150,26 +151,50 @@ def check_pauli(labels: str) -> str:
     return labels
 
 
+def pauli_strings(n: int) -> list[str]:
+    """All 4**n Pauli strings in lexicographic order over I < X < Y < Z."""
+    return ["".join(p) for p in product("IXYZ", repeat=n)]
+
+
+# a Pauli string read as a base-4 numeral is its place in pauli_strings
+_BASE4 = str.maketrans("IXYZ", "0123")
+
+
+def _pauli_index(labels: str) -> int:
+    """The place of a checked Pauli string in :func:`pauli_strings`."""
+    return int(check_pauli(labels).translate(_BASE4), 4)
+
+
 @frozen_cache
-def pauli_matrix(labels: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. "ZZI" (leftmost = qubit a)."""
-    return tensor(*(PAULI[l] for l in check_pauli(labels)))
+def _pauli_stack(n: int) -> np.ndarray:
+    """Row k is the flattened matrix of ``pauli_strings(n)[k]``: the Kronecker
+    products of the single-qubit Paulis, one qubit appended at a time."""
+    single = stack = np.stack([PAULI[l] for l in "IXYZ"])
+    for _ in range(n - 1):
+        d = 2 * stack.shape[1]
+        stack = (stack[:, None, :, None, :, None]
+                 * single[None, :, None, :, None, :]).reshape(-1, d, d)
+    return stack.reshape(4**n, -1)
+
+
+def _pauli_coords(rhos: np.ndarray) -> np.ndarray:
+    """(R, 4**n) Pauli coordinates Re Tr[rho P] = Re sum conj(rho) * P of an
+    (R, 2**n, 2**n) stack, P in ``pauli_strings`` order."""
+    d = rhos.shape[-1]
+    return (rhos.conj().reshape(len(rhos), 1, d * d) @ _pauli_stack(num_qubits(d)).T)[:, 0].real
+
+
+def _from_pauli_coords(coords: np.ndarray, n: int) -> np.ndarray:
+    """(R, 2**n, 2**n) matrices 2**-n sum_P coords[r, P] P: the inverse map."""
+    return (coords[:, None] @ _pauli_stack(n)).reshape(len(coords), 2**n, 2**n) / 2**n
 
 
 def pauli_expectation(rho, labels: str) -> float:
-    """<P> = Tr[rho P] for a Pauli string; real within 1e-9 by construction."""
+    """<P> = Re Tr[rho P] for a Pauli string."""
     rho = check_density_matrix(rho)
     if num_qubits(rho) != len(labels):
         raise ValueError("Pauli string length does not match qubit count")
-    return _pauli_expectation(rho, labels)
-
-
-def _pauli_expectation(rho: np.ndarray, labels: str) -> float:
-    """``pauli_expectation`` on a density matrix the caller has validated."""
-    val = np.trace(rho @ pauli_matrix(labels))
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"expectation has imaginary part {val.imag}")
-    return float(val.real)
+    return float(_pauli_coords(rho[None])[0, _pauli_index(labels)])
 
 
 def permute_qubits(state, perm) -> np.ndarray:

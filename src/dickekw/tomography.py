@@ -166,8 +166,8 @@ def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
     values, _ = _correlators(settings, counts)
     missing = np.argwhere(np.isnan(values))
     if len(missing):
-        raise ValueError(f"no setting with data covers {pauli_strings(n)[missing[0, 1]]}")
-    return _from_strings(values, n)
+        raise ValueError(f"no setting with data covers {qmat.pauli_strings(n)[missing[0, 1]]}")
+    return qmat._from_pauli_coords(values, n)
 
 
 def mle_reconstruct(table: CountTable) -> TomographyResult:
@@ -211,18 +211,17 @@ _MLE_TOL = 1e-14
 
 def _fit_probabilities(settings, rho: np.ndarray) -> np.ndarray:
     """(R, 1, S * 2**n) outcome probabilities of an (R, 2**n, 2**n) stack: its
-    Pauli coordinates Tr[rho P] = sum conj(rho) * P, signed into the outcomes."""
+    Pauli coordinates signed into the outcomes."""
     signs, index = _layout(settings)
-    n = len(settings[0])
-    coords = (rho.conj().reshape(len(rho), 1, -1) @ _pauli_stack(n).T).real
-    return (coords[:, 0, index] @ signs / 2**n).reshape(len(rho), 1, -1)
+    coords = qmat._pauli_coords(rho)[:, index]
+    return (coords @ signs / 2 ** len(settings[0])).reshape(len(rho), 1, -1)
 
 
 def _fit_gradient(settings, ratio: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`_fit_probabilities`: sum_k ratio[r, 0, k] Pi_k."""
     signs, index = _layout(settings)
     signed = ratio.reshape(len(ratio), len(settings), -1) @ signs.T
-    return _from_strings(_to_strings(index, signed), len(settings[0]))
+    return qmat._from_pauli_coords(_to_strings(index, signed), len(settings[0]))
 
 
 def _mle(settings, counts: np.ndarray, max_iter: int = 5000) -> list[TomographyResult]:
@@ -328,23 +327,14 @@ def correlators_from_counts(table: CountTable, paulis=None) -> list[CorrelatorRe
     n = len(table.settings[0])
     (values,), (sigmas,) = _correlators(table.settings, table.counts[None])
     records = []
-    for pauli in pauli_strings(n) if paulis is None else paulis:
-        if len(qmat.check_pauli(pauli)) != n:
+    for pauli in qmat.pauli_strings(n) if paulis is None else paulis:
+        k = qmat._pauli_index(pauli)
+        if len(pauli) != n:
             raise ValueError(f"Pauli string {pauli!r} does not match {n} qubits")
-        k = int(pauli.translate(_BASE4), 4)
         if np.isnan(values[k]):
             raise ValueError(f"no setting with data covers {pauli}")
         records.append(CorrelatorRecord(pauli, float(values[k]), float(sigmas[k])))
     return records
-
-
-def pauli_strings(n: int) -> list[str]:
-    """All 4**n Pauli strings in lexicographic order over I < X < Y < Z."""
-    return ["".join(p) for p in product("IXYZ", repeat=n)]
-
-
-# a Pauli string read as a base-4 numeral is its place in pauli_strings
-_BASE4 = str.maketrans("IXYZ", "0123")
 
 
 @qmat.frozen_cache
@@ -352,24 +342,12 @@ def _layout(settings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Outcome signs and string index of a settings tuple.  Let the bits of
     m mark the qubits a string keeps (not I), qubit a the most significant:
     ``signs[m, i]`` is the string's eigenvalue on outcome i in any setting,
-    and ``index[s, m]`` the place in :func:`pauli_strings` of the string
-    that ``settings[s]`` measures."""
+    and ``index[s, m]`` the place in :func:`qmat.pauli_strings` of the
+    string that ``settings[s]`` measures."""
     n = len(settings[0])
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    letters = np.array([[int(l.translate(_BASE4)) for l in s] for s in settings])
+    letters = np.array([[qmat._pauli_index(l) for l in s] for s in settings])
     return 1.0 - 2 * (bits @ bits.T % 2), (letters * 4 ** np.arange(n - 1, -1, -1)) @ bits.T
-
-
-@qmat.frozen_cache
-def _pauli_stack(n: int) -> np.ndarray:
-    """Row k is the flattened matrix of ``pauli_strings(n)[k]``: the Kronecker
-    products of the single-qubit Paulis, one qubit appended at a time."""
-    single = stack = np.stack([qmat.PAULI[l] for l in "IXYZ"])
-    for _ in range(n - 1):
-        d = 2 * stack.shape[1]
-        stack = (stack[:, None, :, None, :, None]
-                 * single[None, :, None, :, None, :]).reshape(-1, d, d)
-    return stack.reshape(4**n, -1)
 
 
 def _correlators(settings, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,9 +370,3 @@ def _to_strings(index: np.ndarray, x: np.ndarray) -> np.ndarray:
     strings = index.shape[1] ** 2
     slots = (index + strings * np.arange(len(x))[:, None, None]).ravel()
     return np.bincount(slots, x.ravel(), len(x) * strings).reshape(len(x), strings)
-
-
-def _from_strings(coords: np.ndarray, n: int) -> np.ndarray:
-    """(R, 2**n, 2**n) matrices 2**-n sum_P coords[r, P] P."""
-    return (coords[:, None] @ _pauli_stack(n)).reshape(len(coords), 2**n, 2**n) / 2**n
-

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,15 @@ def test_kw_symmetric_command(tmp_path, capsys):
     assert run("kw", "symmetric", "--p", "0.31", "--c", "0.30375",
                "--strict") == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, c", [("nan", "0.1"), ("0.3", "nan"), ("inf", "0.1")])
+def test_kw_symmetric_rejects_non_finite_parameters(capsys, p, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("kw", "symmetric", "--p", p, "--c", c) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_kw_correlators_sign_maps_agree(tmp_path, capsys):

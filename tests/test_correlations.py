@@ -61,6 +61,17 @@ def test_pauli_expectations_on_w1():
     assert qmat.pauli_expectation(rho, "III") == pytest.approx(1, abs=1e-12)
 
 
+def test_expectations_of_a_state_with_an_anti_hermitian_residue_are_real():
+    # the check accepts a residue below its tolerance; the coordinates read
+    # the state's Hermitian part, w1
+    rho = w1_dm() + 1j * 4.9e-10 * np.ones((8, 8))
+    qmat.check_density_matrix(rho)
+    exact = corr.correlator_table(w1_dm())
+    for new, old in zip(corr.correlator_table(rho), exact):
+        assert new.pauli == old.pauli and abs(new.value - old.value) <= 1e-15
+        assert abs(qmat.pauli_expectation(rho, new.pauli) - old.value) <= 1e-15
+
+
 def test_pauli_expectation_rejects_bad_label():
     with pytest.raises(ValueError):
         qmat.pauli_expectation(w1_dm(), "ZZQ")
@@ -170,58 +181,58 @@ def test_classical_correlations_nelder_mead_panel():
 
 
 # (S, J, E, KW, theta_opt, phi_opt) of kw_all_permutations from the 16 x 16
-# sweep and the trust-region Newton polish on the sphere, with E from
-# singular values and the direction reported with theta <= pi/4: the
-# projected noisy_dicke(0.765), whose six splits agree (its minimum is the
-# circle theta = pi/4, and the polish stays within 3e-11 of its start's
-# phi = pi/4), then
+# sweep and the trust-region Newton polish on the sphere, with the Pauli
+# coordinates of qmat._pauli_coords, E from singular values and the direction
+# reported with theta <= pi/4: the projected noisy_dicke(0.765), whose six
+# splits agree (its minimum is the circle theta = pi/4, so phi is free: the
+# polish ends within 3e-11 of phi = 5 pi/4), then
 # random three-qubit states of rank 1, 2 and 8 (generator seed 20261018,
 # drawn in that order)
-NOISY_SPLIT = (0.9525723357984601, 0.20182474310372633, 0.1088697154292412,
-               0.6418778772654926, 0.7853981618699313, 0.7853981633762559)
+NOISY_SPLIT = (0.9525723357984601, 0.20182474310372667, 0.1088697154292412,
+               0.6418778772654923, 0.7853981618699385, 3.9269908169642234)
 J_KERNEL_PIN = {
     "noisy": (NOISY_SPLIT,) * 6,
     1: (
-        (0.6673952495309629, 0.20451369751131943, 0.462881552019643,
-         4.440892098500626e-16, 0.4968373771278293, 0.2556242559901831),
-        (0.665124348712502, 0.20224279669285838, 0.462881552019643,
-         6.661338147750939e-16, 0.4968373771328923, 0.25562425598355687),
-        (0.48764337284737946, 0.24088965545001656, 0.24675371739736254,
-         3.608224830031759e-16, 0.29336746374889733, 1.930482192751417),
-        (0.665124348712502, 0.4183706313151394, 0.24675371739736254,
-         8.326672684688674e-17, 0.29336746374889716, 1.9304821927514135),
-        (0.48764337284737946, 0.2376327845697317, 0.2500105882776468,
-         9.992007221626409e-16, 0.7337180100875287, 0.017675045337807973),
-        (0.667395249530963, 0.4173846612533154, 0.2500105882776468,
-         7.771561172376096e-16, 0.7337180100758677, 0.01767504532041675),
+        (0.6673952495309629, 0.20451369751131954, 0.462881552019643,
+         3.3306690738754696e-16, 0.4968373771278277, 0.2556242559901847),
+        (0.665124348712502, 0.20224279669285827, 0.462881552019643,
+         7.771561172376096e-16, 0.49683737713289394, 0.2556242559835544),
+        (0.48764337284737946, 0.24088965545001614, 0.24675371739736254,
+         7.771561172376096e-16, 0.29336746359711563, 1.930482192250359),
+        (0.665124348712502, 0.41837063131513874, 0.24675371739736254,
+         7.494005416219807e-16, 0.2933674637201465, 1.9304821926242715),
+        (0.48764337284737946, 0.23763278456973191, 0.2500105882776468,
+         7.771561172376096e-16, 0.7337180100758685, 0.017675045320417405),
+        (0.667395249530963, 0.4173846612533156, 0.2500105882776468,
+         6.106226635438361e-16, 0.7337180202399762, 0.017675053080259264),
     ),
     2: (
-        (0.89214393198861, 0.2460553994383562, 0.0,
-         0.6460885325502538, 0.17343850584379342, 2.1225388762946578),
-        (0.7684377455418974, 0.37283129940801363, 0.0,
-         0.39560644613388374, 0.5779285455358684, 4.606176730286552),
-        (0.9808775613397407, 0.24865940561097, 0.28196602550631944,
-         0.45025213022245125, 0.36875694121374014, 5.343446053086035),
-        (0.7684377455418974, 0.08794449190978804, 0.28196602550631944,
-         0.3985272281257899, 0.5328966513253504, 3.222929278875101),
-        (0.9808775613397407, 0.3357295188491529, 0.04569330923730498,
-         0.5994547332532828, 0.20071009846355764, 4.797015840835399),
+        (0.89214393198861, 0.24605539943835597, 0.0,
+         0.646088532550254, 0.17343850901481203, 2.1225388811112498),
+        (0.7684377455418974, 0.3728312994080129, 0.0,
+         0.39560644613388446, 0.5779285454862185, 4.606176730718818),
+        (0.9808775613397407, 0.2486594056109701, 0.28196602550631944,
+         0.45025213022245114, 0.36875694121374014, 5.343446053086035),
+        (0.7684377455418974, 0.08794449190978826, 0.28196602550631944,
+         0.39852722812578967, 0.5328966499116263, 3.222929284931415),
+        (0.9808775613397407, 0.33572951884915336, 0.04569330923730498,
+         0.5994547332532824, 0.20071009846355778, 4.797015840835399),
         (0.89214393198861, 0.09159420787388561, 0.04569330923730498,
-         0.7548564148774194, 0.5234327747061103, 3.8473988998708313),
+         0.7548564148774194, 0.5234327747061102, 3.8473988998708304),
     ),
     8: (
         (0.9842270687924105, 0.12525816048474003, 0.0,
          0.8589689083076705, 0.3320585230091528, 2.4627212501371956),
-        (0.9929618152234547, 0.055297633444623906, 0.0,
-         0.9376641817788308, 0.5819923976396468, 1.605635306201449),
-        (0.9978165919527129, 0.12507651786791263, 0.0,
-         0.8727400740848003, 0.7521432064869917, 1.0016741165340703),
+        (0.9929618152234547, 0.055297633444623795, 0.0,
+         0.9376641817788309, 0.5819923976396468, 1.6056353062014488),
+        (0.9978165919527129, 0.12507651786791274, 0.0,
+         0.8727400740848001, 0.7521432064870937, 1.0016741165336207),
         (0.9929618152234547, 0.09527060933510878, 0.0,
          0.8976912058883459, 0.6516285354129421, 6.040495029895729),
         (0.9978165919527129, 0.05512982742876282, 0.0,
-         0.9426867645239501, 0.7534683009559405, 2.4616476709585973),
-        (0.9842270687924105, 0.09558205753047055, 0.0,
-         0.88864501126194, 0.5500679504872014, 5.946048911813324),
+         0.9426867645239501, 0.7534683009559406, 2.4616476709585973),
+        (0.9842270687924104, 0.09558205753047022, 0.0,
+         0.8886450112619402, 0.5500679498191046, 5.946048911394878),
     ),
 }
 
@@ -421,10 +432,13 @@ def test_a_split_reads_alike_alone_and_in_its_stack():
                                                            row.phi_opt), (k, split)
 
 
+PAULI4 = np.stack([qmat.PAULI[l] for l in "IXYZ"])
+
+
 def pauli_coordinates(rho):
-    """(4, 4) real Tr[rho (P_i x P_j)] over P = I, X, Y, Z."""
-    return np.einsum("ijkl,ski,tlj->st", rho.reshape(2, 2, 2, 2),
-                     corr._PAULI4, corr._PAULI4).real
+    """(4, 4) real Tr[rho (P_i x P_j)] over P = I, X, Y, Z: the former
+    coordinates of the J search, kept as an oracle apart from qmat's."""
+    return np.einsum("ijkl,ski,tlj->st", rho.reshape(2, 2, 2, 2), PAULI4, PAULI4).real
 
 
 def binary_entropy(x):
@@ -550,7 +564,7 @@ def pair_concurrence_and_eof(rho):
     the batched ones."""
     w, v = np.linalg.eigh(rho)
     psi = v * np.sqrt(np.maximum(w, 0.0))
-    lam = np.linalg.svd(psi.T @ qmat.pauli_matrix("YY") @ psi, compute_uv=False)
+    lam = np.linalg.svd(psi.T @ qmat.tensor(qmat.Y, qmat.Y) @ psi, compute_uv=False)
     c = float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
     # c * c, not c ** 2: numpy squares exactly rounded, Python's pow may not
     clipped = min(c, 1.0)
@@ -773,6 +787,15 @@ def test_kw_symmetric_zero_coherence():
         assert r.J >= -1e-12
     assert corr.kw_symmetric(corr.SymmetricModel(1 / 3, 0.0)).J == \
         pytest.approx(0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, c", [(np.nan, 0.1), (0.3, np.nan), (np.inf, 0.1),
+                                  (0.3, -np.inf)])
+def test_kw_symmetric_rejects_non_finite_parameters(p, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite, p positive"):
+            corr.kw_symmetric(corr.SymmetricModel(p, c))
 
 
 def test_kw_symmetric_errors():

@@ -229,6 +229,14 @@ def test_kw_report_rejects_unknown_and_missing_keys(tmp_path):
         io.load_kw_report(path)
 
 
+def test_kw_report_names_a_truncated_file(tmp_path):
+    path = tmp_path / "kw.json"
+    io.save_kw_report(path, corr.kw_symmetric(corr.SymmetricModel(0.31, 0.30375)))
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(ValueError, match=f"^{path}: Expecting"):
+        io.load_kw_report(path)
+
+
 def test_kw_report_round_trips_clipped_fraction(tmp_path):
     table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
     report = corr.kw_from_correlators(table, samples=200, seed=1)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dickekw import qmat, states
-from dickekw import tomography as tomo
 
 H13 = 0.91829583405449  # binary entropy of 1/3, equal to log2(3) - 2/3
 
@@ -185,6 +184,43 @@ def test_checks_reject_malformed_input():
     qmat.check_density_matrix(np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("call", [
+    qmat.num_qubits, lambda x: qmat.partial_trace(x, [0]),
+    lambda x: qmat.permute_qubits(x, [0]), lambda x: qmat.project(x, [(0, 0)])])
+def test_a_scalar_array_is_not_a_state(call):
+    with pytest.raises(ValueError):
+        call(np.array(1.0))
+
+
+def kron_pauli(labels):
+    """The Kronecker product of a string's single-qubit Paulis: the oracle of
+    the Pauli stack and coordinates."""
+    return qmat.tensor(*(qmat.PAULI[l] for l in labels))
+
+
+def test_pauli_stack_matches_the_kronecker_route():
+    for n in (1, 2, 3, 4):
+        kron = np.stack([kron_pauli(p).ravel() for p in qmat.pauli_strings(n)])
+        assert np.array_equal(qmat._pauli_stack(n), kron)
+
+
+def test_pauli_coords_match_the_trace_and_invert():
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 4):
+        matrices = [kron_pauli(p) for p in qmat.pauli_strings(n)]
+        rhos = np.array([qmat.random_density_matrix(n, rng, rank=r)
+                         for r in (1, 2, 2**n)] + [qmat.dm(qmat.random_state_vector(n, rng))])
+        coords = qmat._pauli_coords(rhos)
+        assert coords.shape == (len(rhos), 4**n) and coords.dtype == float
+        oracle = np.array([[np.trace(rho @ m).real for m in matrices] for rho in rhos])
+        assert np.abs(coords - oracle).max() <= 1e-15
+        assert np.abs(qmat._from_pauli_coords(coords, n) - rhos).max() <= 1e-15
+        for k, labels in enumerate(qmat.pauli_strings(n)):
+            assert qmat._pauli_index(labels) == k
+            assert qmat.pauli_expectation(rhos[0], labels) == coords[0, k]
+        assert qmat._pauli_coords(np.zeros((0, 2**n, 2**n), complex)).shape == (0, 4**n)
+
+
 def test_random_generators_reproducible():
     a = qmat.random_state_vector(2, np.random.default_rng(3))
     b = qmat.random_state_vector(2, np.random.default_rng(3))
@@ -202,18 +238,13 @@ def test_fixed_tables_cannot_change_module_constants():
     assert qmat.tensor(qmat.X) is not qmat.X
     single = qmat.tensor(qmat.X)
     single[0, 0] = 7
-    pauli = qmat.pauli_matrix("X")
-    assert pauli is not qmat.X and pauli is qmat.pauli_matrix("X")
-    with pytest.raises(ValueError):
-        pauli[0, 0] = 7
     # the one-qubit Pauli stack is built from the module's matrices
-    stack = tomo._pauli_stack(1)
-    assert not np.shares_memory(stack, qmat.X) and stack is tomo._pauli_stack(1)
+    stack = qmat._pauli_stack(1)
+    assert not np.shares_memory(stack, qmat.X) and stack is qmat._pauli_stack(1)
     with pytest.raises(ValueError):
         stack[1, 0] = 7
     np.testing.assert_array_equal(qmat.X, x_before)
-    np.testing.assert_array_equal(qmat.pauli_matrix("X"), x_before)
-    np.testing.assert_array_equal(tomo._pauli_stack(1)[1], x_before.ravel())
+    np.testing.assert_array_equal(qmat._pauli_stack(1)[1], x_before.ravel())
 
 
 def test_entropy_bits_of_a_stack_matches_each_column():
