@@ -70,6 +70,8 @@ def cmd_tomo_simulate(args) -> int:
 
 def cmd_tomo_reconstruct(args) -> int:
     from . import tomography
+    if args.bootstrap and not args.target:
+        raise ValueError("--bootstrap needs --target, the pure state to score the fits against")
     table = io.load_counts(args.counts)
     if args.method == "linear":
         rho = tomography.linear_inversion(table)
@@ -135,12 +137,10 @@ def cmd_kw_symmetric(args) -> int:
 
 def cmd_kw_correlators(args) -> int:
     from . import correlations as corr
-    records = io.load_correlators(args.table)
-    records = corr.apply_sign_map(records, args.sign_map)
-    model = corr.extract_pc(records)
+    table = corr.apply_sign_map(io.load_correlators(args.table), args.sign_map)
+    model = corr.extract_pc(table)
+    report = corr.kw_from_correlators(table, samples=args.samples, seed=args.seed)
     print(f"extracted model: p={_g(model.p)} c={_g(model.c)}")
-    report = corr.kw_from_correlators(records, samples=args.samples,
-                                      seed=args.seed)
     _print_report_line(report)
     print(f"draws clipped to the physical domain: {_g(report.clipped_frac)}")
     if args.out:
@@ -213,9 +213,10 @@ def _report_text(args) -> str:
     say("")
 
     say("[monogamy balance: measured correlator table]")
-    table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
-    for rec in corr.REFERENCE_CORRELATOR_TABLE:
-        say(f"  {rec.pauli} = {rec.value} +/- {rec.sigma}")
+    ref = corr.REFERENCE_CORRELATOR_TABLE
+    for row in zip(ref.paulis, ref.values.tolist(), ref.sigmas.tolist()):
+        say("  {} = {} +/- {}".format(*row))
+    table = corr.apply_sign_map(ref, "ideal-w1")
     mt = corr.extract_pc(table)
     rt = corr.kw_from_correlators(table, samples=args.samples, seed=args.seed)
     say(f"  extracted (p, c) = ({_g(mt.p)}, {_g(mt.c)})")
@@ -253,9 +254,8 @@ def _report_text(args) -> str:
     say("[end-to-end correlator pipeline]")
     noisy_counts = tomography.simulate_counts(w_noisy, settings, args.counts,
                                               args.seed)
-    recs = tomography.correlators_from_counts(noisy_counts,
-                                              corr.kw_correlator_paulis())
-    rp = corr.kw_from_correlators(recs, samples=args.samples, seed=args.seed)
+    measured = tomography.correlators_from_counts(noisy_counts, corr.kw_correlator_paulis())
+    rp = corr.kw_from_correlators(measured, samples=args.samples, seed=args.seed)
     say(f"  noisy projection, simulated counts -> correlators -> KW = "
         f"{_g(rp.KW)} +/- {_g(rp.sigma)}")
     say(f"  draws clipped to the physical domain: {_g(rp.clipped_frac)}")

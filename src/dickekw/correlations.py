@@ -14,6 +14,7 @@ with theta in [0, pi/2] and phi in [0, 2 pi).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import astuple, dataclass, replace
 from functools import reduce
 from itertools import combinations, permutations
@@ -457,16 +458,20 @@ def kw_symmetric(model: SymmetricModel, strict: bool = False) -> KWReport:
     """Closed-form monogamy quantities of the symmetric model.
 
     The three closed forms are evaluated exactly as written, treating
-    (p, c) as free parameters; ``strict=True`` additionally requires 3p = 1
-    within 1e-6 (the pure-model normalization).  The optimal measurement
-    sits at theta = pi/4, independent of phi.
+    (p, c) as free parameters, and must be finite; ``strict=True`` also
+    requires 3p = 1 within 1e-6 (the pure-model normalization).  The
+    optimal measurement sits at theta = pi/4, independent of phi.
     """
     p, c = model.p, model.c
     if not (isfinite(p) and isfinite(c) and p > 0):
         raise ValueError(f"population p={p} and coherence c={c} must be finite, p positive")
     if strict and abs(3 * p - 1) > 1e-6:
         raise ValueError(f"strict mode requires 3p = 1, got 3p = {3 * p}")
-    (s,), (j,), (e,) = _symmetric_forms(*np.array([[p], [c]], dtype=float))
+    s = j = e = np.nan  # if p**4 overflows
+    with np.errstate(all="ignore"), suppress(OverflowError):
+        (s,), (j,), (e,) = _symmetric_forms(*np.array([[p], [c]], dtype=float))
+    if not np.isfinite([s, j, e]).all():
+        raise ValueError(f"the closed forms are not finite at p={p}, c={c}")
     return KWReport(
         assignment=format_assignment(0, 1, 2),
         S=float(s), J=float(j), E=float(e), KW=float(s - j - e),
@@ -494,13 +499,33 @@ def _symmetric_forms(p, c):
 # Correlator tables and extraction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CorrelatorRecord:
-    """One measured Pauli expectation with its uncertainty."""
+_VALUE_TOL = 1e-6  # rounding: 4.4e-16 in exact tables, 3e-7 on a checked 4-qubit state
 
-    pauli: str
-    value: float
-    sigma: float = 0.0
+
+@dataclass(frozen=True, eq=False)
+class CorrelatorTable:
+    """Read-only Pauli correlators, checked: ``values[k]`` +/- ``sigmas[k]``
+    is the expectation of ``paulis[k]``, strings over IXYZ of one length,
+    values finite and at most 1 + 1e-6 in magnitude, sigmas finite and >= 0."""
+
+    paulis: tuple[str, ...]
+    values: np.ndarray
+    sigmas: np.ndarray
+
+    def __post_init__(self):
+        paulis = tuple(map(qmat.check_pauli, self.paulis))
+        values, sigmas = (np.array(x, dtype=float) for x in (self.values, self.sigmas))
+        if len(set(map(len, paulis))) != 1 or not values.shape == sigmas.shape == (len(paulis),):
+            raise ValueError(f"need Pauli strings of one length with one value and one sigma "
+                             f"each, got {list(paulis)}, {values.shape} and {sigmas.shape}")
+        # written so that NaN fails as well
+        bad = ~((np.abs(values) <= 1 + _VALUE_TOL) & (sigmas >= 0) & (sigmas < np.inf))
+        if bad.any():
+            k = np.argmax(bad)
+            raise ValueError(f"{paulis[k]} = {values[k]} +/- {sigmas[k]}: need a finite value "
+                             f"of magnitude at most 1 + {_VALUE_TOL:g} and a finite sigma >= 0")
+        values.flags.writeable = sigmas.flags.writeable = False
+        self.__dict__.update(paulis=paulis, values=values, sigmas=sigmas)  # frozen
 
 
 # representative members of the seven nontrivial correlator classes that
@@ -509,15 +534,9 @@ KW_CLASS_REPS = ("ZZZ", "ZZI", "ZII", "XXZ", "YYZ", "XXI", "YYI")
 
 # published correlator magnitudes for the engineered single-excitation state,
 # with one-sigma counting uncertainties
-REFERENCE_CORRELATOR_TABLE = (
-    CorrelatorRecord("ZZZ", 0.87, 0.02),
-    CorrelatorRecord("ZZI", 0.35, 0.04),
-    CorrelatorRecord("ZII", 0.26, 0.04),
-    CorrelatorRecord("XXZ", 0.55, 0.04),
-    CorrelatorRecord("YYZ", 0.70, 0.03),
-    CorrelatorRecord("XXI", 0.66, 0.03),
-    CorrelatorRecord("YYI", 0.52, 0.04),
-)
+REFERENCE_CORRELATOR_TABLE = CorrelatorTable(
+    KW_CLASS_REPS, [0.87, 0.35, 0.26, 0.55, 0.70, 0.66, 0.52],
+    [0.02, 0.04, 0.04, 0.04, 0.03, 0.03, 0.04])
 
 
 def pauli_class(pauli: str) -> tuple[str, ...]:
@@ -535,43 +554,39 @@ def kw_correlator_paulis() -> tuple[str, ...]:
     return tuple(_CLASS_OF)
 
 
-def correlator_table(rho) -> list[CorrelatorRecord]:
-    """Exact correlator table of a three-qubit state (sigma = 0)."""
+def correlator_table(rho) -> CorrelatorTable:
+    """Exact table of the extraction's strings on a three-qubit state (sigma = 0)."""
     coords = qmat._pauli_coords(_three_qubit(rho)[None])[0]
-    return [CorrelatorRecord(p, float(coords[qmat._pauli_index(p)]), 0.0)
-            for p in _CLASS_OF]
+    return CorrelatorTable(tuple(_CLASS_OF), coords[list(map(qmat._pauli_index, _CLASS_OF))],
+                           np.zeros(len(_CLASS_OF)))
 
 
 _IDEAL_SIGNS = {"III": 1, "ZZZ": -1, "ZZI": -1, "ZII": 1,
                 "XXZ": 1, "YYZ": 1, "XXI": 1, "YYI": 1}
 
 
-def apply_sign_map(records, mode: str = "ideal-w1") -> list[CorrelatorRecord]:
+def apply_sign_map(table: CorrelatorTable, mode: str = "ideal-w1") -> CorrelatorTable:
     """Resolve correlator signs before extraction.
 
     mode "ideal-w1": |value| times the sign of the correlator's class on the
     ideal single-excitation state (tables quoting magnitudes); mode "raw":
-    records pass through as given.
+    the table itself.
     """
     if mode == "raw":
-        return [CorrelatorRecord(r.pauli, float(r.value), float(r.sigma))
-                for r in records]
+        return table
     if mode != "ideal-w1":
         raise ValueError(f"unknown sign map {mode!r}; use raw or ideal-w1")
-    out = []
-    for r in records:
-        if r.pauli not in _CLASS_OF:
-            raise ValueError(f"no ideal sign for Pauli string {r.pauli!r}")
-        out.append(CorrelatorRecord(r.pauli, _IDEAL_SIGNS[_CLASS_OF[r.pauli]]
-                                    * abs(float(r.value)), float(r.sigma)))
-    return out
+    signs = [_IDEAL_SIGNS.get(_CLASS_OF.get(pauli)) for pauli in table.paulis]
+    if None in signs:
+        raise ValueError(f"no ideal sign for Pauli string {table.paulis[signs.index(None)]!r}")
+    return CorrelatorTable(table.paulis, signs * np.abs(table.values), table.sigmas)
 
 
 def _extract_pc(paulis, values, printed_form: bool = False):
     """``extract_pc`` on many tables at once: arrays of p and c.
 
     Every row of ``values`` is one table whose columns follow ``paulis``.
-    A class sum averages its columns in record order, one column at a time,
+    A class sum averages its columns in table order, one column at a time,
     with symmetric fill for missing members.
     """
     columns: dict[str, list[int]] = {}
@@ -593,7 +608,7 @@ def _extract_pc(paulis, values, printed_form: bool = False):
     return p, (sums["XXZ"] + sums["YYZ"] + sums["XXI"] + sums["YYI"]) / 24
 
 
-def extract_pc(records, printed_form: bool = False) -> SymmetricModel:
+def extract_pc(table: CorrelatorTable, printed_form: bool = False) -> SymmetricModel:
     """Symmetric-model parameters from a correlator table.
 
     The derived expansion of the three single-excitation populations and
@@ -608,15 +623,14 @@ def extract_pc(records, printed_form: bool = False) -> SymmetricModel:
     returns 5/12 instead of 1/3 and exists only so that difference can be
     demonstrated.
     """
-    records = list(records)
-    (p,), (c,) = _extract_pc([r.pauli for r in records],
-                             np.array([[float(r.value) for r in records]]), printed_form)
+    (p,), (c,) = _extract_pc(table.paulis, table.values[None], printed_form)
     return SymmetricModel(p=float(p), c=float(c))
 
 
 # the Monte Carlo draws its tables this many rows at a time; the generator
 # fills rows in order, so the draws do not depend on the block size
 _DRAW_BLOCK = 4096
+_MAX_SAMPLES = 10**7  # it keeps 8 bytes of KW per draw, 80 MB at this bound
 # a draw counts as clipped when the domain clip moves p or c by more than
 # this many ulp: an exact table on the domain edge lands an ulp outside it
 _CLIP_ULPS = 4
@@ -626,23 +640,21 @@ def _moved(raw, clipped):
     return np.abs(clipped - raw) > _CLIP_ULPS * np.spacing(np.abs(raw))
 
 
-def kw_from_correlators(records, samples: int = 2000, seed: int = 0) -> KWReport:
+def kw_from_correlators(table: CorrelatorTable, samples: int = 2000, seed: int = 0) -> KWReport:
     """Monogamy estimate from a measured correlator table with uncertainty.
 
     The central value evaluates the closed forms at the extracted (p, c).
-    The uncertainty draws ``samples`` tables, in blocks of a fixed number of
-    rows, each record with sigma > 0 from a normal distribution with its
-    sigma (values clipped to [-1, 1]), re-extracts, clips (p, c) to the
-    physical domain, and takes the sample standard deviation.
-    ``clipped_frac`` is the fraction of draws that the domain clip moved by
-    more than a few ulp.
+    The uncertainty draws ``samples`` tables (100 to 10**7), in blocks of a
+    fixed number of rows, each correlator with sigma > 0 from a normal
+    distribution with its sigma (values clipped to [-1, 1]), re-extracts,
+    clips (p, c) to the physical domain, and takes the sample standard
+    deviation.  ``clipped_frac`` is the fraction of draws that the domain
+    clip moved by more than a few ulp.
     """
-    records = list(records)
-    if samples < 100:
-        raise ValueError("at least 100 Monte-Carlo samples are required")
-    central = kw_symmetric(clip_to_domain(*astuple(extract_pc(records))))
-    paulis = [r.pauli for r in records]
-    values, sigmas = np.array([(r.value, r.sigma) for r in records], dtype=float).T
+    if not 100 <= samples <= _MAX_SAMPLES:
+        raise ValueError(f"Monte-Carlo samples must be from 100 to {_MAX_SAMPLES}, got {samples}")
+    central = kw_symmetric(clip_to_domain(*astuple(extract_pc(table))))
+    values, sigmas = table.values, table.sigmas
     live = sigmas > 0
     rng = np.random.default_rng(seed)
     kw, moved = [], 0
@@ -650,7 +662,7 @@ def kw_from_correlators(records, samples: int = 2000, seed: int = 0) -> KWReport
         tables = np.tile(values, (min(_DRAW_BLOCK, samples - lo), 1))
         tables[:, live] = np.clip(rng.normal(
             values[live], sigmas[live], size=(len(tables), live.sum())), -1.0, 1.0)
-        p, c = _extract_pc(paulis, tables)
+        p, c = _extract_pc(table.paulis, tables)
         p_in, c_in = _clip_to_domain(p, c)
         s, j, e = _symmetric_forms(p_in, c_in)
         kw.append(s - j - e)

@@ -143,35 +143,30 @@ def load_counts(path: str) -> CountTable:
     return CountTable(tuple(rows), np.array(list(rows.values())))
 
 
-def save_correlators(path: str, records) -> None:
-    lines = [f"{r.pauli},{r.value!r},{r.sigma!r}" for r in records]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def save_correlators(path: str, table: CorrelatorTable) -> None:
+    rows = zip(table.paulis, table.values.tolist(), table.sigmas.tolist())
+    atomic_write_text(path, "".join(f"{p},{v!r},{s!r}\n" for p, v, s in rows))
 
 
-def load_correlators(path: str) -> list[CorrelatorRecord]:
-    """Read a correlator file, checking every row: a Pauli string over IXYZ
-    of one length for the whole file, a finite value and a sigma >= 0."""
-    from .correlations import CorrelatorRecord
-    records, n = [], None
+def load_correlators(path: str) -> CorrelatorTable:
+    """A correlator file as a :class:`CorrelatorTable`, each row checked with the first."""
+    from .correlations import CorrelatorTable
+    rows = []
     for number, line in _data_rows(path, "pauli,"):
         try:
             parts = line.split(",")
             if len(parts) == 2:
                 parts.append("0")
             pauli, value, sigma = (field.strip() for field in parts)
-            n = n or len(pauli)
-            if len(qmat.check_pauli(pauli)) != n:
-                raise ValueError(pauli)
-            records.append(CorrelatorRecord(pauli, _number(value),
-                                            _number(sigma, nonnegative=True)))
+            rows.append((pauli, _number(value), _number(sigma)))
+            CorrelatorTable(*zip(rows[0], rows[-1]))  # the row's checks, and the first's length
         except ValueError:
-            raise ValueError(f"{path}:{number}: bad correlator row {line!r}; "
-                             "expected pauli,value[,sigma] with letters IXYZ, "
-                             "one length for the file, finite numbers "
-                             "and sigma >= 0") from None
-    if not records:
-        raise ValueError(f"no correlator records in {path}")
-    return records
+            raise ValueError(f"{path}:{number}: bad correlator row {line!r}; expected "
+                             "pauli,value[,sigma] with letters IXYZ, one length for the file, "
+                             "finite numbers, |value| <= 1 + 1e-6 and sigma >= 0") from None
+    if not rows:
+        raise ValueError(f"no correlator rows in {path}")
+    return CorrelatorTable(*zip(*rows))
 
 
 def save_kw_report(path: str, report: KWReport) -> None:

@@ -146,7 +146,7 @@ def frozen_cache(fn):
 
 def check_pauli(labels: str) -> str:
     """A Pauli string of one or more letters I, X, Y, Z, or ValueError."""
-    if not labels or any(l not in PAULI for l in labels):
+    if not isinstance(labels, str) or not labels or any(l not in PAULI for l in labels):
         raise ValueError(f"bad Pauli string {labels!r}")
     return labels
 

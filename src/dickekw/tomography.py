@@ -314,7 +314,7 @@ def bootstrap_fidelity(table: CountTable, target, n_boot: int = 100, seed: int =
     return float(np.mean(fids)), float(np.std(fids, ddof=1))
 
 
-def correlators_from_counts(table: CountTable, paulis=None) -> list[CorrelatorRecord]:
+def correlators_from_counts(table: CountTable, paulis=None) -> CorrelatorTable:
     """Pauli expectations with counting uncertainties from a count table.
 
     Each requested Pauli string (letters IXYZ) averages the signed
@@ -323,18 +323,18 @@ def correlators_from_counts(table: CountTable, paulis=None) -> list[CorrelatorRe
     settings used.  N_s is the setting's signed sum for ``I...I``, so that
     string is exactly 1 +/- 0.  ``paulis=None`` evaluates all 4**n strings.
     """
-    from .correlations import CorrelatorRecord
+    from .correlations import CorrelatorTable
     n = len(table.settings[0])
     (values,), (sigmas,) = _correlators(table.settings, table.counts[None])
-    records = []
-    for pauli in qmat.pauli_strings(n) if paulis is None else paulis:
-        k = qmat._pauli_index(pauli)
+    paulis = tuple(qmat.pauli_strings(n) if paulis is None else paulis)
+    index = []
+    for pauli in paulis:
+        index.append(qmat._pauli_index(pauli))
         if len(pauli) != n:
             raise ValueError(f"Pauli string {pauli!r} does not match {n} qubits")
-        if np.isnan(values[k]):
+        if np.isnan(values[index[-1]]):
             raise ValueError(f"no setting with data covers {pauli}")
-        records.append(CorrelatorRecord(pauli, float(values[k]), float(sigmas[k])))
-    return records
+    return CorrelatorTable(paulis, values[index], sigmas[index])
 
 
 @qmat.frozen_cache

@@ -231,8 +231,8 @@ def test_acceptance_10_end_to_end():
     t0 = time.perf_counter()
     w_noisy, _ = states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])
     counts = tomo.simulate_counts(w_noisy, tomo.settings_full(3), 10000, 42)
-    records = tomo.correlators_from_counts(counts, corr.kw_correlator_paulis())
-    estimated = corr.kw_from_correlators(records, samples=2000, seed=0)
+    measured = tomo.correlators_from_counts(counts, corr.kw_correlator_paulis())
+    estimated = corr.kw_from_correlators(measured, samples=2000, seed=0)
     reference = corr.kw_symmetric(corr.clip_to_domain(
         corr.extract_pc(corr.correlator_table(w_noisy)).p,
         corr.extract_pc(corr.correlator_table(w_noisy)).c))

@@ -121,6 +121,23 @@ def test_tomo_reconstruct_bootstrap(tmp_path, capsys):
     assert "+/-" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("method", ["mle", "linear"])
+def test_tomo_reconstruct_bootstrap_needs_a_target(tmp_path, capsys, method):
+    # the bootstrap scores its fits against the target: without one it has
+    # nothing to print, and the command must not exit 0
+    dm_path = tmp_path / "bell.dm.json"
+    counts = tmp_path / "counts.csv"
+    run("state", "psi-plus", "--out", str(dm_path))
+    run("tomo", "simulate", "--in", str(dm_path), "--counts", "500", "--out", str(counts))
+    capsys.readouterr()
+    assert run("tomo", "reconstruct", "--counts", str(counts), "--method", method,
+               "--bootstrap", "50", "--out", str(tmp_path / "fit.dm.json")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: --bootstrap needs --target, the pure state "
+                                 "to score the fits against\n")
+    assert not (tmp_path / "fit.dm.json").exists()
+
+
 def test_tomo_reconstruct_linear_flags_negativity(tmp_path, capsys):
     dm_path = tmp_path / "w1.dm.json"
     counts = tmp_path / "counts.csv"
@@ -191,7 +208,8 @@ def test_kw_symmetric_command(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("p, c", [("nan", "0.1"), ("0.3", "nan"), ("inf", "0.1")])
+@pytest.mark.parametrize("p, c", [("nan", "0.1"), ("0.3", "nan"), ("inf", "0.1"),
+                                  ("1e200", "0.1"), ("0.3", "1e200"), ("1e-200", "0")])
 def test_kw_symmetric_rejects_non_finite_parameters(capsys, p, c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -226,6 +244,26 @@ def test_kw_correlators_names_the_bad_pauli_row(tmp_path, capsys, sign_map):
                "--sign-map", sign_map) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {table}:2: bad correlator row 'ZQZ,0.35,0.04'")
+    assert len(err.splitlines()) == 1
+
+
+def test_kw_correlators_prints_nothing_when_the_samples_are_out_of_range(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    io.save_correlators(table, corr.REFERENCE_CORRELATOR_TABLE)
+    for samples in ("99", str(10**7 + 1)):
+        assert run("kw", "correlators", "--table", str(table), "--samples", samples) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: Monte-Carlo samples must be from 100")
+
+
+def test_kw_correlators_names_a_value_past_one(tmp_path, capsys):
+    # ZZZ = 7 would give p = 1.07625, past the model's domain, and a KW
+    table = tmp_path / "table.csv"
+    io.save_correlators(table, corr.REFERENCE_CORRELATOR_TABLE)
+    table.write_text(table.read_text().replace("ZZZ,0.87", "ZZZ,7"))
+    assert run("kw", "correlators", "--table", str(table)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {table}:1: bad correlator row 'ZZZ,7,0.02'")
     assert len(err.splitlines()) == 1
 
 

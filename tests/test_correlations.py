@@ -66,10 +66,11 @@ def test_expectations_of_a_state_with_an_anti_hermitian_residue_are_real():
     # the state's Hermitian part, w1
     rho = w1_dm() + 1j * 4.9e-10 * np.ones((8, 8))
     qmat.check_density_matrix(rho)
-    exact = corr.correlator_table(w1_dm())
-    for new, old in zip(corr.correlator_table(rho), exact):
-        assert new.pauli == old.pauli and abs(new.value - old.value) <= 1e-15
-        assert abs(qmat.pauli_expectation(rho, new.pauli) - old.value) <= 1e-15
+    exact, new = corr.correlator_table(w1_dm()), corr.correlator_table(rho)
+    assert new.paulis == exact.paulis
+    assert np.abs(new.values - exact.values).max() <= 1e-15
+    for pauli, value in zip(exact.paulis, exact.values):
+        assert abs(qmat.pauli_expectation(rho, pauli) - value) <= 1e-15
 
 
 def test_pauli_expectation_rejects_bad_label():
@@ -798,6 +799,17 @@ def test_kw_symmetric_rejects_non_finite_parameters(p, c):
             corr.kw_symmetric(corr.SymmetricModel(p, c))
 
 
+@pytest.mark.parametrize("p, c", [(1e200, 0.1), (0.3, 1e200), (1e-200, 0.0), (1e-300, 0.1)])
+def test_kw_symmetric_rejects_closed_forms_that_are_not_finite(p, c):
+    # p**4 overflows at p = 1e200 and c*c at c = 1e200; p*p underflows to 0
+    # at p = 1e-200, which leaves J = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="closed forms") as raised:
+            corr.kw_symmetric(corr.SymmetricModel(p, c))
+    assert f"p={p}" in str(raised.value) and "\n" not in str(raised.value)
+
+
 def test_kw_symmetric_errors():
     with pytest.raises(ValueError):
         corr.kw_symmetric(corr.SymmetricModel(0.0, 0.0))
@@ -828,20 +840,19 @@ def test_two_routes_disagree_on_mixed_model_state():
 
 def test_correlator_table_matches_direct_expectations():
     rho = 0.6 * w1_dm() + 0.4 * np.eye(8) / 8
-    table = {r.pauli: r for r in corr.correlator_table(rho)}
-    assert len(table) == 20
-    for pauli, record in table.items():
-        assert record.sigma == 0.0
-        assert record.value == pytest.approx(
-            qmat.pauli_expectation(rho, pauli), abs=1e-12)
+    table = corr.correlator_table(rho)
+    assert table.paulis == corr.kw_correlator_paulis()
+    assert table.sigmas.tolist() == [0.0] * 20
+    for pauli, value in zip(table.paulis, table.values):
+        assert value == pytest.approx(qmat.pauli_expectation(rho, pauli), abs=1e-12)
 
 
 def test_pauli_class_machinery():
     assert corr.pauli_class("ZZI") == ("ZZI", "ZIZ", "IZZ")
     # a member takes the ideal sign of its class
-    mapped = corr.apply_sign_map([corr.CorrelatorRecord("IZZ", 0.5),
-                                  corr.CorrelatorRecord("ZZZ", 0.5)])
-    assert [r.value for r in mapped] == [-0.5, -0.5]
+    mapped = corr.apply_sign_map(corr.CorrelatorTable(("IZZ", "ZZZ"), [0.5, 0.5], [0.1, 0]))
+    assert mapped.values.tolist() == [-0.5, -0.5]
+    assert mapped.sigmas.tolist() == [0.1, 0.0]
     paulis = corr.kw_correlator_paulis()
     assert len(paulis) == 20
     assert len(set(paulis)) == 20
@@ -857,38 +868,96 @@ def test_correlator_table_validates_input_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("paulis, values, sigmas", [
+    (("ZZZ", "ZZI"), [0.5, 0.5], [0.1, -0.1]),
+    (("ZZZ", "ZZI"), [0.5, 0.5], [0.1, np.nan]),
+    (("ZZZ", "ZZI"), [0.5, 0.5], [np.inf, 0.1]),
+    (("ZZZ", "ZZI"), [np.nan, 0.5], [0.1, 0.1]),
+    (("ZZZ", "ZZI"), [0.5, -1 - 2e-6], [0.1, 0.1]),
+    (("ZZZ", "ZZI"), [0.5, np.inf], [0.1, 0.1]),
+    (("ZZZ", "ZZ"), [0.5, 0.5], [0.1, 0.1]),
+    (("ZZZ", "ZQZ"), [0.5, 0.5], [0.1, 0.1]),
+    (("ZZZ", "zzz"), [0.5, 0.5], [0.1, 0.1]),
+    (("ZZZ", ""), [0.5, 0.5], [0.1, 0.1]),
+    (("ZZZ", 5), [0.5, 0.5], [0.1, 0.1]),
+    (("ZZZ", "ZZI"), [0.5], [0.1, 0.1]),
+    (("ZZZ", "ZZI"), [0.5, 0.5], [0.1, 0.1, 0.1]),
+    (("ZZZ",), 0.5, 0.1),
+    ((), [], []),
+], ids=["negative sigma", "NaN sigma", "inf sigma", "NaN value", "value past -1",
+        "inf value", "mixed lengths", "letter Q", "lower case", "empty string",
+        "not a string", "short values", "long sigmas", "scalars", "empty"])
+@pytest.mark.filterwarnings("error")
+def test_a_bad_correlator_table_raises_one_value_error(paulis, values, sigmas):
+    with pytest.raises(ValueError) as raised:
+        corr.CorrelatorTable(paulis, values, sigmas)
+    assert "\n" not in str(raised.value)
+
+
+def test_a_correlator_table_is_checked_read_only_arrays():
+    # values pass 1 by rounding: 4.4e-16 in exact tables, more on the
+    # states the density-matrix check accepts
+    table = corr.CorrelatorTable(["ZZZ", "ZZI"], (1 + 1e-6, -1 - 1e-6), [0, 1])
+    assert table.paulis == ("ZZZ", "ZZI")
+    assert table.values.dtype == table.sigmas.dtype == np.float64
+    for array in (table.values, table.sigmas):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.values = np.zeros(2)
+    # the table keeps copies: a caller's array may change afterwards
+    values = np.array([0.5, 0.5])
+    table = corr.CorrelatorTable(("XXI", "YYI"), values, [0.1, 0.1])
+    values[0] = 7.0
+    assert table.values.tolist() == [0.5, 0.5]
+
+
+def test_kw_from_correlators_rejects_negated_sigmas():
+    # the Monte Carlo draws only sigma > 0, so negated sigmas would read as
+    # exact values: KW 0.0339 +/- 0.0
+    ref = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE)
+    with pytest.raises(ValueError, match="sigma >= 0"):
+        corr.kw_from_correlators(corr.CorrelatorTable(ref.paulis, ref.values, -ref.sigmas))
+
+
 def test_class_of_matches_brute_force():
     # the extraction's strings are those of exactly one class; the sign map
     # gives each the sign of its class on the ideal state, and rejects the rest
-    ideal = {r.pauli: r.value for r in corr.correlator_table(w1_dm())}
+    exact = corr.correlator_table(w1_dm())
+    ideal = dict(zip(exact.paulis, exact.values))
     for letters in itertools.product("IXYZ", repeat=3):
         pauli = "".join(letters)
         owners = [rep for rep in ("III",) + corr.KW_CLASS_REPS
                   if pauli in corr.pauli_class(rep)]
         assert len(owners) <= 1
         assert (pauli in corr.kw_correlator_paulis()) == bool(owners)
-        record = [corr.CorrelatorRecord(pauli, -0.5)]
+        single = corr.CorrelatorTable((pauli,), [-0.5], [0.0])
         if owners:
-            (mapped,) = corr.apply_sign_map(record)
-            assert mapped.value == 0.5 * np.sign(ideal[owners[0]])
+            assert corr.apply_sign_map(single).values[0] == 0.5 * np.sign(ideal[owners[0]])
         else:
             with pytest.raises(ValueError, match="no ideal sign"):
-                corr.apply_sign_map(record)
+                corr.apply_sign_map(single)
 
 
 def test_ideal_sign_map():
-    mapped = {r.pauli: r.value
-              for r in corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE,
-                                           "ideal-w1")}
+    table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+    mapped = dict(zip(table.paulis, table.values))
     assert mapped["ZZZ"] == pytest.approx(-0.87)
     assert mapped["ZZI"] == pytest.approx(-0.35)
     assert mapped["ZII"] == pytest.approx(0.26)
     assert mapped["XXZ"] == pytest.approx(0.55)
+    assert table.paulis == corr.REFERENCE_CORRELATOR_TABLE.paulis
+    assert np.array_equal(table.sigmas, corr.REFERENCE_CORRELATOR_TABLE.sigmas)
     raw = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "raw")
-    assert [r.value for r in raw] == [
-        r.value for r in corr.REFERENCE_CORRELATOR_TABLE]
+    assert raw is corr.REFERENCE_CORRELATOR_TABLE
     with pytest.raises(ValueError):
         corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "unknown")
+
+
+def expectation_table(rho, paulis):
+    """The exact table of the given strings, one expectation at a time."""
+    return corr.CorrelatorTable(tuple(paulis), [qmat.pauli_expectation(rho, p) for p in paulis],
+                                np.zeros(len(paulis)))
 
 
 def test_extract_pc_on_ideal_w1():
@@ -907,18 +976,15 @@ def test_extract_pc_printed_form_disagrees():
 def test_extract_pc_fills_classes_from_representatives():
     rho = w1_dm()
     full = corr.extract_pc(corr.correlator_table(rho))
-    reps = [corr.CorrelatorRecord(p, qmat.pauli_expectation(rho, p))
-            for p in corr.KW_CLASS_REPS]
-    sparse = corr.extract_pc(reps)
+    sparse = corr.extract_pc(expectation_table(rho, corr.KW_CLASS_REPS))
     assert sparse.p == pytest.approx(full.p, abs=1e-12)
     assert sparse.c == pytest.approx(full.c, abs=1e-12)
 
 
 def test_extract_pc_missing_class_raises():
-    reps = [corr.CorrelatorRecord(p, qmat.pauli_expectation(w1_dm(), p))
-            for p in corr.KW_CLASS_REPS if p != "YYI"]
+    reps = [p for p in corr.KW_CLASS_REPS if p != "YYI"]
     with pytest.raises(ValueError, match="YYI"):
-        corr.extract_pc(reps)
+        corr.extract_pc(expectation_table(w1_dm(), reps))
 
 
 def test_extract_pc_matches_symmetrized_state():
@@ -987,7 +1053,17 @@ def test_kw_from_correlators_rejects_fewer_than_100_samples(samples):
     assert corr.kw_from_correlators(table, samples=100, seed=0).sigma > 0
 
 
-def noisy_pipeline_records(seed):
+def test_kw_from_correlators_bounds_the_samples_before_it_draws(monkeypatch):
+    # the Monte Carlo keeps 8 bytes of KW per draw: 10**11 samples need 800 GB
+    table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    for samples in (corr._MAX_SAMPLES + 1, 10**11):
+        with pytest.raises(ValueError, match=f"from 100 to {corr._MAX_SAMPLES}, got {samples}"):
+            corr.kw_from_correlators(table, samples=samples)
+    assert corr._MAX_SAMPLES == 10**7
+
+
+def noisy_pipeline_table(seed):
     w_noisy, _ = states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])
     counts = tomo.simulate_counts(w_noisy, tomo.settings_full(3), 10000, seed)
     return tomo.correlators_from_counts(counts, corr.kw_correlator_paulis())
@@ -1008,28 +1084,29 @@ PIPELINE_DRAWS = {
 
 @pytest.mark.parametrize("seed", sorted(PIPELINE_DRAWS))
 def test_pipeline_kw_is_bit_stable(seed):
-    report = corr.kw_from_correlators(noisy_pipeline_records(seed), seed=seed)
+    report = corr.kw_from_correlators(noisy_pipeline_table(seed), seed=seed)
     assert (report.KW, report.sigma) == PIPELINE_DRAWS[seed]
     w_noisy, _ = states.reduce_state(states.noisy_dicke(0.765), [(3, 1)])
     counts = tomo.simulate_counts(w_noisy, tomo.settings_full(3), 10000, seed)
-    former = [corr.CorrelatorRecord("III", 1.0, 0.0) if r.pauli == "III" else r
-              for r in loop_correlators(counts.settings, counts.counts,
-                                        corr.kw_correlator_paulis())]
+    loop = loop_correlators(counts.settings, counts.counts, corr.kw_correlator_paulis())
+    identity = np.array(loop.paulis) == "III"
+    former = corr.CorrelatorTable(loop.paulis, np.where(identity, 1.0, loop.values),
+                                  np.where(identity, 0.0, loop.sigmas))
     oracle = corr.kw_from_correlators(former, seed=seed)
     assert report.KW == pytest.approx(oracle.KW, abs=1e-15)
     assert report.sigma == pytest.approx(oracle.sigma, abs=1e-15)
 
 
-def loop_monte_carlo(records, samples, seed):
+def loop_monte_carlo(table, samples, seed):
     """The former per-draw loop, kept as an oracle: sigma of the KW draws and
-    the fraction of draws that the domain clip moved."""
+    the fraction of draws that the domain clip moved.  Each draw is a table
+    of its own."""
     rng = np.random.default_rng(seed)
     draws, moved = [], 0
     for _ in range(samples):
-        model = corr.extract_pc([corr.CorrelatorRecord(
-            r.pauli,
-            float(np.clip(rng.normal(r.value, r.sigma), -1.0, 1.0))
-            if r.sigma > 0 else float(r.value), r.sigma) for r in records])
+        values = [float(np.clip(rng.normal(v, s), -1.0, 1.0)) if s > 0 else v
+                  for v, s in zip(table.values.tolist(), table.sigmas.tolist())]
+        model = corr.extract_pc(corr.CorrelatorTable(table.paulis, values, table.sigmas))
         clipped = corr.clip_to_domain(model.p, model.c)
         moved += (clipped.p, clipped.c) != (model.p, model.c)
         draws.append(corr.kw_symmetric(clipped).KW)
@@ -1039,10 +1116,10 @@ def loop_monte_carlo(records, samples, seed):
 @pytest.mark.parametrize("source, seed", [("reference", 0), ("reference", 3),
                                           ("pipeline", 1)])
 def test_array_monte_carlo_matches_the_draw_loop(source, seed):
-    records = (corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
-               if source == "reference" else noisy_pipeline_records(seed))
-    report = corr.kw_from_correlators(records, samples=300, seed=seed)
-    assert (report.sigma, report.clipped_frac) == loop_monte_carlo(records, 300, seed)
+    table = (corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+             if source == "reference" else noisy_pipeline_table(seed))
+    report = corr.kw_from_correlators(table, samples=300, seed=seed)
+    assert (report.sigma, report.clipped_frac) == loop_monte_carlo(table, 300, seed)
 
 
 def test_clipped_frac_counts_the_draws_the_clip_moves():
@@ -1063,12 +1140,12 @@ def test_clipped_frac_counts_the_draws_the_clip_moves():
 
 @pytest.mark.parametrize("source", ["reference", "pipeline"])
 def test_monte_carlo_does_not_depend_on_the_draw_block(monkeypatch, source):
-    records = (corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
-               if source == "reference" else noisy_pipeline_records(2))
-    whole = corr.kw_from_correlators(records, samples=2000, seed=5)
+    table = (corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+             if source == "reference" else noisy_pipeline_table(2))
+    whole = corr.kw_from_correlators(table, samples=2000, seed=5)
     for block in (7, 100, 1999):
         monkeypatch.setattr(corr, "_DRAW_BLOCK", block)
-        report = corr.kw_from_correlators(records, samples=2000, seed=5)
+        report = corr.kw_from_correlators(table, samples=2000, seed=5)
         assert (report.KW, report.sigma, report.clipped_frac) == (
             whole.KW, whole.sigma, whole.clipped_frac)
 
@@ -1088,10 +1165,12 @@ def test_monte_carlo_memory_does_not_grow_with_the_draws():
 
 def test_zero_sigma_record_consumes_no_draws():
     table = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
-    identity = corr.CorrelatorRecord("III", 1.0, 0.0)  # equal to the default fill
+    identity = ("III", 1.0, 0.0)  # equal to the default fill
+    rows = list(zip(table.paulis, table.values, table.sigmas))
     base = corr.kw_from_correlators(table, samples=500, seed=2)
-    for padded in ([identity] + table, table[:3] + [identity] + table[3:]):
-        report = corr.kw_from_correlators(padded, samples=500, seed=2)
+    for padded in ([identity] + rows, rows[:3] + [identity] + rows[3:]):
+        report = corr.kw_from_correlators(corr.CorrelatorTable(*zip(*padded)),
+                                          samples=500, seed=2)
         assert (report.KW, report.sigma, report.clipped_frac) == (
             base.KW, base.sigma, base.clipped_frac)
 

@@ -121,16 +121,33 @@ def test_correlators_round_trip(tmp_path):
     path = tmp_path / "table.csv"
     io.save_correlators(path, corr.REFERENCE_CORRELATOR_TABLE)
     loaded = io.load_correlators(path)
-    assert [(r.pauli, r.value, r.sigma) for r in loaded] == \
-        [(r.pauli, r.value, r.sigma) for r in corr.REFERENCE_CORRELATOR_TABLE]
+    reference = corr.REFERENCE_CORRELATOR_TABLE
+    assert loaded.paulis == reference.paulis
+    assert loaded.values.tolist() == reference.values.tolist()
+    assert loaded.sigmas.tolist() == reference.sigmas.tolist()
+    # numpy 2 would print a float64 scalar as np.float64(0.87)
+    assert path.read_text().splitlines()[0] == "ZZZ,0.87,0.02"
 
 
 def test_correlators_two_column_rows(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("ZZZ,-1.0\nZZI,-0.3333333333333333,0.01\n")
     loaded = io.load_correlators(path)
-    assert loaded[0].sigma == 0.0
-    assert loaded[1].sigma == 0.01
+    assert loaded.sigmas.tolist() == [0.0, 0.01]
+    assert loaded.values.tolist() == [-1.0, -0.3333333333333333]
+
+
+def test_correlator_values_may_pass_one_by_1e_6(tmp_path):
+    # the bound of a checked table: a file may hold exact values that
+    # rounding took just past 1, but not a value of 7
+    path = tmp_path / "table.csv"
+    for value, ok in (("-1.0000005", True), ("1.000002", False), ("7", False)):
+        path.write_text(f"ZZZ,0.5,0.1\nZZI,{value},0.01\n")
+        if ok:
+            assert io.load_correlators(path).values[1] == float(value)
+        else:
+            with pytest.raises(ValueError, match=f"{path}:2: bad correlator row"):
+                io.load_correlators(path)
 
 
 def test_kw_report_round_trip(tmp_path):
@@ -208,6 +225,8 @@ def test_density_matrix_trace_tolerance_is_1e_6(tmp_path):
     (io.load_correlators, ",0.87,0.02\n", 1),
     (io.load_correlators, "ZZZ,0.87,0.02\nZZ,0.35,0.04\n", 2),
     (io.load_correlators, "ZZ,0.35,0.04\nZZZ,0.87,0.02\n", 2),
+    (io.load_correlators, "ZZZ,7,0.02\n", 1),
+    (io.load_correlators, "ZZZ,0.87,0.02\nZZI,-1.01,0.04\n", 2),
 ])
 @pytest.mark.filterwarnings("error")
 def test_csv_readers_name_the_bad_line(tmp_path, loader, rows, line):
@@ -272,8 +291,8 @@ def test_csv_readers_load_or_name_the_file(tmp_path, loader, data):
     path = tmp_path / "table.csv"
     path.write_bytes(data)
     try:
-        records = loader(path)
+        table = loader(path)
     except ValueError as exc:
         assert str(path) in str(exc)
     else:
-        assert records
+        assert table

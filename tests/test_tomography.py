@@ -234,8 +234,9 @@ def loop_correlators(settings, counts, paulis=None):
     n = len(settings[0])
     totals = [vec.sum() for vec in counts]
     freqs = [vec / tot if tot > 0 else None for vec, tot in zip(counts, totals)]
-    records = []
-    for pauli in qmat.pauli_strings(n) if paulis is None else paulis:
+    paulis = qmat.pauli_strings(n) if paulis is None else paulis
+    values, sigmas = [], []
+    for pauli in paulis:
         if len(pauli) != n:
             raise ValueError(f"Pauli string {pauli!r} does not match {n} qubits")
         sign = np.array([1.0])
@@ -248,31 +249,31 @@ def loop_correlators(settings, counts, paulis=None):
         ests = np.array([sign @ freqs[k] for k in refining])
         variances = np.array([max(0.0, 1 - e * e) / totals[k]
                               for e, k in zip(ests, refining)])
-        records.append(corr.CorrelatorRecord(
-            pauli, float(ests.mean()),
-            float(np.sqrt(variances.sum()) / len(refining))))
-    return records
+        values.append(float(ests.mean()))
+        sigmas.append(float(np.sqrt(variances.sum()) / len(refining)))
+    return corr.CorrelatorTable(paulis, values, sigmas)
 
 
 def loop_linear_inversion(settings, counts):
     """The former sum of 4**n Pauli matrices, the oracle of the contraction."""
     dim = counts.shape[1]
     rho = np.zeros((dim, dim), dtype=complex)
-    for r in loop_correlators(settings, counts):
-        rho += r.value * qmat.tensor(*(qmat.PAULI[l] for l in r.pauli))
+    table = loop_correlators(settings, counts)
+    for pauli, value in zip(table.paulis, table.values):
+        rho += value * qmat.tensor(*(qmat.PAULI[l] for l in pauli))
     return rho / dim
 
 
 def assert_matches_the_loop(new, old):
-    """Records agree with the loop oracle's to 1e-15.  The oracle divides
+    """A table agrees with the loop oracle's to 1e-15.  The oracle divides
     before it signs, so a string whose events all carry one sign can land
     one ulp inside |<P>| = 1, and the root of (1 - <P>^2) / N magnifies that
     ulp to up to 1e-8 of sigma: there, sigma is exactly 0 and the oracle's
     sigma squared is below 1e-15."""
-    assert [r.pauli for r in new] == [r.pauli for r in old]
-    for a, b in zip(new, old):
-        assert abs(a.value - b.value) <= 1e-15
-        assert abs(a.sigma - b.sigma) <= 1e-15 or (a.sigma == 0 and b.sigma**2 <= 1e-15)
+    assert new.paulis == old.paulis
+    assert np.abs(new.values - old.values).max() <= 1e-15
+    for a, b in zip(new.sigmas, old.sigmas):
+        assert abs(a - b) <= 1e-15 or (a == 0 and b**2 <= 1e-15)
 
 
 def test_linear_inversion_is_bit_stable():
@@ -481,8 +482,7 @@ def test_coarse_graining_consistency():
     est = {}
     for setting in ("ZX", "ZY", "ZZ"):
         counts = tomo.exact_counts(rho, [setting])
-        recs = tomo.correlators_from_counts(counts, ["ZI"])
-        est[setting] = recs[0].value
+        est[setting] = tomo.correlators_from_counts(counts, ["ZI"]).values[0]
     vals = list(est.values())
     assert max(vals) - min(vals) < 1e-12
     assert vals[0] == pytest.approx(qmat.pauli_expectation(rho, "ZI"),
@@ -549,34 +549,31 @@ def test_bootstrap_fidelity():
 def test_correlators_from_exact_counts_match_expectations():
     rho = 0.765 * w1_dm() + 0.235 * np.eye(8) / 8
     counts = tomo.exact_counts(rho, tomo.settings_full(3))
-    records = tomo.correlators_from_counts(counts, corr.kw_correlator_paulis())
-    assert len(records) == 20
-    for record in records:
-        assert record.value == pytest.approx(
-            qmat.pauli_expectation(rho, record.pauli), abs=1e-12)
-        assert record.sigma >= 0
+    table = tomo.correlators_from_counts(counts, corr.kw_correlator_paulis())
+    assert table.paulis == corr.kw_correlator_paulis()
+    for pauli, value in zip(table.paulis, table.values):
+        assert value == pytest.approx(qmat.pauli_expectation(rho, pauli), abs=1e-12)
+    assert (table.sigmas >= 0).all()
 
 
 def test_correlators_from_sampled_counts():
     counts = tomo.simulate_counts(w1_dm(), tomo.settings_full(3), 10000, 42)
-    records = {r.pauli: r for r in
-               tomo.correlators_from_counts(counts, corr.kw_correlator_paulis())}
+    table = tomo.correlators_from_counts(counts, corr.kw_correlator_paulis())
+    rows = {p: (v, s) for p, v, s in zip(table.paulis, table.values, table.sigmas)}
     # every event in a Z-basis setting has odd parity on this state
-    assert records["ZZZ"].value == pytest.approx(-1, abs=1e-12)
-    assert records["ZZZ"].sigma == pytest.approx(0, abs=1e-12)
+    assert rows["ZZZ"] == pytest.approx((-1, 0), abs=1e-12)
     # each setting's total is its signed sum for III, so III is exact
-    assert records["III"].value == 1.0
-    assert records["III"].sigma == 0.0
-    assert records["XXZ"].value == pytest.approx(2 / 3, abs=0.05)
-    assert records["XXZ"].sigma > 0
+    assert rows["III"] == (1.0, 0.0)
+    assert rows["XXZ"][0] == pytest.approx(2 / 3, abs=0.05)
+    assert rows["XXZ"][1] > 0
 
 
 def test_correlators_default_paulis():
     counts = tomo.exact_counts(qmat.dm(states.psi_plus()),
                                tomo.settings_full(2))
-    records = tomo.correlators_from_counts(counts)
-    assert len(records) == 16
-    table = {r.pauli: r.value for r in records}
+    correlators = tomo.correlators_from_counts(counts)
+    assert correlators.paulis == tuple(qmat.pauli_strings(2))
+    table = dict(zip(correlators.paulis, correlators.values))
     assert table["XX"] == pytest.approx(1, abs=1e-12)
     assert table["ZZ"] == pytest.approx(-1, abs=1e-12)
     assert table["ZI"] == pytest.approx(0, abs=1e-12)
