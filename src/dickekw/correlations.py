@@ -82,11 +82,11 @@ class MeasurementDirection:
     phi: float
 
 
-# the J search (see _min_measured_entropy): a _GRID x _GRID sweep of
-# (theta, phi) picks three starts per state for a trust-region Newton polish
-# that stops below _ANGLE_TOL radians or a predicted decrease of _F_TOL bits,
-# rounding level.  A larger _CURVATURE_FLOOR makes the steps crawl toward a
-# minimum where f is flat to second order.  No state tried takes more than
+# the J search (see _min_measured_entropy): the best cell of a _GRID x _GRID
+# sweep of (theta, phi) is each state's one start for a trust-region Newton
+# polish that stops below _ANGLE_TOL radians or a predicted decrease of _F_TOL
+# bits, rounding level.  A larger _CURVATURE_FLOOR makes the steps crawl toward
+# a minimum where f is flat to second order.  No state tried takes more than
 # 20 steps; _MAX_STEPS only bounds the loop.
 _GRID = 16
 _ANGLE_TOL = 1e-6
@@ -96,18 +96,18 @@ _MAX_STEPS = 50
 
 
 def _direction_grid():
-    """(theta, phi), Bloch vectors n and (4, 2K) outcome columns (1, n) then
-    (1, -n) of the theta <= pi/4 rows of the sweep; as n and -n are the same
-    measurement, the other rows add nothing."""
+    """Bloch vectors n (K, 3), theta-major, and (4, 2K) outcome columns (1, n)
+    then (1, -n) of the theta <= pi/4 rows of the sweep; as n and -n are the
+    same measurement, the other rows add nothing."""
     thetas = np.linspace(0.0, pi / 2, _GRID)[: (_GRID + 1) // 2]
     phis = np.linspace(0.0, 2 * pi, _GRID, endpoint=False)
     tt, pp = (m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij"))
     n = np.stack([np.sin(2 * tt) * np.cos(pp), np.sin(2 * tt) * np.sin(pp),
                   np.cos(2 * tt)], axis=-1)
-    return tt, pp, n, np.vstack([np.ones(2 * len(n)), np.concatenate([n, -n]).T])
+    return n, np.vstack([np.ones(2 * len(n)), np.concatenate([n, -n]).T])
 
 
-_SWEEP = _direction_grid()
+_SWEEP_N, _SWEEP_COLUMNS = _direction_grid()
 _YY = np.kron(PAULI["Y"], PAULI["Y"])
 _EYE3, _EZ, _DIAG = np.eye(3), np.array([0.0, 0.0, 1.0]), [1, 2, 3]
 _CURVE = 1 / (8 * np.log(2))  # the second derivatives' factor, in bits
@@ -135,20 +135,6 @@ def _measured_entropy(coords, columns):
     beta = ab[:, 1:]
     f = _outcome_entropy(ab[:, 0], np.sqrt((beta * beta).sum(1)))[2]
     return f.reshape(len(f), 2, columns.shape[1] // 2).sum(1)
-
-
-def _pick_starts(values, tt, pp):
-    """(B, 3) indices: the best grid cell, then the best two that lie more than
-    0.3 in |dtheta| + |dphi| from every earlier start (else the best again).
-    Ties go to the lower index: smaller theta, then smaller phi."""
-    starts = [np.argmin(values, axis=1)]
-    far = np.ones(values.shape, dtype=bool)
-    for _ in range(2):
-        last = starts[-1][:, None]
-        far &= np.abs(tt - tt[last]) + np.abs(pp - pp[last]) > 0.3
-        pick = np.argmin(np.where(far, values, np.inf), axis=1)
-        starts.append(np.where(far.any(axis=1), pick, starts[0]))
-    return np.stack(starts, axis=1)
 
 
 def _newton_terms(coords, n):
@@ -219,55 +205,53 @@ def _newton_step(terms, radius):
 
 def _min_measured_entropy(rhos):
     """S(beta), min over measurements n on alpha of the entropy left on beta,
-    and the minimizing n, for a trusted (B, 4, 4) stack of states.
-
-    With rho = (I + a.sigma x I + I x b.sigma + sum T_ij sigma_i x sigma_j) / 4
-    the stack is swept over the hemisphere grid by one product of its Pauli
-    coordinates with the grid's outcome columns.  Each of the three starts
-    of every state is then polished by trust-region Newton steps on the
-    sphere, from the gradient and Hessian of ``_newton_terms``.  A step is
-    taken only if f does not rise; otherwise the radius becomes a quarter of
-    the step.  A start stops, and stays where it is while the rest of the
-    stack runs, once it has taken a step shorter than ``_ANGLE_TOL``, its
-    radius is below that, or its next step is not finite or predicts a
-    decrease below ``_F_TOL``.  A state's result therefore does not depend on
-    the other states of the stack.
-    """
+    and the minimizing n, for a trusted (B, 4, 4) stack of states: one product
+    of the stack's Pauli coordinates with the outcome columns sweeps the grid,
+    and ``_polish`` polishes each state's best cell (ties toward smaller
+    theta, then smaller phi)."""
     coords = qmat._pauli_coords(rhos).reshape(-1, 4, 4)
-    tt, pp, grid_n, columns = _SWEEP
     with np.errstate(all="ignore"):
         s_beta = 2 * _outcome_entropy(1.0, np.sqrt((coords[:, 0, 1:] ** 2).sum(-1)))[2]
-        starts = _pick_starts(_measured_entropy(coords, columns), tt, pp)
-        n = grid_n[starts.ravel()]
-        coords = np.repeat(coords, starts.shape[1], axis=0)
-        live = np.arange(len(n))
-        terms, basis = _newton_terms(coords, n)
-        f = terms[:, 0].copy()
-        radius = np.full(len(n), 2 * pi / _GRID)
+        start = np.argmin(_measured_entropy(coords, _SWEEP_COLUMNS), axis=1)
+        return (s_beta, *_polish(coords, _SWEEP_N[start]))
+
+
+def _polish(coords, n):
+    """The measured entropy f (M,) and direction (M, 3) that trust-region
+    Newton steps on the sphere reach from unit vectors n (M, 3), for Pauli
+    coordinates (M, 4, 4) (see ``_newton_terms``).  A step is taken only if f
+    does not rise, else the radius becomes a quarter of the step.  A row stops,
+    and waits for the rest, once its step or radius is below ``_ANGLE_TOL``
+    or its next step is not finite or predicts a decrease below ``_F_TOL``, so
+    its result does not depend on the other rows.  Call under errstate."""
+    n = np.array(n, dtype=float)
+    live = np.arange(len(n))
+    terms, basis = _newton_terms(coords, n)
+    f = terms[:, 0].copy()
+    radius = np.full(len(n), 2 * pi / _GRID)
+    step, length, pred = _newton_step(terms, radius)
+    keep = np.isfinite(step).all(-1) & (pred > _F_TOL)
+    for _ in range(_MAX_STEPS):
+        if not keep.all():
+            live, coords, terms, basis, radius, step, length = (
+                v[keep] for v in (live, coords, terms, basis, radius, step, length))
+        if not len(live):
+            break
+        cand = basis[:, 0] + (step[:, None] @ basis[:, 1:])[:, 0]
+        cand /= np.sqrt((cand * cand).sum(-1, keepdims=True))
+        terms_c, basis_c = _newton_terms(coords, cand)
+        up = terms_c[:, 0] <= terms[:, 0]
+        if up.all():
+            terms, basis, moved = terms_c, basis_c, length
+        else:
+            terms = np.where(up[:, None], terms_c, terms)
+            basis = np.where(up[:, None, None], basis_c, basis)
+            radius = np.where(up, radius, length / 4)
+            moved = np.where(up, length, radius)
+        n[live], f[live] = basis[:, 0], terms[:, 0]
         step, length, pred = _newton_step(terms, radius)
-        keep = np.isfinite(step).all(-1) & (pred > _F_TOL)
-        for _ in range(_MAX_STEPS):
-            if not keep.all():
-                live, coords, terms, basis, radius, step, length = (
-                    v[keep] for v in (live, coords, terms, basis, radius, step, length))
-            if not len(live):
-                break
-            cand = basis[:, 0] + (step[:, None] @ basis[:, 1:])[:, 0]
-            cand /= np.sqrt((cand * cand).sum(-1, keepdims=True))
-            terms_c, basis_c = _newton_terms(coords, cand)
-            up = terms_c[:, 0] <= terms[:, 0]
-            if up.all():
-                terms, basis, moved = terms_c, basis_c, length
-            else:
-                terms = np.where(up[:, None], terms_c, terms)
-                basis = np.where(up[:, None, None], basis_c, basis)
-                radius = np.where(up, radius, length / 4)
-                moved = np.where(up, length, radius)
-            n[live], f[live] = basis[:, 0], terms[:, 0]
-            step, length, pred = _newton_step(terms, radius)
-            keep = (moved >= _ANGLE_TOL) & np.isfinite(step).all(-1) & (pred > _F_TOL)
-    best = np.argmin(f.reshape(starts.shape), axis=1) + np.arange(0, len(n), starts.shape[1])
-    return s_beta, f[best], n[best]
+        keep = (moved >= _ANGLE_TOL) & np.isfinite(step).all(-1) & (pred > _F_TOL)
+    return f, n
 
 
 def _direction_of(n):
@@ -288,11 +272,10 @@ def classical_correlations(rho, measured: int = 0):
     conditional entropy of beta, a closed form in the measurement's Bloch
     vector n = (sin 2theta cos phi, sin 2theta sin phi, cos 2theta).  The
     minimum is located on the theta <= pi/4 half of a fixed 16 x 16 sweep
-    of (theta, phi) (ties toward smaller theta, then smaller phi).  Three
-    starts from the sweep are polished by trust-region Newton steps on the
-    sphere, with the closed-form gradient and Hessian, until a step or the
-    trust radius is below 1e-6 rad or the predicted decrease is at rounding
-    level; the best of the three is the result.
+    of (theta, phi) (ties toward smaller theta, then smaller phi).  Its best
+    cell is polished by trust-region Newton steps on the sphere, with the
+    closed-form gradient and Hessian, until a step or the trust radius is
+    below 1e-6 rad or the predicted decrease is at rounding level.
 
     Parameters
     ----------
@@ -505,8 +488,8 @@ _VALUE_TOL = 1e-6  # rounding: 4.4e-16 in exact tables, 3e-7 on a checked 4-qubi
 @dataclass(frozen=True, eq=False)
 class CorrelatorTable:
     """Read-only Pauli correlators, checked: ``values[k]`` +/- ``sigmas[k]``
-    is the expectation of ``paulis[k]``, strings over IXYZ of one length,
-    values finite and at most 1 + 1e-6 in magnitude, sigmas finite and >= 0."""
+    is the expectation of ``paulis[k]``, strings over IXYZ of one length, real
+    values finite and at most 1 + 1e-6 in magnitude, real sigmas finite and >= 0."""
 
     paulis: tuple[str, ...]
     values: np.ndarray
@@ -514,10 +497,14 @@ class CorrelatorTable:
 
     def __post_init__(self):
         paulis = tuple(map(qmat.check_pauli, self.paulis))
-        values, sigmas = (np.array(x, dtype=float) for x in (self.values, self.sigmas))
-        if len(set(map(len, paulis))) != 1 or not values.shape == sigmas.shape == (len(paulis),):
-            raise ValueError(f"need Pauli strings of one length with one value and one sigma "
-                             f"each, got {list(paulis)}, {values.shape} and {sigmas.shape}")
+        values, sigmas = map(np.asarray, (self.values, self.sigmas))
+        if (isinstance(self.paulis, str) or len(set(map(len, paulis))) != 1
+                or not values.shape == sigmas.shape == (len(paulis),)
+                or not {values.dtype.kind, sigmas.dtype.kind} <= set("biuf")):
+            raise ValueError(f"need a sequence of Pauli strings of one length with one real "
+                             f"value and one sigma each, got {self.paulis!r}, {values.dtype} "
+                             f"{values.shape} and {sigmas.dtype} {sigmas.shape}")
+        values, sigmas = values.astype(float), sigmas.astype(float)
         # written so that NaN fails as well
         bad = ~((np.abs(values) <= 1 + _VALUE_TOL) & (sigmas >= 0) & (sigmas < np.inf))
         if bad.any():

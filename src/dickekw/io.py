@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -174,6 +175,8 @@ def save_kw_report(path: str, report: KWReport) -> None:
 
 
 def load_kw_report(path: str) -> KWReport:
+    """A monogamy-report document as a :class:`KWReport`: its fields as keys,
+    ``assignment`` and ``method`` strings, the rest finite numbers or, if optional, null."""
     from .correlations import KWReport
     with open(path) as handle:
         try:
@@ -183,11 +186,17 @@ def load_kw_report(path: str) -> KWReport:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a monogamy report is a JSON object")
     fields = {f.name: f for f in dataclasses.fields(KWReport)}
-    for key in doc:
-        if key not in fields:
-            raise ValueError(f"{path}: unknown key {key!r} in monogamy report")
     missing = [name for name, f in fields.items()
                if name not in doc and f.default is dataclasses.MISSING]
     if missing:
         raise ValueError(f"{path}: monogamy report is missing keys {missing}")
+    for key, value in doc.items():
+        if key not in fields:
+            raise ValueError(f"{path}: unknown key {key!r} in monogamy report")
+        text, optional = key in ("assignment", "method"), fields[key].default is None
+        # not a bool, and no NaN, infinity or int past the largest float
+        number = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        if not (isinstance(value, str) if text else number or optional and value is None):
+            raise ValueError(f"{path}: monogamy report has {key} = {value!r}; expected "
+                             + ("a string" if text else "a finite number" + " or null" * optional))
     return KWReport(**doc)

@@ -88,6 +88,8 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.settings, str):
+            raise ValueError(f"need a sequence of settings, got the string {self.settings!r}")
         settings, counts = tuple(self.settings), np.array(self.counts)
         for setting in settings:
             _check_setting(setting)

@@ -248,6 +248,32 @@ def test_kw_report_rejects_unknown_and_missing_keys(tmp_path):
         io.load_kw_report(path)
 
 
+@pytest.mark.parametrize("field, text", [
+    ("S", '"x"'), ("J", "null"), ("KW", "NaN"), ("E", "true"), ("S", "1e400"),
+    ("J", "-Infinity"), ("KW", "1" + "0" * 400), ("E", "[0.1]"), ("S", "{}"),
+    ("sigma", "NaN"), ("theta_opt", '"0.7"'), ("phi_opt", "false"),
+    ("clipped_frac", "Infinity"), ("sigma", "[]"),
+    ("assignment", "null"), ("assignment", "3"), ("method", "[]"), ("method", "true"),
+], ids=["string number", "null number", "NaN", "bool", "overflow", "minus infinity",
+        "huge int", "list", "object", "NaN optional", "string optional", "bool optional",
+        "infinite optional", "list optional", "null text", "number text", "list text",
+        "bool text"])
+def test_kw_report_rejects_bad_values(tmp_path, field, text):
+    doc = dataclasses.asdict(corr.kw_symmetric(corr.SymmetricModel(0.31, 0.30375)))
+    path = tmp_path / "kw.json"
+    path.write_text(json.dumps({**doc, field: "@"}).replace('"@"', text))
+    with pytest.raises(ValueError, match=f"^{path}: monogamy report has {field} = "):
+        io.load_kw_report(path)
+
+
+def test_kw_report_loads_integers_and_nulls(tmp_path):
+    doc = dataclasses.asdict(corr.kw_symmetric(corr.SymmetricModel(0.31, 0.30375)))
+    path = tmp_path / "kw.json"
+    path.write_text(json.dumps({**doc, "E": 0, "sigma": None, "theta_opt": 1}))
+    report = io.load_kw_report(path)
+    assert (report.E, report.sigma, report.theta_opt) == (0, None, 1)
+
+
 def test_kw_report_names_a_truncated_file(tmp_path):
     path = tmp_path / "kw.json"
     io.save_kw_report(path, corr.kw_symmetric(corr.SymmetricModel(0.31, 0.30375)))

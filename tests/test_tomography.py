@@ -452,6 +452,7 @@ def test_count_table_rejects_malformed_records(tmp_path, records, message):
     (("XZ", "ZZ"), (2, 2), r"counts of shape .*got \['XZ', 'ZZ'\] and \(2, 2\)"),
     (("XZ", "ZZ"), (3, 4), r"got \['XZ', 'ZZ'\] and \(3, 4\)"),
     (("XZ", "ZZ"), (8,), r"got \['XZ', 'ZZ'\] and \(8,\)"),
+    ("XYZ", (3, 2), "need a sequence of settings, got the string 'XYZ'"),
 ])
 def test_count_table_checks_its_settings_and_counts(settings, shape, message):
     with pytest.raises(ValueError, match=message):
