@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -22,13 +21,6 @@ from . import io, qmat, states
 
 def _g(x: float) -> str:
     return f"{x:.6g}"
-
-
-def _emit(out_path: str | None, text: str) -> None:
-    if out_path:
-        io.atomic_write_text(out_path, text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
 
 
 def _print_report_line(r) -> None:  # r: correlations.KWReport
@@ -46,9 +38,11 @@ def cmd_state(args) -> int:
         assignments = states.parse_projections(args.project, n)
         state, prob = states.reduce_state(state, assignments)
         print(f"projection probability: {_g(prob)}")
-    _emit(args.out, io.density_matrix_document(state))
     if args.out:
+        io.save_density_matrix(args.out, state)
         print(f"wrote {args.out}")
+    else:
+        print(io.density_matrix_document(state))
     return 0
 
 
@@ -149,122 +143,9 @@ def cmd_kw_correlators(args) -> int:
     return 0
 
 
-def _report_text(args) -> str:
-    from . import correlations as corr, tomography
-    lines = []
-    say = lines.append
-    say("dicke resource reproduction report")
-    say("==================================")
-    say(f"parameters: seed={args.seed} mean_counts={args.counts} "
-        f"bootstrap={args.bootstrap} samples={args.samples}")
-    say("")
-
-    say("[source state and circuit]")
-    xi = states.ket_xi()
-    for idx in (0b0001, 0b0010, 0b1101):
-        say(f"  source amplitude |{idx:04b}> = {_g(xi[idx].real)}")
-    t0 = time.perf_counter()
-    out = states.circuit_to_dicke(xi)
-    elapsed = time.perf_counter() - t0
-    d42 = states.dicke(4, 2)
-    say(f"  circuit overlap with dicke(4,2): {_g(abs(np.vdot(d42, out)) ** 2)}"
-        f"  ({elapsed * 1e3:.3f} ms)")
-    say("")
-
-    say("[projective reductions of dicke(4,2)]")
-    for j, name in enumerate(qmat.QUBIT_NAMES):
-        for outcome, partner in ((0, states.dicke(3, 2)), (1, states.dicke(3, 1))):
-            post, prob = states.reduce_state(d42, [(j, outcome)])
-            fid = qmat.fidelity_pure(partner, post)
-            k = 2 - outcome
-            say(f"  {name}={outcome}: probability {_g(prob)}, "
-                f"fidelity to w{k} = {_g(fid)}")
-    for cd in ((2, 0, 3, 1), (2, 1, 3, 0)):
-        post, prob = states.reduce_state(d42, [(cd[0], cd[1]), (cd[2], cd[3])])
-        fid = qmat.fidelity_pure(states.psi_plus(), post)
-        say(f"  c={cd[1]},d={cd[3]}: probability {_g(prob)}, "
-            f"fidelity to psi-plus = {_g(fid)}")
-    post, prob = states.reduce_state(d42, [(0, 1), (2, 0), (3, 1)])
-    pops = np.abs(post) ** 2
-    say(f"  a=1,c=0,d=1: probability {_g(prob)}, "
-        f"qubit-b populations ({_g(pops[0])}, {_g(pops[1])})")
-    say("")
-
-    say("[white-noise resource model]")
-    p_mix = 0.765
-    noisy = states.noisy_dicke(p_mix)
-    say(f"  mixing parameter p = {p_mix}")
-    say(f"  fidelity to dicke(4,2): {_g(qmat.fidelity_pure(d42, noisy))}")
-    w_noisy, prob = states.reduce_state(noisy, [(3, 1)])
-    model = corr.extract_pc(corr.correlator_table(w_noisy))
-    say(f"  projection d=1: probability {_g(prob)}, "
-        f"extracted (p, c) = ({_g(model.p)}, {_g(model.c)})")
-    say("")
-
-    say("[monogamy balance: pure single-excitation state]")
-    w1_ket = states.dicke(3, 1)
-    w1 = qmat.dm(w1_ket)
-    r = corr.kw_exact(w1, "b|a,c")
-    say(f"  exact {r.assignment}: S={_g(r.S)} J={_g(r.J)} E={_g(r.E)} "
-        f"KW={_g(r.KW)} theta*={_g(r.theta_opt)}")
-    rs = corr.kw_symmetric(corr.SymmetricModel(1 / 3, 1 / 3))
-    say(f"  closed form (p=c=1/3): S={_g(rs.S)} J={_g(rs.J)} E={_g(rs.E)} "
-        f"KW={_g(rs.KW)}")
-    say("")
-
-    say("[monogamy balance: measured correlator table]")
-    ref = corr.REFERENCE_CORRELATOR_TABLE
-    for row in zip(ref.paulis, ref.values.tolist(), ref.sigmas.tolist()):
-        say("  {} = {} +/- {}".format(*row))
-    table = corr.apply_sign_map(ref, "ideal-w1")
-    mt = corr.extract_pc(table)
-    rt = corr.kw_from_correlators(table, samples=args.samples, seed=args.seed)
-    say(f"  extracted (p, c) = ({_g(mt.p)}, {_g(mt.c)})")
-    say(f"  KW = {_g(rt.KW)} +/- {_g(rt.sigma)}")
-    say(f"  draws clipped to the physical domain: {_g(rt.clipped_frac)}")
-    say("")
-
-    say("[monogamy balance: white-noise model, projected]")
-    reports, average = corr.kw_all_permutations(w_noisy)
-    kws = sorted({round(r.KW, 9) for r in reports})
-    say(f"  exact per assignment: {', '.join(_g(k) for k in kws)}"
-        f" (six assignments); average {_g(average)}")
-    rm = corr.kw_symmetric(corr.clip_to_domain(model.p, model.c))
-    say(f"  closed-form route (p={_g(model.p)}, c={_g(model.c)}): "
-        f"KW = {_g(rm.KW)}")
-    say("")
-
-    say("[tomography round trip]")
-    settings = tomography.settings_full(3)
-    counts = tomography.simulate_counts(w1, settings, args.counts, args.seed)
-    fit = tomography.mle_reconstruct(counts)
-    say(f"  w1 at mean {args.counts} counts, {len(settings)} settings: "
-        f"mle fidelity = {_g(qmat.fidelity_pure(w1_ket, fit.rho))} "
-        f"(iterations {fit.iterations}, converged {fit.converged})")
-    bell = qmat.dm(states.psi_plus())
-    bell_counts = tomography.simulate_counts(
-        bell, tomography.settings_full(2), 200, args.seed + 1)
-    mean, sigma = tomography.bootstrap_fidelity(
-        bell_counts, states.psi_plus(), n_boot=args.bootstrap,
-        seed=args.seed + 2)
-    say(f"  psi-plus at mean 200 counts: bootstrap fidelity = "
-        f"{_g(mean)} +/- {_g(sigma)}")
-    say("")
-
-    say("[end-to-end correlator pipeline]")
-    noisy_counts = tomography.simulate_counts(w_noisy, settings, args.counts,
-                                              args.seed)
-    measured = tomography.correlators_from_counts(noisy_counts, corr.kw_correlator_paulis())
-    rp = corr.kw_from_correlators(measured, samples=args.samples, seed=args.seed)
-    say(f"  noisy projection, simulated counts -> correlators -> KW = "
-        f"{_g(rp.KW)} +/- {_g(rp.sigma)}")
-    say(f"  draws clipped to the physical domain: {_g(rp.clipped_frac)}")
-    say(f"  exact-table reference: KW = {_g(rm.KW)}")
-    return "\n".join(lines)
-
-
 def cmd_report(args) -> int:
-    text = _report_text(args)
+    from .report import report_text
+    text = report_text(args)
     print(text)
     if args.out:
         io.atomic_write_text(args.out, text + "\n")
@@ -358,4 +239,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # under -m, report's `from .cli import _g` then finds this module instead of
+    # compiling and running cli.py a second time
+    sys.modules.setdefault("dickekw.cli", sys.modules[__name__])
     sys.exit(main())

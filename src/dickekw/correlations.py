@@ -14,6 +14,7 @@ with theta in [0, pi/2] and phi in [0, 2 pi).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import astuple, dataclass, replace
 from functools import reduce
@@ -73,14 +74,6 @@ def entanglement_of_formation(rho) -> float:
 # ---------------------------------------------------------------------------
 # Classical correlations J(beta|alpha)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MeasurementDirection:
-    """Projective measurement direction on the Bloch sphere."""
-
-    theta: float
-    phi: float
-
 
 # the J search (see _min_measured_entropy): the best cell of a _GRID x _GRID
 # sweep of (theta, phi) is each state's one start for a trust-region Newton
@@ -285,7 +278,8 @@ def classical_correlations(rho, measured: int = 0):
 
     Returns
     -------
-    (J, MeasurementDirection)
+    (J, (theta, phi))
+        J in bits and the optimal direction's angles, as in ``KWReport``.
     """
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (4, 4):
@@ -296,7 +290,7 @@ def classical_correlations(rho, measured: int = 0):
         rho = qmat.permute_qubits(rho, [1, 0])
     s_beta, cond, n = _min_measured_entropy(rho[None])
     theta, phi = _direction_of(n)
-    return float(s_beta[0] - cond[0]), MeasurementDirection(float(theta[0]), float(phi[0]))
+    return float(s_beta[0] - cond[0]), (float(theta[0]), float(phi[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +490,10 @@ class CorrelatorTable:
     sigmas: np.ndarray
 
     def __post_init__(self):
-        paulis = tuple(map(qmat.check_pauli, self.paulis))
+        strings = isinstance(self.paulis, Sequence) and not isinstance(self.paulis, str)
+        paulis = tuple(map(qmat.check_pauli, self.paulis)) if strings else ()
         values, sigmas = map(np.asarray, (self.values, self.sigmas))
-        if (isinstance(self.paulis, str) or len(set(map(len, paulis))) != 1
+        if (len(set(map(len, paulis))) != 1
                 or not values.shape == sigmas.shape == (len(paulis),)
                 or not {values.dtype.kind, sigmas.dtype.kind} <= set("biuf")):
             raise ValueError(f"need a sequence of Pauli strings of one length with one real "

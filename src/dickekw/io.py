@@ -87,13 +87,15 @@ def _fmt_count(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-def counts_document(records) -> str:
-    """CSV rows ``setting,outcome,count`` of a count table or records."""
-    return "\n".join(f"{r.setting},{r.outcome},{_fmt_count(r.count)}" for r in records)
+def counts_document(table: CountTable) -> str:
+    """CSV rows ``setting,outcome,count`` of a count table, setting by setting."""
+    return "\n".join(f"{setting},{i:0{len(setting)}b},{_fmt_count(count)}"
+                     for setting, row in zip(table.settings, table.counts.tolist())
+                     for i, count in enumerate(row))
 
 
-def save_counts(path: str, records) -> None:
-    atomic_write_text(path, counts_document(records) + "\n")
+def save_counts(path: str, table: CountTable) -> None:
+    atomic_write_text(path, counts_document(table) + "\n")
 
 
 def _data_rows(path: str, header: str):

@@ -8,6 +8,7 @@ denotes the +1 eigenvalue of that qubit's operator.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -48,7 +49,7 @@ def settings_full(n: int) -> list[str]:
 
 
 def _check_setting(setting: str) -> None:
-    if not setting or any(l not in "XYZ" for l in setting):
+    if not isinstance(setting, str) or not setting or any(l not in "XYZ" for l in setting):
         raise ValueError(f"bad measurement setting {setting!r}")
 
 
@@ -88,8 +89,8 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.settings, str):
-            raise ValueError(f"need a sequence of settings, got the string {self.settings!r}")
+        if isinstance(self.settings, str) or not isinstance(self.settings, Sequence):
+            raise ValueError(f"need a non-string sequence of settings, got {self.settings!r}")
         settings, counts = tuple(self.settings), np.array(self.counts)
         for setting in settings:
             _check_setting(setting)

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface, driven in process."""
 
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dickekw import cli, io, qmat, states
+from dickekw import cli, io, qmat, report, states
 from dickekw import correlations as corr
 
 
@@ -287,16 +289,25 @@ def test_report_command(tmp_path, capsys):
     assert run("report", "--counts", "400", "--bootstrap", "50",
                "--samples", "200", "--out", str(out)) == 0
     text = out.read_text()
-    for header in ("[source state and circuit]",
-                   "[projective reductions of dicke(4,2)]",
-                   "[white-noise resource model]",
-                   "[monogamy balance: measured correlator table]",
-                   "[tomography round trip]",
-                   "[end-to-end correlator pipeline]"):
-        assert header in text
+    headers = [line for line in text.splitlines() if line.startswith("[")]
+    assert headers == [f"[{title}]" for title, _ in report.SECTIONS]
+    assert len(headers) == 8
     assert "fidelity to dicke(4,2): 0.779688" in text
     assert text.count("  draws clipped to the physical domain: ") == 2
     capsys.readouterr()
+
+
+def test_each_report_section_alone_gives_its_block():
+    # sections share no state: run alone, last first, each returns its block
+    args = cli.build_parser().parse_args(["report", "--counts", "400", "--bootstrap", "50",
+                                          "--samples", "200", "--seed", "7"])
+    untimed = functools.partial(re.sub, r"\(\d+\.\d{3} ms\)$", "(timed)")
+    alone = [section(args) for _, section in reversed(report.SECTIONS)][::-1]
+    blocks = report.report_text(args).split("\n\n")
+    assert len(blocks) == 1 + len(report.SECTIONS)
+    for (title, _), lines, block in zip(report.SECTIONS, alone, blocks[1:]):
+        assert all(isinstance(line, str) for line in lines)
+        assert [f"[{title}]", *map(untimed, lines)] == list(map(untimed, block.split("\n")))
 
 
 def test_outputs_are_atomic(tmp_path, capsys):
@@ -345,7 +356,7 @@ LAYERS = {"dickekw", "dickekw.cli", "dickekw.io", "dickekw.qmat", "dickekw.state
     (("kw", "correlators", "--table", "table.csv", "--samples", "200"),
      LAYERS | {"dickekw.correlations"}),
     (("report", "--bootstrap", "50", "--samples", "200"),
-     LAYERS | {"dickekw.correlations", "dickekw.tomography"}),
+     LAYERS | {"dickekw.correlations", "dickekw.report", "dickekw.tomography"}),
 ], ids=["state", "tomo simulate", "tomo reconstruct", "kw exact", "kw correlators", "report"])
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, capsys, argv, loaded):
     run("state", "w1", "--out", str(tmp_path / "w1.dm.json"))

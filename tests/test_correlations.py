@@ -108,9 +108,9 @@ def test_classical_correlations_bell_pair():
 
 def test_classical_correlations_w_reduction():
     rho_ab = qmat.partial_trace(w1_dm(), (0, 1))
-    j, direction = corr.classical_correlations(rho_ab, measured=0)
+    j, (theta, _) = corr.classical_correlations(rho_ab, measured=0)
     assert j == pytest.approx(J_PURE, abs=1e-6)
-    assert direction.theta == pytest.approx(np.pi / 4, abs=1e-3)
+    assert theta == pytest.approx(np.pi / 4, abs=1e-3)
     # measuring the other qubit is equivalent by symmetry of the pair
     j_other, _ = corr.classical_correlations(rho_ab, measured=1)
     assert j_other == pytest.approx(j, abs=1e-9)
@@ -318,8 +318,8 @@ def test_j_kernel_is_bit_stable():
     for key, rho in j_kernel_states():
         assert j_kernel_rows(rho) == list(J_KERNEL_PIN[key]), key
     pair = qmat.partial_trace(projected_noisy_dicke(), [0, 1])
-    j, direction = corr.classical_correlations(pair, measured=1)
-    assert (j, direction.theta, direction.phi) == NOISY_SPLIT[1:2] + NOISY_SPLIT[4:]
+    j, (theta, phi) = corr.classical_correlations(pair, measured=1)
+    assert (j, theta, phi) == NOISY_SPLIT[1:2] + NOISY_SPLIT[4:]
 
 
 def test_a_direction_and_its_reverse_read_alike():
@@ -461,9 +461,8 @@ def test_a_split_reads_alike_alone_and_in_its_stack():
         for split, row in zip(itertools.permutations(range(3)), reports):
             alone = corr.kw_exact(rho, split)
             assert dataclasses.astuple(alone) == dataclasses.astuple(row), (k, split)
-            j, direction = corr.classical_correlations(qmat.partial_trace(rho, split[:2]))
-            assert (j, direction.theta, direction.phi) == (row.J, row.theta_opt,
-                                                           row.phi_opt), (k, split)
+            j, (theta, phi) = corr.classical_correlations(qmat.partial_trace(rho, split[:2]))
+            assert (j, theta, phi) == (row.J, row.theta_opt, row.phi_opt), (k, split)
 
 
 PAULI4 = np.stack([qmat.PAULI[l] for l in "IXYZ"])
@@ -918,6 +917,8 @@ def test_correlator_table_validates_input_once(monkeypatch):
     (("ZZZ",), 0.5, 0.1),
     ((), [], []),
     ("ZZZ", [0.5, 0.5, 0.5], [0.1, 0.1, 0.1]),
+    (5, [0.5], [0.1]),
+    (None, [], []),
     (("ZZZ",), [0.1 + 0j], [0.1]),
     (("ZZZ",), np.array([0.5 + 0j]), [0.1]),
     (("ZZZ",), [0.5], [1j]),
@@ -925,7 +926,8 @@ def test_correlator_table_validates_input_once(monkeypatch):
 ], ids=["negative sigma", "NaN sigma", "inf sigma", "NaN value", "value past -1",
         "inf value", "mixed lengths", "letter Q", "lower case", "empty string",
         "not a string", "short values", "long sigmas", "scalars", "empty",
-        "bare string", "complex value", "complex array", "complex sigma", "text value"])
+        "bare string", "a number", "None", "complex value", "complex array", "complex sigma",
+        "text value"])
 @pytest.mark.filterwarnings("error")
 def test_a_bad_correlator_table_raises_one_value_error(paulis, values, sigmas):
     with pytest.raises(ValueError) as raised:

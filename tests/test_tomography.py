@@ -404,14 +404,15 @@ def test_count_table_rebuilds_from_its_records(tmp_path, n, data):
     records = list(table)
     assert len(records) == len(table) == len(settings) * 2**n
     path = tmp_path / "counts.csv"
-
-    def reread(rows):
-        io.save_counts(path, rows)
-        return io.load_counts(path)
-
-    again = reread(records)
+    io.save_counts(path, table)
+    again = io.load_counts(path)
     assert again.settings == table.settings
     np.testing.assert_array_equal(again.counts, table.counts)
+
+    def reread(rows):
+        path.write_text("".join(f"{r.setting},{r.outcome},{r.count!r}\n" for r in rows))
+        return io.load_counts(path)
+
     shuffled = data.draw(st.permutations(records))
     mixed = reread(shuffled)
     assert mixed.settings == tuple(dict.fromkeys(r.setting for r in shuffled))
@@ -452,7 +453,9 @@ def test_count_table_rejects_malformed_records(tmp_path, records, message):
     (("XZ", "ZZ"), (2, 2), r"counts of shape .*got \['XZ', 'ZZ'\] and \(2, 2\)"),
     (("XZ", "ZZ"), (3, 4), r"got \['XZ', 'ZZ'\] and \(3, 4\)"),
     (("XZ", "ZZ"), (8,), r"got \['XZ', 'ZZ'\] and \(8,\)"),
-    ("XYZ", (3, 2), "need a sequence of settings, got the string 'XYZ'"),
+    ("XYZ", (3, 2), "need a non-string sequence of settings, got 'XYZ'"),
+    (5, (1, 2), "need a non-string sequence of settings, got 5$"),
+    ((5,), (1, 2), "bad measurement setting 5"),
 ])
 def test_count_table_checks_its_settings_and_counts(settings, shape, message):
     with pytest.raises(ValueError, match=message):
