@@ -89,8 +89,10 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.settings, str) or not isinstance(self.settings, Sequence):
-            raise ValueError(f"need a non-string sequence of settings, got {self.settings!r}")
+        if isinstance(self.settings, str):
+            raise ValueError(f"need a sequence of settings, got the string {self.settings!r}")
+        if not isinstance(self.settings, Sequence):
+            raise ValueError(f"need a sequence of settings, got {self.settings!r}")
         settings, counts = tuple(self.settings), np.array(self.counts)
         for setting in settings:
             _check_setting(setting)
