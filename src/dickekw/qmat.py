@@ -11,7 +11,6 @@ are 2-D complex arrays of shape ``(2**n, 2**n)``.
 
 from __future__ import annotations
 
-import string
 from functools import lru_cache, wraps
 from itertools import product
 
@@ -189,6 +188,15 @@ def _from_pauli_coords(coords: np.ndarray, n: int) -> np.ndarray:
     return (coords[:, None] @ _pauli_stack(n)).reshape(len(coords), 2**n, 2**n) / 2**n
 
 
+@frozen_cache
+def _kept_strings(n: int, keep: tuple) -> np.ndarray:
+    """Places in ``pauli_strings(n)`` of the strings that are I off ``keep``,
+    read along ``keep``: the coordinates of the state reduced to ``keep`` in
+    that order, so a reversed pair reads its coordinate block transposed."""
+    digits = np.indices((4,) * len(keep)).reshape(len(keep), -1)
+    return 4 ** (n - 1 - np.array(keep)) @ digits
+
+
 def pauli_expectation(rho, labels: str) -> float:
     """<P> = Re Tr[rho P] for a Pauli string."""
     rho = check_density_matrix(rho)
@@ -216,7 +224,7 @@ def partial_trace(rho, keep) -> np.ndarray:
     Parameters
     ----------
     rho : array, shape (2**n, 2**n)
-        Density matrix.
+        Density matrix (its Hermitian part is read).
     keep : sequence of int
         Qubit indices to retain; the output qubit order follows the order
         given here, so ``keep=[2, 0]`` both reduces and reorders.
@@ -232,16 +240,8 @@ def partial_trace(rho, keep) -> np.ndarray:
         raise ValueError("keep must be a nonempty set of distinct qubit indices")
     if any(q < 0 or q >= n for q in keep):
         raise ValueError(f"qubit index out of range for {n} qubits: {keep}")
-    letters = string.ascii_lowercase
-    row = list(letters[:n])
-    col = list(letters[n : 2 * n])
-    for q in range(n):
-        if q not in keep:
-            col[q] = row[q]
-    out = [row[q] for q in keep] + [col[q] for q in keep]
-    sub = "".join(row) + "".join(col) + "->" + "".join(out)
-    k = len(keep)
-    return np.einsum(sub, rho.reshape((2,) * (2 * n))).reshape(2**k, 2**k)
+    return _from_pauli_coords(_pauli_coords(rho[None])[:, _kept_strings(n, tuple(keep))],
+                              len(keep))[0]
 
 
 def entropy_bits(probs):

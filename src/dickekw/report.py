@@ -92,7 +92,7 @@ def tomography_round_trip(args) -> list[str]:
         qmat.dm(states.psi_plus()), tomography.settings_full(2), 200, args.seed + 1)
     mean, sigma = tomography.bootstrap_fidelity(
         bell_counts, states.psi_plus(), n_boot=args.bootstrap, seed=args.seed + 2)
-    return [f"  w1 at mean {args.counts} counts, {len(settings)} settings: "
+    return [f"  w1 at mean {_g(args.counts)} counts, {len(settings)} settings: "
             f"mle fidelity = {_g(qmat.fidelity_pure(w1_ket, fit.rho))} "
             f"(iterations {fit.iterations}, converged {fit.converged})",
             f"  psi-plus at mean 200 counts: bootstrap fidelity = {_g(mean)} +/- {_g(sigma)}"]
@@ -125,7 +125,7 @@ SECTIONS = (
 def report_text(args) -> str:
     """The header, then each section: a blank line, ``[title]`` and its lines."""
     lines = ["dicke resource reproduction report", "=" * 34,
-             f"parameters: seed={args.seed} mean_counts={args.counts} "
+             f"parameters: seed={args.seed} mean_counts={_g(args.counts)} "
              f"bootstrap={args.bootstrap} samples={args.samples}"]
     for title, section in SECTIONS:
         lines += ["", f"[{title}]", *section(args)]

@@ -297,6 +297,18 @@ def test_report_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_report_prints_a_given_mean_count_as_its_default(tmp_path, capsys):
+    # argparse passes the default 10000 through without type=float
+    texts = []
+    for extra in ((), ("--counts", "10000")):
+        out = tmp_path / f"report{len(texts)}.txt"
+        assert run("report", *extra, "--bootstrap", "50", "--samples", "200", "--out", str(out)) == 0
+        texts.append(re.sub(r"\(\d+\.\d{3} ms\)$", "(timed)", out.read_text(), flags=re.M))
+    assert texts[0] == texts[1]
+    assert "mean_counts=10000 " in texts[0] and "  w1 at mean 10000 counts, " in texts[0]
+    capsys.readouterr()
+
+
 def test_each_report_section_alone_gives_its_block():
     # sections share no state: run alone, last first, each returns its block
     args = cli.build_parser().parse_args(["report", "--counts", "400", "--bootstrap", "50",

@@ -1,8 +1,12 @@
 """Tests for the linear-algebra core: tensor products, partial traces,
 eigendecomposition, entropies, fidelities, and projections."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickekw import qmat, states
 
@@ -219,6 +223,40 @@ def test_pauli_coords_match_the_trace_and_invert():
             assert qmat._pauli_index(labels) == k
             assert qmat.pauli_expectation(rhos[0], labels) == coords[0, k]
         assert qmat._pauli_coords(np.zeros((0, 2**n, 2**n), complex)).shape == (0, 4**n)
+
+
+def bits_index(bits):
+    """The basis index of a tuple of bits, most significant first."""
+    return int("".join(map(str, bits)), 2)
+
+
+def index_sum_partial_trace(rho, keep):
+    """out[i, j] = sum over t of rho[(i, t), (j, t)], the kept bits i and j
+    read along ``keep`` and t over the other qubits: the loop oracle of
+    ``qmat.partial_trace``."""
+    n = qmat.num_qubits(rho)
+    order = list(keep) + [q for q in range(n) if q not in keep]
+    out = np.zeros((2 ** len(keep),) * 2, dtype=complex)
+    for i, j in product(product((0, 1), repeat=len(keep)), repeat=2):
+        for t in product((0, 1), repeat=n - len(keep)):
+            row, col = (bits_index([dict(zip(order, b + t))[q] for q in range(n)])
+                        for b in (i, j))
+            out[bits_index(i), bits_index(j)] += rho[row, col]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.integers(1, n), st.integers(0, 2**32 - 1))))
+def test_partial_trace_is_the_index_sum_in_any_keep_order(case):
+    n, order, k, seed = case
+    keep = tuple(order[:k])
+    rho = qmat.random_density_matrix(n, np.random.default_rng(seed), rank=1 + seed % 2**n)
+    assert np.abs(qmat.partial_trace(rho, keep) - index_sum_partial_trace(rho, keep)).max() <= 1e-15
+    # the reversed selection reads the coordinate block transposed, exactly
+    coords = qmat._pauli_coords(rho[None])[0]
+    block = coords[qmat._kept_strings(n, keep)].reshape((4,) * k)
+    assert np.array_equal(coords[qmat._kept_strings(n, keep[::-1])].reshape((4,) * k), block.T)
 
 
 def test_random_generators_reproducible():
