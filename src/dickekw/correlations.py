@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import astuple, dataclass, replace
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import permutations
 from math import isfinite, pi
 
 import numpy as np
@@ -61,10 +61,9 @@ def eof_from_concurrence(c: float) -> float:
 
 
 def _eof(c):
-    """``eof_from_concurrence`` of an array, each value clipped to [0, 1]: the
-    entropy of a qubit of Bloch length sqrt(1 - C^2), read as S(beta) is."""
-    with np.errstate(all="ignore"):
-        return 2 * _outcome_entropy(1.0, np.sqrt(1 - np.clip(c, 0.0, 1.0) ** 2))[2]
+    """``eof_from_concurrence`` of an array, each value clipped to [0, 1]."""
+    x = (1 + np.sqrt(1 - np.clip(c, 0.0, 1.0) ** 2)) / 2
+    return qmat.entropy_bits(np.stack([x, 1 - x]))
 
 
 def entanglement_of_formation(rho) -> float:
@@ -197,12 +196,13 @@ def _newton_step(terms, radius):
     return step, np.minimum(length, radius), pred
 
 
-def _min_measured_entropy(coords):
+def _min_measured_entropy(rhos):
     """S(beta), min over measurements n on alpha of the entropy left on beta,
-    and the minimizing n, for the Pauli coordinates (B, 4, 4) of trusted
-    states (see ``_newton_terms``): one product of the coordinates with the
-    outcome columns sweeps the grid, and ``_polish`` polishes each state's
-    best cell (ties toward smaller theta, then smaller phi)."""
+    and the minimizing n, for a trusted (B, 4, 4) stack of states: one product
+    of the stack's Pauli coordinates with the outcome columns sweeps the grid,
+    and ``_polish`` polishes each state's best cell (ties toward smaller
+    theta, then smaller phi)."""
+    coords = qmat._pauli_coords(rhos).reshape(-1, 4, 4)
     with np.errstate(all="ignore"):
         s_beta = 2 * _outcome_entropy(1.0, np.sqrt((coords[:, 0, 1:] ** 2).sum(-1)))[2]
         start = np.argmin(_measured_entropy(coords, _SWEEP_COLUMNS), axis=1)
@@ -286,8 +286,8 @@ def classical_correlations(rho, measured: int = 0):
         raise ValueError("classical correlations are defined for two qubits")
     if measured not in (0, 1):
         raise ValueError("measured qubit must be 0 or 1")
-    coords = qmat._pauli_coords(rho[None])[:, qmat._kept_strings(2, (measured, 1 - measured))]
-    s_beta, cond, n = _min_measured_entropy(coords.reshape(1, 4, 4))
+    rho = qmat.partial_trace(rho, [measured, 1 - measured])
+    s_beta, cond, n = _min_measured_entropy(rho[None])
     theta, phi = _direction_of(n)
     return float(s_beta[0] - cond[0]), (float(theta[0]), float(phi[0]))
 
@@ -370,29 +370,23 @@ def _three_qubit(rho):
     return rho
 
 
-_PAIRS = list(combinations(range(3), 2))  # the unordered pairs of three qubits
-
-
 def _kw_reports(rhos, assignments):
     """The reports of every split of every state of a trusted (B, 8, 8) stack,
-    one list per state, from one array pass: each state's Pauli coordinates
-    give its reduced pairs as ``qmat.partial_trace`` does, every split's
-    (alpha, beta) for one J search that reads the pair's matrix as
-    ``classical_correlations`` does (so the two agree bit for bit), and the
-    three unordered pairs for one concurrence."""
+    one list per state, from one array pass: one ``qmat._reduce`` to every
+    split's (alpha, beta) and every (beta, gamma) in ascending order (each
+    entry a sum of the same two terms, so a pair and its reverse read alike),
+    one J search of the former and one concurrence of the latter."""
     splits = [parse_assignment(x) if isinstance(x, str) else tuple(x)
               for x in assignments]
     for split in splits:
         if sorted(split) != [0, 1, 2]:
             raise ValueError(f"assignment {split} must cover qubits 0, 1, 2")
-    keeps = [split[:2] for split in splits] + _PAIRS
-    coords = qmat._pauli_coords(rhos)[:, [qmat._kept_strings(3, keep) for keep in keeps]]
-    pairs = qmat._from_pauli_coords(coords.reshape(-1, 16), 2).reshape(coords.shape[:2] + (4, 4))
-    s, h, n = _min_measured_entropy(
-        qmat._pauli_coords(pairs[:, :len(splits)].reshape(-1, 4, 4)).reshape(-1, 4, 4))
+    shared = sorted({tuple(sorted(split[1:])) for split in splits})
+    pairs = qmat._reduce(rhos, tuple(split[:2] for split in splits) + tuple(shared))
+    s, h, n = _min_measured_entropy(pairs[:, :len(splits)].reshape(-1, 4, 4))
     theta, phi = _direction_of(n)
     e = _eof(_concurrence(pairs[:, len(splits):]))
-    e = e[:, [_PAIRS.index(tuple(sorted(split[1:]))) for split in splits]].ravel()
+    e = e[:, [shared.index(tuple(sorted(split[1:]))) for split in splits]].ravel()
     j = s - h
     columns = (v.reshape(len(rhos), len(splits)).tolist()
                for v in (s, j, e, s - j - e, theta, phi))

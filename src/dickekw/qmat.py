@@ -188,15 +188,6 @@ def _from_pauli_coords(coords: np.ndarray, n: int) -> np.ndarray:
     return (coords[:, None] @ _pauli_stack(n)).reshape(len(coords), 2**n, 2**n) / 2**n
 
 
-@frozen_cache
-def _kept_strings(n: int, keep: tuple) -> np.ndarray:
-    """Places in ``pauli_strings(n)`` of the strings that are I off ``keep``,
-    read along ``keep``: the coordinates of the state reduced to ``keep`` in
-    that order, so a reversed pair reads its coordinate block transposed."""
-    digits = np.indices((4,) * len(keep)).reshape(len(keep), -1)
-    return 4 ** (n - 1 - np.array(keep)) @ digits
-
-
 def pauli_expectation(rho, labels: str) -> float:
     """<P> = Re Tr[rho P] for a Pauli string."""
     rho = check_density_matrix(rho)
@@ -224,7 +215,7 @@ def partial_trace(rho, keep) -> np.ndarray:
     Parameters
     ----------
     rho : array, shape (2**n, 2**n)
-        Density matrix (its Hermitian part is read).
+        Density matrix.
     keep : sequence of int
         Qubit indices to retain; the output qubit order follows the order
         given here, so ``keep=[2, 0]`` both reduces and reorders.
@@ -240,8 +231,24 @@ def partial_trace(rho, keep) -> np.ndarray:
         raise ValueError("keep must be a nonempty set of distinct qubit indices")
     if any(q < 0 or q >= n for q in keep):
         raise ValueError(f"qubit index out of range for {n} qubits: {keep}")
-    return _from_pauli_coords(_pauli_coords(rho[None])[:, _kept_strings(n, tuple(keep))],
-                              len(keep))[0]
+    return _reduce(rho, (tuple(keep),))[0]
+
+
+@frozen_cache
+def _kept_index(n: int, keeps: tuple) -> np.ndarray:
+    """(K, 2**k, 2**(n - k)) basis indices: [j, i, t] is the index at which the
+    qubits keeps[j] read i in that order and the other qubits read t."""
+    qubits = np.arange(2**n).reshape((2,) * n)
+    return np.stack([qubits.transpose([*keep, *(q for q in range(n) if q not in keep)])
+                     .reshape(2 ** len(keep), -1) for keep in keeps])
+
+
+def _reduce(rhos, keeps):
+    """``partial_trace`` of a trusted (..., 2**n, 2**n) stack to each of K
+    keeps of one length k, (..., K, 2**k, 2**k): each entry the sum over t of
+    the entries whose rows and columns read t on the traced qubits."""
+    index = _kept_index(num_qubits(rhos.shape[-1]), keeps)
+    return rhos[..., index[:, :, None], index[:, None]].sum(-1)
 
 
 def entropy_bits(probs):

@@ -183,62 +183,59 @@ def test_classical_correlations_nelder_mead_panel():
 
 # (S, J, E, KW, theta_opt, phi_opt) of kw_all_permutations from the best
 # cell of the 16 x 16 sweep, polished by trust-region Newton steps on the
-# sphere, with each split's pair read off the state's Pauli coordinates as
-# qmat.partial_trace reads them, E from singular values and the Bloch-length
-# entropy, and the direction reported with theta <= pi/4 (re-recorded when
-# the pairs became coordinate selections: S, J, E and KW moved by at most
-# 7.8e-16, theta by at most 5.0e-15 and phi by at most 9.1e-15, apart from
-# the noisy state's): the projected noisy_dicke(0.765), whose six splits
-# agree (its minimum is the circle theta = pi/4, so phi is free: the polish
-# ends within 3e-11 of phi = pi/4, where it ended near 5 pi/4 before; the
-# two label one equatorial measurement, n and -n), then
+# sphere (re-recorded when the two far starts went: J and KW moved by at most
+# 6.7e-16, the angles by at most 1.2e-7, S and E not at all), with the Pauli
+# coordinates of qmat._pauli_coords, E from singular values and the direction
+# reported with theta <= pi/4: the projected noisy_dicke(0.765), whose six
+# splits agree (its minimum is the circle theta = pi/4, so phi is free: the
+# polish ends within 3e-11 of phi = 5 pi/4), then
 # random three-qubit states of rank 1, 2 and 8 (generator seed 20261018,
 # drawn in that order)
-NOISY_SPLIT = (0.9525723357984601, 0.20182474310372678, 0.10886971542924187,
-               0.6418778772654915, 0.7853981618699435, 0.785398163375975)
+NOISY_SPLIT = (0.9525723357984601, 0.20182474310372667, 0.1088697154292412,
+               0.6418778772654923, 0.7853981618699385, 3.9269908169642234)
 J_KERNEL_PIN = {
     "noisy": (NOISY_SPLIT,) * 6,
     1: (
-        (0.6673952495309629, 0.20451369751131931, 0.46288155201964365,
-         -1.1102230246251565e-16, 0.4968373771328927, 0.2556242559835571),
-        (0.6651243487125021, 0.20224279669285838, 0.46288155201964365,
-         1.1102230246251565e-16, 0.49683737713289217, 0.2556242559835564),
-        (0.48764337284737935, 0.24088965545001656, 0.24675371739736224,
-         5.551115123125783e-16, 0.2933674635971176, 1.930482192250368),
-        (0.6651243487125021, 0.418370631315139, 0.24675371739736224,
-         8.881784197001252e-16, 0.2933674635971151, 1.9304821922503597),
-        (0.48764337284737935, 0.23763278456973197, 0.25001058827764727,
-         1.1102230246251565e-16, 0.7337180100875265, 0.01767504533780723),
-        (0.6673952495309629, 0.4173846612533153, 0.25001058827764727,
-         2.7755575615628914e-16, 0.7337180100875276, 0.01767504533780723),
+        (0.6673952495309629, 0.20451369751131931, 0.462881552019643,
+         5.551115123125783e-16, 0.4968373771328926, 0.2556242559835564),
+        (0.665124348712502, 0.20224279669285827, 0.462881552019643,
+         7.771561172376096e-16, 0.49683737713289394, 0.2556242559835544),
+        (0.48764337284737946, 0.24088965545001614, 0.24675371739736254,
+         7.771561172376096e-16, 0.29336746359711563, 1.930482192250359),
+        (0.665124348712502, 0.41837063131513874, 0.24675371739736254,
+         7.494005416219807e-16, 0.29336746359711563, 1.930482192250362),
+        (0.48764337284737946, 0.23763278456973186, 0.2500105882776468,
+         8.326672684688674e-16, 0.733718010087526, 0.017675045337806977),
+        (0.667395249530963, 0.4173846612533155, 0.2500105882776468,
+         6.661338147750939e-16, 0.7337180100875297, 0.01767504533780805),
     ),
     2: (
-        (0.89214393198861, 0.2460553994383562, 0.0,
-         0.6460885325502538, 0.17343850582299616, 2.1225388762829898),
+        (0.89214393198861, 0.24605539943835586, 0.0,
+         0.6460885325502541, 0.17343850582299633, 2.1225388762829893),
         (0.7684377455418974, 0.3728312994080129, 0.0,
          0.39560644613388446, 0.5779285454862185, 4.606176730718818),
-        (0.9808775613397407, 0.24865940561096977, 0.2819660255063193,
-         0.45025213022245164, 0.36875694121607433, 5.343446053058578),
-        (0.7684377455418974, 0.08794449190978759, 0.2819660255063193,
-         0.3985272281257905, 0.5328966845420153, 3.22292916979611),
-        (0.9808775613397407, 0.33572951884915314, 0.04569330923730498,
-         0.5994547332532826, 0.20071009846355778, 4.797015840835398),
-        (0.89214393198861, 0.09159420787388561, 0.04569330923730498,
-         0.7548564148774194, 0.5234327746965545, 3.847398899826391),
+        (0.9808775613397407, 0.24865940561096989, 0.28196602550631944,
+         0.45025213022245136, 0.3687569412160743, 5.343446053058578),
+        (0.7684377455418974, 0.08794449190978759, 0.28196602550631944,
+         0.39852722812579033, 0.5328966845420154, 3.2229291697961098),
+        (0.9808775613397407, 0.33572951884915336, 0.04569330923730498,
+         0.5994547332532824, 0.20071009846355778, 4.797015840835399),
+        (0.89214393198861, 0.0915942078738855, 0.04569330923730498,
+         0.7548564148774195, 0.5234327746965545, 3.8473988998263913),
     ),
     8: (
         (0.9842270687924105, 0.12525816048473992, 0.0,
          0.8589689083076706, 0.3320585229817816, 2.4627212498736526),
         (0.9929618152234547, 0.055297633444623795, 0.0,
          0.9376641817788309, 0.5819923976396468, 1.6056353062014488),
-        (0.9978165919527129, 0.12507651786791252, 0.0,
-         0.8727400740848004, 0.7521432064869917, 1.0016741165340703),
+        (0.9978165919527129, 0.12507651786791263, 0.0,
+         0.8727400740848003, 0.7521432064869917, 1.0016741165340703),
         (0.9929618152234547, 0.09527060933510878, 0.0,
-         0.8976912058883459, 0.651628535412942, 6.040495029895729),
-        (0.9978165919527129, 0.05512982742876282, 0.0,
-         0.9426867645239501, 0.7534683001996443, 2.4616476586630136),
-        (0.9842270687924105, 0.09558205753047033, 0.0,
-         0.8886450112619402, 0.5500679498191045, 5.946048911394878),
+         0.8976912058883459, 0.6516285354129421, 6.040495029895729),
+        (0.9978165919527129, 0.05512982742876271, 0.0,
+         0.9426867645239502, 0.7534683001996444, 2.461647658663013),
+        (0.9842270687924104, 0.09558205753047022, 0.0,
+         0.8886450112619402, 0.5500679498191046, 5.946048911394878),
     ),
 }
 
@@ -320,13 +317,9 @@ def j_kernel_rows(rho):
 def test_j_kernel_is_bit_stable():
     for key, rho in j_kernel_states():
         assert j_kernel_rows(rho) == list(J_KERNEL_PIN[key]), key
-    # measuring b reads the pair's coordinate block transposed, which rounds
-    # apart from the coordinates of the reversed pair's own matrix: J by
-    # 2.2e-16 and theta by 5.3e-15 from NOISY_SPLIT, and phi lands on 5 pi/4,
-    # the other label of the same equatorial measurement
     pair = qmat.partial_trace(projected_noisy_dicke(), [0, 1])
     j, (theta, phi) = corr.classical_correlations(pair, measured=1)
-    assert (j, theta, phi) == (0.20182474310372656, 0.7853981618699382, 3.9269908169444596)
+    assert (j, theta, phi) == NOISY_SPLIT[1:2] + NOISY_SPLIT[4:]
 
 
 def test_a_direction_and_its_reverse_read_alike():
@@ -416,18 +409,13 @@ def test_the_64_grid_angles_are_minima_of_the_outcome_kets():
             assert np.abs(f[::2] - f[1::2]).max() / (2 * h) <= 1e-9, (key, alpha, beta)
 
 
-def pair_coords(pairs):
-    """The Pauli coordinates (M, 4, 4) of two-qubit states, the J search's input."""
-    return qmat._pauli_coords(np.stack(pairs)).reshape(-1, 4, 4)
-
-
 def test_j_search_reaches_the_minimum_of_a_dense_sweep():
     rng = np.random.default_rng(20261019)
     pairs = [qmat.random_density_matrix(2, rng, rank=1 + i % 4) for i in range(40)]
     for _, rho in j_kernel_states():
         pairs += [qmat.partial_trace(rho, [alpha, beta])
                   for alpha, beta, _ in itertools.permutations(range(3))]
-    _, cond, _ = corr._min_measured_entropy(pair_coords(pairs))
+    _, cond, _ = corr._min_measured_entropy(np.stack(pairs))
     for k, (rho, h) in enumerate(zip(pairs, cond)):
         assert h <= dense_min_conditional_entropy(rho) + 1e-12, k
 
@@ -453,9 +441,9 @@ def test_one_start_reaches_the_best_of_every_sweep_start():
         w = rng.uniform()
         kets = [qmat.dm(qmat.random_state_vector(2, rng)) for _ in range(2)]
         pairs.append(w * kets[0] + (1 - w) * kets[1])
-    coords = pair_coords(pairs)
-    _, cond, _ = corr._min_measured_entropy(coords)
+    _, cond, _ = corr._min_measured_entropy(np.stack(pairs))
     grid_n = corr._SWEEP_N
+    coords = qmat._pauli_coords(np.stack(pairs)).reshape(-1, 4, 4)
     with np.errstate(all="ignore"):
         f, _ = corr._polish(np.repeat(coords, len(grid_n), axis=0),
                             np.tile(grid_n, (len(pairs), 1)))
@@ -564,7 +552,7 @@ def cusp_pairs(count, rng):
 
 
 def test_j_search_reaches_the_cusp_minimum():
-    _, cond, _ = corr._min_measured_entropy(pair_coords(cusp_pairs(300, np.random.default_rng(7))))
+    _, cond, _ = corr._min_measured_entropy(np.stack(cusp_pairs(300, np.random.default_rng(7))))
     assert cond.max() <= 1e-11
 
 
@@ -605,8 +593,8 @@ seeds = st.integers(0, 2**32 - 1)
 
 def pair_concurrence_and_eof(rho):
     """The former per-pair concurrence (one eigh, then one svd of
-    Psi^T (Y x Y) Psi) and entanglement of formation through
-    ``qmat.entropy_bits``, kept as the oracle of the batched ones."""
+    Psi^T (Y x Y) Psi) and entanglement of formation, kept as the oracle of
+    the batched ones."""
     w, v = np.linalg.eigh(rho)
     psi = v * np.sqrt(np.maximum(w, 0.0))
     lam = np.linalg.svd(psi.T @ qmat.tensor(qmat.Y, qmat.Y) @ psi, compute_uv=False)
@@ -615,38 +603,6 @@ def pair_concurrence_and_eof(rho):
     clipped = min(c, 1.0)
     x = (1 + np.sqrt(1 - clipped * clipped)) / 2
     return c, qmat.entropy_bits([x, 1 - x])
-
-
-def eof_by_entropy_bits(c):
-    """The former E: h(x) through ``qmat.entropy_bits``, x = (1 + sqrt(1 - C^2)) / 2."""
-    x = (1 + np.sqrt(1 - np.clip(c, 0.0, 1.0) ** 2)) / 2
-    return qmat.entropy_bits(np.stack([x, 1 - x]))
-
-
-# how far E from the outcome kernel, 2 * _outcome_entropy(1, sqrt(1 - C^2)),
-# may read from the entropy_bits route: rounding (1 - x against (1 - r) / 2,
-# 2.1e-15 at most on 200,000 values) where lambda- = (1 - r) / 2 >= 1e-12,
-# and below that the -lambda- log2 lambda- that entropy_bits drops, at most
-# 1e-12 log2 1e12 = 3.99e-11 (measured 3.986e-11 at C = 2e-6)
-E_ROUTE_TOL = -qmat.EIG_ZERO * np.log2(qmat.EIG_ZERO) + 16 * np.finfo(float).eps
-
-
-def test_eof_from_the_outcome_kernel_matches_the_entropy_route():
-    edges = np.array([0.0, 1.0, 1e-7, 2e-6])
-    e = corr._eof(edges)
-    assert (e[:2] == [0.0, 1.0]).all()
-    old = eof_by_entropy_bits(edges)
-    assert abs(e[3] - old[3]) <= 16 * np.finfo(float).eps  # lambda- = 1.00003e-12
-    # lambda- = 2.5e-15: the kernel keeps its share, entropy_bits drops it
-    assert e[2] - old[2] == pytest.approx(-2.5e-15 * np.log2(2.5e-15), rel=1e-2, abs=0)
-    rng = np.random.default_rng(20261024)
-    c = np.concatenate([rng.uniform(0, 1, 5000), 10 ** rng.uniform(-9, 0, 5000)])
-    e, old = corr._eof(c), eof_by_entropy_bits(c)
-    lam = (1 - np.sqrt(1 - c * c)) / 2
-    above = lam >= qmat.EIG_ZERO
-    assert np.abs(e - old)[above].max() <= 16 * np.finfo(float).eps
-    assert np.abs(e - old).max() <= E_ROUTE_TOL
-    assert [corr.eof_from_concurrence(x) for x in c[:50]] == e[:50].tolist()
 
 
 BELL_KETS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
@@ -663,8 +619,7 @@ BELL_KETS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
 @example(8814)
 def test_batched_concurrence_matches_the_per_pair_oracle(seed):
     # LAPACK still runs per matrix, so each pair of the stack comes out bit
-    # for bit as it does alone, in either qubit order; E differs from the
-    # oracle's entropy_bits route by E_ROUTE_TOL at most
+    # for bit as it does alone, in either qubit order
     rng = np.random.default_rng(seed)
     pairs = [qmat.random_density_matrix(2, rng, rank=rank) for rank in (1, 2, 3, 4)]
     pairs += [qmat.dm(ket) for ket in BELL_KETS]
@@ -675,9 +630,9 @@ def test_batched_concurrence_matches_the_per_pair_oracle(seed):
     c = corr._concurrence(stack)
     e = corr._eof(c)
     for k, rho in enumerate(pairs):
-        oracle_c, oracle_e = pair_concurrence_and_eof(rho)
-        assert c[k] == oracle_c and abs(e[k] - oracle_e) <= E_ROUTE_TOL, k
-        assert (corr.concurrence(rho), corr.entanglement_of_formation(rho)) == (c[k], e[k]), k
+        oracle = pair_concurrence_and_eof(rho)
+        assert (c[k], e[k]) == oracle, k
+        assert (corr.concurrence(rho), corr.entanglement_of_formation(rho)) == oracle, k
 
 
 def random_two_qubit(seed):
@@ -912,13 +867,10 @@ CLOSED_FORM_GAPS = {
 
 
 def test_closed_forms_hold_only_at_the_pure_point():
-    # at p = c = 1/3 the (b, c) pair has a double zero eigenvalue that the
-    # Pauli-coordinate reduction leaves at 2.8e-17, and the concurrence moves
-    # by its square root: E and KW read 7.6e-9 off the closed forms
     pure = corr.kw_exact(model_matrix(1 / 3, 1 / 3), "b|a,c")
     forms = corr.kw_symmetric(corr.SymmetricModel(1 / 3, 1 / 3))
-    for key, tol in (("S", 1e-12), ("J", 1e-12), ("E", 1e-8), ("KW", 1e-8)):
-        assert getattr(forms, key) == pytest.approx(getattr(pure, key), abs=tol), key
+    for key in ("S", "J", "E", "KW"):
+        assert getattr(forms, key) == pytest.approx(getattr(pure, key), abs=1e-12), key
     for (p, c), gaps in CLOSED_FORM_GAPS.items():
         exact = corr.kw_exact(model_matrix(p, c), "b|a,c")
         forms = corr.kw_symmetric(corr.SymmetricModel(p, c))

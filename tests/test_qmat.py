@@ -251,12 +251,17 @@ def index_sum_partial_trace(rho, keep):
 def test_partial_trace_is_the_index_sum_in_any_keep_order(case):
     n, order, k, seed = case
     keep = tuple(order[:k])
-    rho = qmat.random_density_matrix(n, np.random.default_rng(seed), rank=1 + seed % 2**n)
-    assert np.abs(qmat.partial_trace(rho, keep) - index_sum_partial_trace(rho, keep)).max() <= 1e-15
-    # the reversed selection reads the coordinate block transposed, exactly
-    coords = qmat._pauli_coords(rho[None])[0]
-    block = coords[qmat._kept_strings(n, keep)].reshape((4,) * k)
-    assert np.array_equal(coords[qmat._kept_strings(n, keep[::-1])].reshape((4,) * k), block.T)
+    rng = np.random.default_rng(seed)
+    rho = qmat.random_density_matrix(n, rng, rank=1 + seed % 2**n)
+    # any operator reduces alike, Hermitian or not
+    op = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    for matrix in (rho, op):
+        gap = qmat.partial_trace(matrix, keep) - index_sum_partial_trace(matrix, keep)
+        assert np.abs(gap).max() <= 1e-15 * np.abs(matrix).sum()
+    # the reversed reduction has the Pauli coordinates transposed
+    block, reverse = (qmat._pauli_coords(qmat.partial_trace(rho, kept)[None]).reshape((4,) * k)
+                      for kept in (keep, keep[::-1]))
+    assert np.abs(reverse - block.T).max() <= 1e-15
 
 
 def test_random_generators_reproducible():
