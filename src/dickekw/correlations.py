@@ -61,9 +61,11 @@ def eof_from_concurrence(c: float) -> float:
 
 
 def _eof(c):
-    """``eof_from_concurrence`` of an array, each value clipped to [0, 1]."""
-    x = (1 + np.sqrt(1 - np.clip(c, 0.0, 1.0) ** 2)) / 2
-    return qmat.entropy_bits(np.stack([x, 1 - x]))
+    """``eof_from_concurrence`` of an array, each value clipped to [0, 1]: the
+    binary entropy h((1 + r) / 2), r = sqrt(1 - c^2), as the two shares of
+    ``_outcome_entropy`` of the J search."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2 * _outcome_entropy(1.0, np.sqrt(1 - np.clip(c, 0.0, 1.0) ** 2))[2]
 
 
 def entanglement_of_formation(rho) -> float:
@@ -89,20 +91,22 @@ _MAX_STEPS = 50
 
 
 def _direction_grid():
-    """Bloch vectors n (K, 3), theta-major, and (4, 2K) outcome columns (1, n)
-    then (1, -n) of the theta <= pi/4 rows of the sweep; as n and -n are the
-    same measurement, the other rows add nothing."""
+    """Bloch vectors n (K, 3), theta-major, of the theta <= pi/4 rows of the
+    sweep (as n and -n are the same measurement, the other rows add nothing),
+    and (4, 2K + 2) outcome columns (1, n) then (1, -n) of those n and of
+    n = 0: measuring nothing, whose two shares sum to S(beta)."""
     thetas = np.linspace(0.0, pi / 2, _GRID)[: (_GRID + 1) // 2]
     phis = np.linspace(0.0, 2 * pi, _GRID, endpoint=False)
     tt, pp = (m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij"))
     n = np.stack([np.sin(2 * tt) * np.cos(pp), np.sin(2 * tt) * np.sin(pp),
                   np.cos(2 * tt)], axis=-1)
-    return n, np.vstack([np.ones(2 * len(n)), np.concatenate([n, -n]).T])
+    both = np.vstack([n, np.zeros(3)])
+    return n, np.vstack([np.ones(2 * len(both)), np.concatenate([both, -both]).T])
 
 
 _SWEEP_N, _SWEEP_COLUMNS = _direction_grid()
 _YY = np.kron(PAULI["Y"], PAULI["Y"])
-_EYE3, _EZ, _DIAG = np.eye(3), np.array([0.0, 0.0, 1.0]), [1, 2, 3]
+_EYE3, _EZ = np.eye(3), np.array([0.0, 0.0, 1.0])
 _CURVE = 1 / (8 * np.log(2))  # the second derivatives' factor, in bits
 
 
@@ -126,8 +130,8 @@ def _measured_entropy(coords, columns):
     ``columns`` (4, 2K) is the outcome's (alpha, beta).  Call under errstate."""
     ab = coords.swapaxes(1, 2) @ columns
     beta = ab[:, 1:]
-    f = _outcome_entropy(ab[:, 0], np.sqrt((beta * beta).sum(1)))[2]
-    return f.reshape(len(f), 2, columns.shape[1] // 2).sum(1)
+    f = _outcome_entropy(ab[:, 0], np.sqrt(np.add.reduce(beta * beta, 1)))[2]
+    return np.add.reduce(f.reshape(len(f), 2, columns.shape[1] // 2), 1)
 
 
 def _newton_terms(coords, n):
@@ -157,22 +161,24 @@ def _newton_terms(coords, n):
     np.add(coords[:, 0], x[:, 0], out=ab[:, 0])
     np.subtract(coords[:, 0], x[:, 0], out=ab[:, 1])
     beta = ab[..., 1:]
-    r = np.sqrt((beta * beta).sum(-1))
+    r = np.sqrt(np.add.reduce(beta * beta, -1))
     lam, log, f = _outcome_entropy(ab[..., 0], r)
-    f_a, f_r = (2 * log[0] - log[1] - log[2]) / 4, (log[2] - log[1]) / 4
     unit = beta / r[..., None]
-    grad_ab = np.concatenate([f_a[..., None], f_r[..., None] * unit], axis=-1)
+    grad_ab = np.empty((m, 2, 4))
+    grad_ab[..., 0] = (2 * log[0] - log[1] - log[2]) / 4
+    f_r = (log[2] - log[1]) / 4
+    np.multiply(f_r[..., None], unit, out=grad_ab[..., 1:])
     grad = (x @ (grad_ab[:, 0] - grad_ab[:, 1])[..., None])[..., 0]
     inv = _CURVE / lam
     f_r_by_r = f_r / r
     hess_ab = np.empty((m, 4, 4))
-    hess_ab[:, 0, 0] = (4 * inv[0] - inv[1] - inv[2]).sum(1)
+    hess_ab[:, 0, 0] = np.add.reduce(4 * inv[0] - inv[1] - inv[2], 1)
     hess_ab[:, 0, 1:] = hess_ab[:, 1:, 0] = ((inv[2] - inv[1])[:, None] @ unit)[:, 0]
     hess_ab[:, 1:, 1:] = unit.swapaxes(1, 2) @ (-(inv[1] + inv[2] + f_r_by_r)[..., None] * unit)
-    hess_ab[:, _DIAG, _DIAG] += f_r_by_r.sum(1)[:, None]
+    hess_ab.reshape(m, 16)[:, 5::5] += np.add.reduce(f_r_by_r, 1)[:, None]  # beta-beta diagonal
     tangent = x[:, 1:]
     terms = np.empty((m, 7))
-    terms[:, 0] = f.sum(1)
+    terms[:, 0] = np.add.reduce(f, 1)
     terms[:, 1:3] = grad[:, 1:]
     terms[:, 3:] = (tangent @ hess_ab @ tangent.swapaxes(1, 2)).reshape(m, 4)
     terms[:, 3::3] -= grad[:, :1]
@@ -192,21 +198,20 @@ def _newton_step(terms, radius):
     step /= ((shifted - gap) * (shifted + gap))[:, None]
     length = np.hypot(step[:, 0], step[:, 1])
     step *= np.minimum(1.0, radius / length)[:, None]
-    pred = -(step * (grad + (hess @ step[..., None])[..., 0] / 2)).sum(1)
+    pred = -np.add.reduce(step * (grad + (hess @ step[..., None])[..., 0] / 2), 1)
     return step, np.minimum(length, radius), pred
 
 
 def _min_measured_entropy(rhos):
     """S(beta), min over measurements n on alpha of the entropy left on beta,
     and the minimizing n, for a trusted (B, 4, 4) stack of states: one product
-    of the stack's Pauli coordinates with the outcome columns sweeps the grid,
-    and ``_polish`` polishes each state's best cell (ties toward smaller
-    theta, then smaller phi)."""
+    of the stack's Pauli coordinates with the outcome columns sweeps the grid
+    and gives S(beta) as its last column, and ``_polish`` polishes each
+    state's best cell (ties toward smaller theta, then smaller phi)."""
     coords = qmat._pauli_coords(rhos).reshape(-1, 4, 4)
     with np.errstate(all="ignore"):
-        s_beta = 2 * _outcome_entropy(1.0, np.sqrt((coords[:, 0, 1:] ** 2).sum(-1)))[2]
-        start = np.argmin(_measured_entropy(coords, _SWEEP_COLUMNS), axis=1)
-        return (s_beta, *_polish(coords, _SWEEP_N[start]))
+        f = _measured_entropy(coords, _SWEEP_COLUMNS)
+        return (f[:, -1], *_polish(coords, _SWEEP_N[np.argmin(f[:, :-1], axis=1)]))
 
 
 def _polish(coords, n):
@@ -231,7 +236,7 @@ def _polish(coords, n):
         if not len(live):
             break
         cand = basis[:, 0] + (step[:, None] @ basis[:, 1:])[:, 0]
-        cand /= np.sqrt((cand * cand).sum(-1, keepdims=True))
+        cand /= np.sqrt(np.add.reduce(cand * cand, -1, keepdims=True))
         terms_c, basis_c = _newton_terms(coords, cand)
         up = terms_c[:, 0] <= terms[:, 0]
         if up.all():
@@ -245,6 +250,11 @@ def _polish(coords, n):
         step, length, pred = _newton_step(terms, radius)
         keep = (moved >= _ANGLE_TOL) & np.isfinite(step).all(-1) & (pred > _F_TOL)
     return f, n
+
+
+def _is_index(q) -> bool:
+    """Whether q is a qubit index: an int or numpy integer, not a bool."""
+    return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
 
 
 def _direction_of(n):
@@ -284,7 +294,7 @@ def classical_correlations(rho, measured: int = 0):
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("classical correlations are defined for two qubits")
-    if measured not in (0, 1):
+    if not (_is_index(measured) and measured in (0, 1)):
         raise ValueError("measured qubit must be 0 or 1")
     rho = qmat.partial_trace(rho, [measured, 1 - measured])
     s_beta, cond, n = _min_measured_entropy(rho[None])
@@ -360,7 +370,7 @@ def kw_exact_many(rhos, assignment=(0, 1, 2)) -> list[KWReport]:
 def kw_all_permutations(rho):
     """Exact reports for all six (alpha, beta, gamma) splits plus the mean KW."""
     reports = _kw_reports(_three_qubit(rho)[None], permutations(range(3)))[0]
-    return reports, float(np.mean([r.KW for r in reports]))
+    return reports, sum(r.KW for r in reports) / len(reports)
 
 
 def _three_qubit(rho):
@@ -370,17 +380,26 @@ def _three_qubit(rho):
     return rho
 
 
+def _split(assignment):
+    """(alpha, beta, gamma) of an assignment string or a sequence of the qubit
+    indices 0, 1, 2 in some order, as ints."""
+    try:
+        split = parse_assignment(assignment) if isinstance(assignment, str) else tuple(assignment)
+    except TypeError:  # not iterable
+        split = ()
+    if not (all(map(_is_index, split)) and sorted(split) == [0, 1, 2]):
+        raise ValueError(f"assignment {assignment!r} must name qubits 0, 1, 2 once each, "
+                         f"as in b|a,c or (0, 1, 2)")
+    return tuple(map(int, split))
+
+
 def _kw_reports(rhos, assignments):
     """The reports of every split of every state of a trusted (B, 8, 8) stack,
     one list per state, from one array pass: one ``qmat._reduce`` to every
     split's (alpha, beta) and every (beta, gamma) in ascending order (each
     entry a sum of the same two terms, so a pair and its reverse read alike),
     one J search of the former and one concurrence of the latter."""
-    splits = [parse_assignment(x) if isinstance(x, str) else tuple(x)
-              for x in assignments]
-    for split in splits:
-        if sorted(split) != [0, 1, 2]:
-            raise ValueError(f"assignment {split} must cover qubits 0, 1, 2")
+    splits = list(map(_split, assignments))
     shared = sorted({tuple(sorted(split[1:])) for split in splits})
     pairs = qmat._reduce(rhos, tuple(split[:2] for split in splits) + tuple(shared))
     s, h, n = _min_measured_entropy(pairs[:, :len(splits)].reshape(-1, 4, 4))

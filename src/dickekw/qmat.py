@@ -28,7 +28,7 @@ QUBIT_NAMES = "abcd"
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
-# eigenvalues and probabilities below EIG_ZERO count as zero (in entropies
+# eigenvalues and probabilities below EIG_ZERO count as zero (in entropy_bits
 # and projections); an eigenvalue more negative than EIG_FLOOR signals an
 # invalid state
 EIG_ZERO = 1e-12
@@ -248,7 +248,7 @@ def _reduce(rhos, keeps):
     keeps of one length k, (..., K, 2**k, 2**k): each entry the sum over t of
     the entries whose rows and columns read t on the traced qubits."""
     index = _kept_index(num_qubits(rhos.shape[-1]), keeps)
-    return rhos[..., index[:, :, None], index[:, None]].sum(-1)
+    return np.add.reduce(rhos[..., index[:, :, None], index[:, None]], -1)
 
 
 def entropy_bits(probs):

@@ -151,6 +151,30 @@ def test_kw_exact_accepts_tuple_assignment():
     r2 = corr.kw_exact(w1_dm(), "b|a,c")
     assert r1.KW == pytest.approx(r2.KW, abs=1e-12)
     assert r1.assignment == r2.assignment == "b|a,c"
+    numpy_indices = corr.kw_exact(w1_dm(), (np.int64(1), np.int64(0), np.int64(2)))
+    assert numpy_indices == corr.kw_exact(w1_dm(), "a|b,c")
+    assert corr.kw_exact(w1_dm(), np.array([0, 1, 2])) == r1
+
+
+@pytest.mark.parametrize("assignment", [
+    (0, 1, 2.0), (0, 2, True), 5, np.float64(1.0), (0, 1), (0, 1, 3), "a|b,d",
+    np.array([[0, 1, 2]]), ("a", "b", "c")])
+def test_kw_exact_names_an_assignment_that_is_not_three_qubit_indices(assignment):
+    # a float or bool equal to an index, or an int, used to pass the check and
+    # fail deep inside with a Python or numpy message
+    with pytest.raises(ValueError, match="^assignment .* must name qubits 0, 1, 2 once each"):
+        corr.kw_exact(w1_dm(), assignment)
+    with pytest.raises(ValueError, match="^assignment "):
+        corr.kw_exact_many([w1_dm()], assignment)
+
+
+@pytest.mark.parametrize("measured", [True, False, 1.0, 0.0, 2, -1, "0"])
+def test_classical_correlations_needs_an_integer_measured_qubit(measured):
+    pair = qmat.partial_trace(w1_dm(), (0, 1))
+    with pytest.raises(ValueError, match="^measured qubit must be 0 or 1$"):
+        corr.classical_correlations(pair, measured=measured)
+    j, _ = corr.classical_correlations(pair, measured=np.int64(1))
+    assert j == corr.classical_correlations(pair, measured=1)[0]
 
 
 # J of 36 seeded two-qubit states (ranks 1-4 in turn, generator seed
@@ -183,45 +207,46 @@ def test_classical_correlations_nelder_mead_panel():
 
 # (S, J, E, KW, theta_opt, phi_opt) of kw_all_permutations from the best
 # cell of the 16 x 16 sweep, polished by trust-region Newton steps on the
-# sphere (re-recorded when the two far starts went: J and KW moved by at most
-# 6.7e-16, the angles by at most 1.2e-7, S and E not at all), with the Pauli
-# coordinates of qmat._pauli_coords, E from singular values and the direction
-# reported with theta <= pi/4: the projected noisy_dicke(0.765), whose six
+# sphere, with the Pauli coordinates of qmat._pauli_coords, E from singular
+# values and the direction reported with theta <= pi/4 (re-recorded when S(beta)
+# became the sweep's no-measurement column and E the J kernel's binary
+# entropy: S and J moved by at most 2.2e-16, E by 3.4e-16, KW by 3.3e-16, the
+# angles not at all): the projected noisy_dicke(0.765), whose six
 # splits agree (its minimum is the circle theta = pi/4, so phi is free: the
 # polish ends within 3e-11 of phi = 5 pi/4), then
 # random three-qubit states of rank 1, 2 and 8 (generator seed 20261018,
 # drawn in that order)
-NOISY_SPLIT = (0.9525723357984601, 0.20182474310372667, 0.1088697154292412,
-               0.6418778772654923, 0.7853981618699385, 3.9269908169642234)
+NOISY_SPLIT = (0.9525723357984601, 0.20182474310372667, 0.10886971542924147,
+               0.641877877265492, 0.7853981618699385, 3.9269908169642234)
 J_KERNEL_PIN = {
     "noisy": (NOISY_SPLIT,) * 6,
     1: (
-        (0.6673952495309629, 0.20451369751131931, 0.462881552019643,
-         5.551115123125783e-16, 0.4968373771328926, 0.2556242559835564),
-        (0.665124348712502, 0.20224279669285827, 0.462881552019643,
-         7.771561172376096e-16, 0.49683737713289394, 0.2556242559835544),
+        (0.6673952495309627, 0.2045136975113192, 0.4628815520196429,
+         6.661338147750939e-16, 0.4968373771328926, 0.2556242559835564),
+        (0.665124348712502, 0.20224279669285827, 0.4628815520196429,
+         8.881784197001252e-16, 0.49683737713289394, 0.2556242559835544),
         (0.48764337284737946, 0.24088965545001614, 0.24675371739736254,
          7.771561172376096e-16, 0.29336746359711563, 1.930482192250359),
         (0.665124348712502, 0.41837063131513874, 0.24675371739736254,
          7.494005416219807e-16, 0.29336746359711563, 1.930482192250362),
-        (0.48764337284737946, 0.23763278456973186, 0.2500105882776468,
-         8.326672684688674e-16, 0.733718010087526, 0.017675045337806977),
-        (0.667395249530963, 0.4173846612533155, 0.2500105882776468,
-         6.661338147750939e-16, 0.7337180100875297, 0.01767504533780805),
+        (0.48764337284737946, 0.23763278456973186, 0.250010588277647,
+         6.106226635438361e-16, 0.733718010087526, 0.017675045337806977),
+        (0.667395249530963, 0.4173846612533155, 0.250010588277647,
+         4.440892098500626e-16, 0.7337180100875297, 0.01767504533780805),
     ),
     2: (
         (0.89214393198861, 0.24605539943835586, 0.0,
          0.6460885325502541, 0.17343850582299633, 2.1225388762829893),
-        (0.7684377455418974, 0.3728312994080129, 0.0,
+        (0.7684377455418973, 0.3728312994080128, 0.0,
          0.39560644613388446, 0.5779285454862185, 4.606176730718818),
-        (0.9808775613397407, 0.24865940561096989, 0.28196602550631944,
-         0.45025213022245136, 0.3687569412160743, 5.343446053058578),
-        (0.7684377455418974, 0.08794449190978759, 0.28196602550631944,
-         0.39852722812579033, 0.5328966845420154, 3.2229291697961098),
-        (0.9808775613397407, 0.33572951884915336, 0.04569330923730498,
-         0.5994547332532824, 0.20071009846355778, 4.797015840835399),
-        (0.89214393198861, 0.0915942078738855, 0.04569330923730498,
-         0.7548564148774195, 0.5234327746965545, 3.8473988998263913),
+        (0.9808775613397405, 0.24865940561096966, 0.2819660255063193,
+         0.45025213022245153, 0.3687569412160743, 5.343446053058578),
+        (0.7684377455418973, 0.08794449190978748, 0.2819660255063193,
+         0.3985272281257905, 0.5328966845420154, 3.2229291697961098),
+        (0.9808775613397405, 0.33572951884915314, 0.04569330923730532,
+         0.599454733253282, 0.20071009846355778, 4.797015840835399),
+        (0.8921439319886099, 0.09159420787388539, 0.04569330923730532,
+         0.7548564148774192, 0.5234327746965545, 3.8473988998263913),
     ),
     8: (
         (0.9842270687924105, 0.12525816048473992, 0.0,
@@ -501,9 +526,11 @@ def test_sweep_matches_the_bloch_vector_entropy():
     coords = np.stack([pauli_coordinates(rho) for rho in pairs])
     with np.errstate(all="ignore"):
         values = corr._measured_entropy(coords, columns)
-    # rounding level: up to 8.4e-15 where a pure pair leaves entropies near 0
+    # rounding level: up to 8.4e-15 where a pure pair leaves entropies near 0.
+    # The last column measures nothing: S(beta) = h((1 + |b|) / 2)
     for k, r in enumerate(coords):
-        assert np.abs(values[k] - bloch_measured_entropy(r, grid_n)).max() <= 1e-14, k
+        assert np.abs(values[k, :-1] - bloch_measured_entropy(r, grid_n)).max() <= 1e-14, k
+        assert abs(values[k, -1] - binary_entropy(np.linalg.norm(r[0, 1:]))) <= 1e-14, k
 
 
 @settings(max_examples=50, deadline=None)
@@ -591,18 +618,45 @@ def test_concurrence_of_a_pair_ignores_its_order(seed):
 seeds = st.integers(0, 2**32 - 1)
 
 
+def closed_form_eof(c):
+    """Wootters' E = h((1 + sqrt(1 - C^2)) / 2) with the smaller probability
+    written y = C^2 / (2 (1 + sqrt(1 - C^2))), free of the cancellation in
+    1 - sqrt(1 - C^2), and x = 1 - y; an oracle apart from the J kernel's
+    binary entropy."""
+    # c * c, not c ** 2: numpy squares exactly rounded, Python's pow may not
+    y = c * c / (2 * (1 + np.sqrt(1 - c * c)))
+    x = 1 - y
+    return float(-x * np.log2(x) - y * np.log2(y)) if y > 0 else 0.0
+
+
 def pair_concurrence_and_eof(rho):
     """The former per-pair concurrence (one eigh, then one svd of
-    Psi^T (Y x Y) Psi) and entanglement of formation, kept as the oracle of
-    the batched ones."""
+    Psi^T (Y x Y) Psi), kept as the oracle of the batched one, and the
+    closed-form entanglement of formation."""
     w, v = np.linalg.eigh(rho)
     psi = v * np.sqrt(np.maximum(w, 0.0))
     lam = np.linalg.svd(psi.T @ qmat.tensor(qmat.Y, qmat.Y) @ psi, compute_uv=False)
     c = float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-    # c * c, not c ** 2: numpy squares exactly rounded, Python's pow may not
-    clipped = min(c, 1.0)
-    x = (1 + np.sqrt(1 - clipped * clipped)) / 2
-    return c, qmat.entropy_bits([x, 1 - x])
+    return c, closed_form_eof(min(c, 1.0))
+
+
+# concurrences where the former E, from entropy_bits, dropped the smaller
+# probability below 1e-12 (C < 2e-6) and was off by up to 3.9e-11
+SMALL_AND_EDGE_CONCURRENCES = (0.0, 1e-9, 1e-7, 1.5e-6, 1.9e-6, 1.99e-6, 2.01e-6, 3e-6,
+                               1e-3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("c", SMALL_AND_EDGE_CONCURRENCES)
+def test_eof_matches_the_closed_form(c):
+    assert abs(corr.eof_from_concurrence(c) - closed_form_eof(c)) <= 2e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0))
+def test_eof_of_any_concurrence_matches_the_closed_form(c):
+    # up to 2.3e-15 near C = 2e-8, where the J kernel's smaller probability
+    # (1 - sqrt(1 - C^2)) / 2 is a few ulps of 1 (measured on a dense sweep)
+    assert abs(corr.eof_from_concurrence(c) - closed_form_eof(c)) <= 3e-15
 
 
 BELL_KETS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
@@ -619,7 +673,7 @@ BELL_KETS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]])
 @example(8814)
 def test_batched_concurrence_matches_the_per_pair_oracle(seed):
     # LAPACK still runs per matrix, so each pair of the stack comes out bit
-    # for bit as it does alone, in either qubit order
+    # for bit as it does alone, in either qubit order; E to rounding level
     rng = np.random.default_rng(seed)
     pairs = [qmat.random_density_matrix(2, rng, rank=rank) for rank in (1, 2, 3, 4)]
     pairs += [qmat.dm(ket) for ket in BELL_KETS]
@@ -630,9 +684,9 @@ def test_batched_concurrence_matches_the_per_pair_oracle(seed):
     c = corr._concurrence(stack)
     e = corr._eof(c)
     for k, rho in enumerate(pairs):
-        oracle = pair_concurrence_and_eof(rho)
-        assert (c[k], e[k]) == oracle, k
-        assert (corr.concurrence(rho), corr.entanglement_of_formation(rho)) == oracle, k
+        c_oracle, e_oracle = pair_concurrence_and_eof(rho)
+        assert c[k] == c_oracle and abs(e[k] - e_oracle) <= 2e-15, k
+        assert (corr.concurrence(rho), corr.entanglement_of_formation(rho)) == (c[k], e[k]), k
 
 
 def random_two_qubit(seed):
