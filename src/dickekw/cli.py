@@ -17,10 +17,7 @@ import sys
 import numpy as np
 
 from . import io, qmat, states
-
-
-def _g(x: float) -> str:
-    return f"{x:.6g}"
+from .io import _g
 
 
 def _print_report_line(r) -> None:  # r: correlations.KWReport
@@ -239,7 +236,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # under -m, report's `from .cli import _g` then finds this module instead of
-    # compiling and running cli.py a second time
-    sys.modules.setdefault("dickekw.cli", sys.modules[__name__])
     sys.exit(main())

@@ -21,6 +21,11 @@ from . import qmat
 QUBIT_ORDER_TAG = "abcd-msb"
 
 
+def _g(x: float) -> str:
+    """A number as printed on the command line: six significant digits."""
+    return f"{x:.6g}"
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to ``path`` via a temporary file and os.replace."""
     directory = os.path.dirname(os.path.abspath(path))

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from . import correlations as corr, qmat, states, tomography
-from .cli import _g
+from .io import _g
 
 P_MIX = 0.765  # the white-noise resource model's mixing parameter
 
@@ -42,7 +42,7 @@ def projective_reductions(args) -> list[str]:
         lines.append(f"  c={c},d={d}: probability {_g(prob)}, "
                      f"fidelity to psi-plus = {_g(qmat.fidelity_pure(states.psi_plus(), post))}")
     post, prob = states.reduce_state(d42, [(0, 1), (2, 0), (3, 1)])
-    pops = np.abs(post) ** 2
+    pops = post.diagonal().real
     return lines + [f"  a=1,c=0,d=1: probability {_g(prob)}, "
                     f"qubit-b populations ({_g(pops[0])}, {_g(pops[1])})"]
 

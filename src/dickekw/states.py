@@ -142,13 +142,8 @@ def noisy_dicke(p: float) -> np.ndarray:
     return p * qmat.dm(dicke(4, 2)) + (1 - p) * np.eye(16, dtype=complex) / 16
 
 
-def reduce_state(state, assignments):
-    """Project qubits onto outcomes; pure input yields a ket, mixed a matrix.
-
-    Thin workflow wrapper over :func:`dickekw.qmat.project` that accepts
-    either a ket or a density matrix and returns ``(post_state, probability)``.
-    """
-    return qmat.project(qmat.check_state(state), assignments)
+# projects qubits onto outcomes: (post-measurement density matrix, probability)
+reduce_state = qmat.project
 
 
 def parse_projections(text: str, n: int):
@@ -174,21 +169,15 @@ def parse_projections(text: str, n: int):
     return assignments
 
 
-STATE_NAMES = ("xi", "dicke-4-2", "w1", "w2", "psi-plus", "noisy-dicke:p=<float>")
+_NAMED_STATES = {"xi": ket_xi, "dicke-4-2": lambda: dicke(4, 2), "w1": lambda: dicke(3, 1),
+                 "w2": lambda: dicke(3, 2), "psi-plus": psi_plus}
+STATE_NAMES = (*_NAMED_STATES, "noisy-dicke:p=<float>")
 
 
 def state_by_name(name: str) -> np.ndarray:
     """Named state for the CLI: ket for pure states, matrix for mixed ones."""
-    if name == "xi":
-        return ket_xi()
-    if name == "dicke-4-2":
-        return dicke(4, 2)
-    if name == "w1":
-        return dicke(3, 1)
-    if name == "w2":
-        return dicke(3, 2)
-    if name == "psi-plus":
-        return psi_plus()
+    if name in _NAMED_STATES:
+        return _NAMED_STATES[name]()
     if name.startswith("noisy-dicke:"):
         arg = name.split(":", 1)[1]
         if not arg.startswith("p="):

@@ -68,7 +68,6 @@ def _born_table(rho, settings) -> tuple[tuple[str, ...], np.ndarray]:
                          f"{n} letters, got {list(settings)}")
     for setting in settings:
         _check_setting(setting)
-    rho = qmat.dm(rho) if rho.ndim == 1 else rho
     probs = _fit_probabilities(settings, rho[None]).reshape(len(settings), 2**n)
     return settings, np.clip(probs, 0.0, None)
 
@@ -299,12 +298,12 @@ def bootstrap_fidelity(table: CountTable, target, n_boot: int = 100, seed: int =
     """Bootstrap mean and standard deviation of the fidelity to a pure target.
 
     Each replica resamples every cell of the count table from
-    Poisson(observed value), in table order, and scores
-    ``fidelity_pure(target, rho)`` of the maximum-likelihood reconstruction
-    of its resampled table.  Replicas draw from independent seed-derived
-    streams and are fitted in blocks of a fixed size by the batched fit of
-    :func:`mle_reconstruct`, linear-inversion starts included; a replica's
-    fit equals a fit of its table alone.
+    Poisson(observed value), in table order, and scores the fidelity
+    ``<target|rho|target>``, clipped to [0, 1], of the maximum-likelihood
+    reconstruction of its resampled table.  Replicas draw from independent
+    seed-derived streams and are fitted in blocks of a fixed size by the
+    batched fit of :func:`mle_reconstruct`, linear-inversion starts
+    included; a replica's fit equals a fit of its table alone.
     """
     if n_boot < 50:
         raise ValueError("at least 50 bootstrap replicas are required")
@@ -314,8 +313,8 @@ def bootstrap_fidelity(table: CountTable, target, n_boot: int = 100, seed: int =
     for lo in range(0, n_boot, _BOOTSTRAP_BLOCK):
         resampled = np.array([np.random.default_rng(stream).poisson(table.counts)
                               for stream in streams[lo:lo + _BOOTSTRAP_BLOCK]])
-        fits = _mle(table.settings, resampled)
-        fids += [qmat.fidelity_pure(target, fit.rho) for fit in fits]
+        rhos = np.array([fit.rho for fit in _mle(table.settings, resampled)])
+        fids += np.clip((target.conj() @ rhos @ target).real, 0.0, 1.0).tolist()
     return float(np.mean(fids)), float(np.std(fids, ddof=1))
 
 

@@ -172,7 +172,7 @@ def test_acceptance_08_extraction_oracle():
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     for _ in range(100):
         rho = qmat.random_density_matrix(3, rng)
-        sym = sum(qmat.permute_qubits(rho, perm) for perm in perms) / 6
+        sym = sum(qmat.partial_trace(rho, perm) for perm in perms) / 6
         p_direct = np.real(sym[1, 1] + sym[2, 2] + sym[4, 4]) / 3
         c_direct = np.real(sym[1, 2] + sym[1, 4] + sym[2, 4]) / 3
         model = corr.extract_pc(corr.correlator_table(rho))

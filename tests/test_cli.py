@@ -153,6 +153,22 @@ def test_tomo_reconstruct_linear_flags_negativity(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tomo_reconstruct_linear_scores_an_estimate_that_is_not_positive(tmp_path, capsys):
+    # at 20 counts the linear estimate of w1 has eigenvalue -0.210; the
+    # fidelity reads it anyway, since it checks no spectrum
+    w1, counts = tmp_path / "w1.dm.json", tmp_path / "counts.csv"
+    run("state", "w1", "--out", str(w1))
+    run("tomo", "simulate", "--in", str(w1), "--counts", "20", "--seed", "1",
+        "--out", str(counts))
+    capsys.readouterr()
+    assert run("tomo", "reconstruct", "--counts", str(counts), "--method", "linear",
+               "--target", str(w1)) == 0
+    out, err = capsys.readouterr()
+    warning, fidelity = out.splitlines()
+    assert warning == "warning: not positive semidefinite (min eigenvalue -0.210132)"
+    assert fidelity.startswith("fidelity = ") and err == ""
+
+
 def test_tomo_reconstruct_undercovered_counts_fail(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     counts.write_text("XX,00,10\nXX,11,10\n")
@@ -352,6 +368,15 @@ def test_cli_import_leaves_scipy_out():
                             text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_report_module_leaves_the_cli_out():
+    # report formats numbers with io._g, so `python -m dickekw.cli report`
+    # does not load cli.py a second time under its package name
+    code = "import sys, dickekw.report; print('dickekw.cli' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 LAYERS = {"dickekw", "dickekw.cli", "dickekw.io", "dickekw.qmat", "dickekw.states"}

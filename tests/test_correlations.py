@@ -679,7 +679,7 @@ def test_batched_concurrence_matches_the_per_pair_oracle(seed):
     pairs += [qmat.dm(ket) for ket in BELL_KETS]
     pairs += [qmat.tensor(*(qmat.random_density_matrix(1, rng, rank=int(rng.integers(1, 3)))
                             for _ in range(2))) for _ in range(2)]
-    pairs += [qmat.permute_qubits(rho, [1, 0]) for rho in pairs]
+    pairs += [qmat.partial_trace(rho, [1, 0]) for rho in pairs]
     stack = np.stack(pairs)
     c = corr._concurrence(stack)
     e = corr._eof(c)
@@ -815,6 +815,19 @@ def test_a_state_reads_alike_alone_and_in_a_stack():
             row = dataclasses.astuple(report)
             assert row == dataclasses.astuple(corr.kw_exact(rhos[k], split)), (k, split)
             assert row == dataclasses.astuple(rows[k][j]), (k, split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.permutations(range(3)), st.permutations(range(3)))
+def test_kw_exact_is_consistent_under_a_qubit_reorder(seed, perm, split):
+    # reordered by partial_trace, qubit q of rho sits at perm.index(q), so the
+    # relabelled split scores the same qubits of the same state
+    rng = np.random.default_rng(seed)
+    rho = qmat.random_density_matrix(3, rng, rank=int(rng.integers(1, 9)))
+    moved = corr.kw_exact(qmat.partial_trace(rho, perm), tuple(perm.index(q) for q in split))
+    r = corr.kw_exact(rho, tuple(split))
+    for field in ("S", "J", "E", "KW"):
+        assert abs(getattr(moved, field) - getattr(r, field)) <= 1e-13, field
 
 
 def test_kw_all_permutations_on_pure_state():
@@ -1115,7 +1128,7 @@ def test_extract_pc_matches_symmetrized_state():
     rng = np.random.default_rng(14)
     rho = qmat.random_density_matrix(3, rng)
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    sym = sum(qmat.permute_qubits(rho, p) for p in perms) / 6
+    sym = sum(qmat.partial_trace(rho, p) for p in perms) / 6
     m1 = corr.extract_pc(corr.correlator_table(rho))
     m2 = corr.extract_pc(corr.correlator_table(sym))
     assert m1.p == pytest.approx(m2.p, abs=1e-10)

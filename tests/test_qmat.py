@@ -41,26 +41,30 @@ def test_basis_ket_and_bits():
         qmat.basis_ket(2, 4)
 
 
-def test_permute_qubits_swap():
-    psi = qmat.basis_ket(2, int("01", 2))
-    swapped = qmat.permute_qubits(psi, (1, 0))
-    np.testing.assert_allclose(swapped, qmat.basis_ket(2, int("10", 2)))
+# partial_trace with every qubit kept is the qubit reorder: output qubit i is
+# input qubit keep[i]
 
 
-def test_permute_qubits_identity_and_composition():
+def test_partial_trace_keeping_every_qubit_swaps():
+    rho = qmat.dm(qmat.basis_ket(2, int("01", 2)))
+    swapped = qmat.partial_trace(rho, (1, 0))
+    np.testing.assert_allclose(swapped, qmat.dm(qmat.basis_ket(2, int("10", 2))))
+
+
+def test_partial_trace_keeping_every_qubit_identity_and_composition():
     rng = np.random.default_rng(4)
-    psi = qmat.random_state_vector(3, rng)
-    np.testing.assert_allclose(qmat.permute_qubits(psi, (0, 1, 2)), psi)
-    once = qmat.permute_qubits(psi, (2, 0, 1))
-    thrice = qmat.permute_qubits(qmat.permute_qubits(once, (2, 0, 1)), (2, 0, 1))
-    np.testing.assert_allclose(thrice, psi, atol=1e-12)
+    rho = qmat.dm(qmat.random_state_vector(3, rng))
+    np.testing.assert_allclose(qmat.partial_trace(rho, (0, 1, 2)), rho)
+    once = qmat.partial_trace(rho, (2, 0, 1))
+    thrice = qmat.partial_trace(qmat.partial_trace(once, (2, 0, 1)), (2, 0, 1))
+    np.testing.assert_allclose(thrice, rho, atol=1e-12)
 
 
-def test_permute_qubits_density_matrix():
+def test_partial_trace_keeping_every_qubit_density_matrix():
     rng = np.random.default_rng(5)
     rho = qmat.random_density_matrix(2, rng)
-    perm = qmat.permute_qubits(rho, (1, 0))
-    np.testing.assert_allclose(qmat.permute_qubits(perm, (1, 0)), rho, atol=1e-12)
+    perm = qmat.partial_trace(rho, (1, 0))
+    np.testing.assert_allclose(qmat.partial_trace(perm, (1, 0)), rho, atol=1e-12)
     assert abs(np.trace(perm) - 1) < 1e-12
 
 
@@ -82,7 +86,7 @@ def test_partial_trace_keep_order_reorders():
     rho = qmat.random_density_matrix(3, rng)
     ab = qmat.partial_trace(rho, (0, 1))
     ba = qmat.partial_trace(rho, (1, 0))
-    np.testing.assert_allclose(qmat.permute_qubits(ab, (1, 0)), ba, atol=1e-12)
+    np.testing.assert_allclose(qmat.partial_trace(ab, (1, 0)), ba, atol=1e-12)
 
 
 def test_partial_trace_product_state():
@@ -128,6 +132,9 @@ def test_fidelity_pure():
     assert qmat.fidelity_pure(psi, orth) == pytest.approx(0, abs=1e-12)
     mixed = np.eye(4) / 4
     assert qmat.fidelity_pure(psi, mixed) == pytest.approx(0.25, abs=1e-12)
+    # a linear-inversion estimate need not be positive: its spectrum goes unchecked
+    plus = np.array([1, 1]) / np.sqrt(2)
+    assert qmat.fidelity_pure(plus, np.diag([1.1, -0.1])) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_fidelity_of_noisy_dicke():
@@ -141,7 +148,7 @@ def test_project_kets():
     d42 = states.dicke(4, 2)
     post, prob = qmat.project(d42, [(3, 1)])
     assert prob == pytest.approx(0.5, abs=1e-12)
-    assert post.shape == (8,)
+    assert post.shape == (8, 8)
     assert qmat.fidelity_pure(states.dicke(3, 1), post) == pytest.approx(
         1, abs=1e-12)
     post, prob = qmat.project(d42, [(2, 0), (3, 1)])
@@ -151,18 +158,41 @@ def test_project_kets():
 
 
 def test_project_density_matrix_matches_ket():
+    # a ket and its density matrix project alike, onto the projected ket's
+    # density matrix
     d42 = states.dicke(4, 2)
-    post_k, prob_k = qmat.project(d42, [(0, 1), (3, 0)])
-    post_m, prob_m = qmat.project(qmat.dm(d42), [(0, 1), (3, 0)])
-    assert prob_m == pytest.approx(prob_k, abs=1e-12)
-    np.testing.assert_allclose(post_m, qmat.dm(post_k), atol=1e-12)
+    ket = d42.reshape(2, 2, 2, 2)[1, :, :, 0].ravel()
+    prob_k = np.vdot(ket, ket).real
+    for state in (d42, qmat.dm(d42)):
+        post, prob = qmat.project(state, [(0, 1), (3, 0)])
+        assert prob == pytest.approx(prob_k, abs=1e-12)
+        np.testing.assert_allclose(post, qmat.dm(ket) / prob_k, atol=1e-12)
 
 
 def test_project_outcome_ket():
     plus = np.array([1, 1]) / np.sqrt(2)
     post, prob = qmat.project(states.psi_plus(), [(0, plus)])
     assert prob == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(np.abs(post), [1 / np.sqrt(2)] * 2, atol=1e-12)
+    np.testing.assert_allclose(post, np.full((2, 2), 0.5), atol=1e-12)
+
+
+# a matrix that is not a state, 2x2 but for the NaN one, and the error it gives
+NOT_STATES = {
+    "nan": (np.full((4, 4), np.nan), "not a finite number"),
+    "non-hermitian": (np.array([[0.5, 1], [0, 0.5]]), "not Hermitian"),
+    "trace-2": (np.eye(2), "trace 2.0 differs from 1"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [lambda rho: qmat.project(rho, [(0, 0)]),
+                                  lambda rho: qmat.fidelity_pure([1, 0], rho)],
+                         ids=["project", "fidelity_pure"])
+@pytest.mark.parametrize("case", NOT_STATES)
+def test_projections_and_fidelities_reject_a_matrix_that_is_not_a_state(case, call):
+    matrix, message = NOT_STATES[case]
+    with pytest.raises(ValueError, match=message):
+        call(matrix)
 
 
 def test_project_completeness_and_errors():
@@ -190,7 +220,7 @@ def test_checks_reject_malformed_input():
 
 @pytest.mark.parametrize("call", [
     qmat.num_qubits, lambda x: qmat.partial_trace(x, [0]),
-    lambda x: qmat.permute_qubits(x, [0]), lambda x: qmat.project(x, [(0, 0)])])
+    lambda x: qmat.partial_trace(x, [1, 0]), lambda x: qmat.project(x, [(0, 0)])])
 def test_a_scalar_array_is_not_a_state(call):
     with pytest.raises(ValueError):
         call(np.array(1.0))
