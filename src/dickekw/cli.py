@@ -82,6 +82,10 @@ def cmd_tomo_reconstruct(args) -> int:
             raise ValueError("fidelity target must be a pure state")
         target = vectors[:, -1]
         fid = qmat.fidelity_pure(target, rho)
+        overlap = np.vdot(target, rho @ target).real  # fidelity_pure clips it to [0, 1]
+        if not -1e-12 <= overlap <= 1 + 1e-12:
+            print(f"warning: <psi|rho|psi> = {_g(overlap)} is outside [0, 1]; "
+                  "the fidelity is clipped")
         if args.bootstrap:
             mean, sigma = tomography.bootstrap_fidelity(
                 table, target, n_boot=args.bootstrap, seed=args.seed)

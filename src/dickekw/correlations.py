@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import astuple, dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import isfinite, pi
 
@@ -108,6 +108,20 @@ _SWEEP_N, _SWEEP_COLUMNS = _direction_grid()
 _YY = np.kron(PAULI["Y"], PAULI["Y"])
 _EYE3, _EZ = np.eye(3), np.array([0.0, 0.0, 1.0])
 _CURVE = 1 / (8 * np.log(2))  # the second derivatives' factor, in bits
+# a frame's first column, then its rows from a reflection's rows (u, w, m)
+_FRAME = np.array([[1.0, 0, 0, 1], [1, 0, 0, -1], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
+# (alpha+-, r+-) to lambda = (alpha, (alpha + r) / 2, (alpha - r) / 2) of s = +1, -1
+_LAMBDAS = np.kron(np.eye(2), [[1, 0.5, 0.5], [0, 0.5, -0.5]])[[0, 2, 1, 3]]
+_SHARES = np.array([[0.5], [-0.5], [-0.5]] * 2)  # lambda log2 lambda to f
+# (log2 lambda, _CURVE / lambda) to C, L and f_r of _newton_terms
+_DERIVATIVES = np.zeros((12, 14))
+_DERIVATIVES[6:, 0] = [4, -1, -1] * 2
+_DERIVATIVES[6:9, [1, 3]] = _DERIVATIVES[9:, [2, 6]] = [[0], [-1], [1]]
+_DERIVATIVES[6:9, 4] = _DERIVATIVES[9:, 8] = [0, -1, -1]
+_DERIVATIVES[:6, 9] = np.array([2, -1, -1, -2, 1, 1]) / 4
+_DERIVATIVES[1:3, [10, 12]] = _DERIVATIVES[4:6, [13]] = [[-0.25], [0.25]]
+_DERIVATIVES[4:6, 11] = [0.25, -0.25]
+_HALVES = np.array([[0.5, 0.5], [0, 0], [0, 0], [0.5, -0.5]])  # H to (mid, half)
 
 
 def _outcome_entropy(alpha, r):
@@ -117,11 +131,11 @@ def _outcome_entropy(alpha, r):
     being the eigenvalues of the state it leaves on beta, unnormalized."""
     lam = np.empty((3,) + r.shape)
     lam[0], lam[1], lam[2] = alpha, alpha + r, alpha - r
-    lam[1:] /= 2
+    lam[1:] *= 0.5
     log = np.log2(lam)
     xlog = lam * log
     xlog[lam <= 0] = 0.0
-    return lam, log, (xlog[0] - xlog[1] - xlog[2]) / 2
+    return lam, log, (xlog[0] - xlog[1] - xlog[2]) * 0.5
 
 
 def _measured_entropy(coords, columns):
@@ -134,122 +148,100 @@ def _measured_entropy(coords, columns):
     return np.add.reduce(f.reshape(len(f), 2, columns.shape[1] // 2), 1)
 
 
-def _newton_terms(coords, n):
-    """The measured entropy and its derivatives at unit vectors n (M, 3):
-    terms (M, 7) holds f, the gradient (g_u, g_w) and the Riemannian Hessian
-    (h_uu, h_uw, h_wu, h_ww) in a tangent basis (u, w), and basis (M, 3, 3)
-    holds that basis as rows (n, u, w).  coords (M, 4, 4) holds each state's
-    Pauli coordinates Tr[rho (P_i x P_j)]: 1 at [0, 0], then a = coords[1:, 0],
-    b = coords[0, 1:] and T = coords[1:, 1:].
-
-    f sums the shares of ``_outcome_entropy`` of the outcomes s = +-1, with
-    alpha = 1 + s a.n and r = |beta|, beta = b + s T^T n.  Their gradients and
-    Hessians in (alpha, beta) run through r, whose Hessian in beta is
-    (I - beta beta^T / r^2) / r; along d, (alpha, beta) moves by s (a.d, T^T d).
-    The sphere's curvature subtracts n . grad f from the diagonal.  Call under
-    ``np.errstate``: a pure conditional state (lambda- = 0) or a vanishing r
-    gives non-finite derivatives.
-    """
-    m = len(n)
-    # rows 0 and 1 of the Householder reflection that takes e_z to -+n
+def _frame(n):
+    """Frames (M, 5, 4) (1, m), (1, -m), (0, m), (0, u), (0, w) at unit n (M, 3), (u, w, m)
+    the rows of the Householder reflection of e_z to m = -sign(n_z) n."""
     v = n + np.copysign(_EZ, n[:, 2:])
-    basis = np.empty((m, 3, 3))
-    basis[:, 0] = n
-    basis[:, 1:] = _EYE3[:2] - v[:, :2, None] * v[:, None] / (1 + abs(n[:, 2:, None]))
-    x = basis @ coords[:, 1:]  # rows (a.d, T^T d) for d = n, u, w
-    ab = np.empty((m, 2, 4))  # (alpha, beta) of outcome s = +1, -1
-    np.add(coords[:, 0], x[:, 0], out=ab[:, 0])
-    np.subtract(coords[:, 0], x[:, 0], out=ab[:, 1])
-    beta = ab[..., 1:]
-    r = np.sqrt(np.add.reduce(beta * beta, -1))
-    lam, log, f = _outcome_entropy(ab[..., 0], r)
-    unit = beta / r[..., None]
-    grad_ab = np.empty((m, 2, 4))
-    grad_ab[..., 0] = (2 * log[0] - log[1] - log[2]) / 4
-    f_r = (log[2] - log[1]) / 4
-    np.multiply(f_r[..., None], unit, out=grad_ab[..., 1:])
-    grad = (x @ (grad_ab[:, 0] - grad_ab[:, 1])[..., None])[..., 0]
-    inv = _CURVE / lam
-    f_r_by_r = f_r / r
-    hess_ab = np.empty((m, 4, 4))
-    hess_ab[:, 0, 0] = np.add.reduce(4 * inv[0] - inv[1] - inv[2], 1)
-    hess_ab[:, 0, 1:] = hess_ab[:, 1:, 0] = ((inv[2] - inv[1])[:, None] @ unit)[:, 0]
-    hess_ab[:, 1:, 1:] = unit.swapaxes(1, 2) @ (-(inv[1] + inv[2] + f_r_by_r)[..., None] * unit)
-    hess_ab.reshape(m, 16)[:, 5::5] += np.add.reduce(f_r_by_r, 1)[:, None]  # beta-beta diagonal
-    tangent = x[:, 1:]
-    terms = np.empty((m, 7))
-    terms[:, 0] = np.add.reduce(f, 1)
-    terms[:, 1:3] = grad[:, 1:]
-    terms[:, 3:] = (tangent @ hess_ab @ tangent.swapaxes(1, 2)).reshape(m, 4)
-    terms[:, 3::3] -= grad[:, :1]
-    return terms, basis
+    out = np.empty((len(n), 5, 4))
+    out[..., 0] = _FRAME[:, 0]
+    np.matmul(_FRAME[:, 1:], _EYE3 - v[:, :, None] * (v / abs(v[:, 2:]))[:, None], out=out[..., 1:])
+    return out
 
 
-def _newton_step(terms, radius):
-    """The Newton step in the tangent plane, the lowest curvature shifted up
-    to ``_CURVATURE_FLOOR`` and the length capped at ``radius``, with its
-    length and the decrease the quadratic model predicts for it."""
-    grad, hess = terms[:, 1:3], terms[:, 3:].reshape(-1, 2, 2)
-    uu, uw, ww = terms[:, 3], terms[:, 4], terms[:, 6]
-    mid, gap = (uu + ww) / 2, np.hypot((uu - ww) / 2, uw)
-    shifted = mid + np.maximum(_CURVATURE_FLOOR - mid + gap, 0.0)
+_SWEEP_FRAME = _frame(_SWEEP_N)
+
+
+def _newton_terms(coords, frame):
+    """f (M,), its gradient (M, 2) and Riemannian Hessian (M, 2, 2) in the basis (u, w)
+    at the m of frames (M, 5, 4), for Pauli coordinates [[1, b], [a, T]] (M, 4, 4).  The
+    shares of alpha = 1 + s a.m, r = |b + s T^T m| (s = +-1) pull back through z_d =
+    (a.d, unit+ . T^T d, unit- . T^T d): L . z_d and z_d^T C z_e + (sum_s f_r / r) T^T d
+    . T^T e, L and C linear in log2 lambda and 1 / lambda.  Call under errstate."""
+    m = len(frame)
+    v = frame @ coords  # (alpha, beta) of s = +1, -1, then (a.d, T^T d), d = m, u, w
+    gram = v[..., 1:] @ v[..., 1:].swapaxes(1, 2)
+    ar = np.concatenate((v[:, :2, 0], np.sqrt(gram.reshape(m, 25)[:, :7:6])), 1)
+    lam = ar @ _LAMBDAS
+    log = np.log2(lam)
+    coef = (np.concatenate((log, _CURVE / lam), 1)[:, None] @ _DERIVATIVES)[:, 0]
+    f = np.where(lam > 0, lam * log, 0.0)[:, None] @ _SHARES
+    z = np.concatenate((v[:, None, 2:, 0], gram[:, :2, 2:] / ar[:, 2:, None]), 1)
+    f_r_by_r = coef[:, 12:] / ar[:, 2:]
+    coef[:, 4:9:4] -= f_r_by_r
+    cz = coef[:, :12].reshape(m, 4, 3) @ z  # C z, then the gradient along m, u, w
+    hess = z[:, :, 1:].swapaxes(1, 2) @ cz[:, :3, 1:]
+    hess += (f_r_by_r[:, :1] + f_r_by_r[:, 1:])[..., None] * gram[:, 3:, 3:]
+    hess.reshape(m, 4)[:, ::3] -= cz[:, 3, :1]  # the sphere's curvature
+    return f[:, 0, 0], cz[:, 3, 1:].copy(), hess
+
+
+def _newton_step(grad, hess, radius):
+    """The Newton step, curvature floored at ``_CURVATURE_FLOOR`` and length capped
+    at ``radius``, its length and its predicted decrease."""
+    mid, half = (hess.reshape(-1, 4) @ _HALVES).T
+    gap = np.hypot(half, hess[:, 0, 1])
+    shifted = np.maximum(mid, _CURVATURE_FLOOR + gap)
     # (H + shift)^-1 g = ((tr H + shift) g - H g) / det(H + shift)
     step = (hess @ grad[..., None])[..., 0] - (shifted + mid)[:, None] * grad
     step /= ((shifted - gap) * (shifted + gap))[:, None]
     length = np.hypot(step[:, 0], step[:, 1])
     step *= np.minimum(1.0, radius / length)[:, None]
-    pred = -np.add.reduce(step * (grad + (hess @ step[..., None])[..., 0] / 2), 1)
-    return step, np.minimum(length, radius), pred
+    change = step[:, None] @ (grad + (hess @ step[..., None])[..., 0] / 2)[..., None]
+    return step, np.minimum(length, radius), -change[:, 0, 0]
 
 
 def _min_measured_entropy(rhos):
-    """S(beta), min over measurements n on alpha of the entropy left on beta,
-    and the minimizing n, for a trusted (B, 4, 4) stack of states: one product
-    of the stack's Pauli coordinates with the outcome columns sweeps the grid
-    and gives S(beta) as its last column, and ``_polish`` polishes each
-    state's best cell (ties toward smaller theta, then smaller phi)."""
+    """S(beta), min over measurements n on alpha of the entropy left on beta, and
+    the minimizing n, for a trusted (B, 4, 4) stack: one product of the Pauli
+    coordinates with the outcome columns sweeps the grid, S(beta) its last
+    column; ``_polish`` polishes each state's best cell."""
     coords = qmat._pauli_coords(rhos).reshape(-1, 4, 4)
     with np.errstate(all="ignore"):
         f = _measured_entropy(coords, _SWEEP_COLUMNS)
-        return (f[:, -1], *_polish(coords, _SWEEP_N[np.argmin(f[:, :-1], axis=1)]))
+        return (f[:, -1], *_polish(coords, _SWEEP_FRAME[np.argmin(f[:, :-1], axis=1)]))
 
 
-def _polish(coords, n):
-    """The measured entropy f (M,) and direction (M, 3) that trust-region
-    Newton steps on the sphere reach from unit vectors n (M, 3), for Pauli
-    coordinates (M, 4, 4) (see ``_newton_terms``).  A step is taken only if f
-    does not rise, else the radius becomes a quarter of the step.  A row stops,
-    and waits for the rest, once its step or radius is below ``_ANGLE_TOL``
-    or its next step is not finite or predicts a decrease below ``_F_TOL``, so
-    its result does not depend on the other rows.  Call under errstate."""
-    n = np.array(n, dtype=float)
-    live = np.arange(len(n))
-    terms, basis = _newton_terms(coords, n)
-    f = terms[:, 0].copy()
-    radius = np.full(len(n), 2 * pi / _GRID)
-    step, length, pred = _newton_step(terms, radius)
-    keep = np.isfinite(step).all(-1) & (pred > _F_TOL)
+def _polish(coords, frame):
+    """f (M,) and direction (M, 3) that trust-region Newton steps on the sphere reach
+    from frames (M, 5, 4).  A step is taken only if f does not rise, else the radius
+    becomes a quarter of the step.  A row stops, and waits, once its step or radius is
+    below ``_ANGLE_TOL`` or its next step's predicted decrease is below ``_F_TOL`` or NaN.
+    Call under errstate."""
+    live, f_out, n_out = np.arange(len(frame)), np.empty(len(frame)), np.empty((len(frame), 3))
+    moved = radius = np.full(len(frame), 2 * pi / _GRID)
+    f, grad, hess = _newton_terms(coords, frame)
+    step, length, pred = _newton_step(grad, hess, radius)
     for _ in range(_MAX_STEPS):
-        if not keep.all():
-            live, coords, terms, basis, radius, step, length = (
-                v[keep] for v in (live, coords, terms, basis, radius, step, length))
-        if not len(live):
-            break
-        cand = basis[:, 0] + (step[:, None] @ basis[:, 1:])[:, 0]
-        cand /= np.sqrt(np.add.reduce(cand * cand, -1, keepdims=True))
-        terms_c, basis_c = _newton_terms(coords, cand)
-        up = terms_c[:, 0] <= terms[:, 0]
-        if up.all():
-            terms, basis, moved = terms_c, basis_c, length
-        else:
-            terms = np.where(up[:, None], terms_c, terms)
-            basis = np.where(up[:, None, None], basis_c, basis)
+        keep = ((moved >= _ANGLE_TOL) & (pred > _F_TOL)).nonzero()[0]
+        if len(keep) < len(live):
+            f_out[live], n_out[live] = f, frame[:, 2, 1:]
+            live, coords, frame, radius, f, grad, hess, step, length = (
+                v.take(keep, 0) for v in (live, coords, frame, radius, f, grad, hess, step, length))
+            if not len(live):
+                return f_out, n_out
+        cand = frame[:, 2, 1:] + (step[:, None] @ frame[:, 3:, 1:])[:, 0]
+        frame_c = _frame(cand / np.hypot(1.0, length)[:, None])
+        f_c, grad_c, hess_c = _newton_terms(coords, frame_c)
+        up, moved = f_c <= f, length
+        if np.count_nonzero(up) < len(up):
             radius = np.where(up, radius, length / 4)
             moved = np.where(up, length, radius)
-        n[live], f[live] = basis[:, 0], terms[:, 0]
-        step, length, pred = _newton_step(terms, radius)
-        keep = (moved >= _ANGLE_TOL) & np.isfinite(step).all(-1) & (pred > _F_TOL)
-    return f, n
+            for new, old in (f_c, f), (grad_c, grad), (hess_c, hess), (frame_c, frame):
+                new[~up] = old[~up]
+        f, grad, hess, frame = f_c, grad_c, hess_c, frame_c
+        step, length, pred = _newton_step(grad, hess, radius)
+    f_out[live], n_out[live] = f, frame[:, 2, 1:]
+    return f_out, n_out
 
 
 def _is_index(q) -> bool:
@@ -352,24 +344,24 @@ def kw_exact(rho, assignment=(0, 1, 2)) -> KWReport:
         computed for measurements on alpha, the entropy and the
         entanglement of formation belong to beta and (beta, gamma).
     """
-    return _kw_reports(_three_qubit(rho)[None], [assignment])[0][0]
+    return _kw_reports(_three_qubit(rho)[None], (_split(assignment),))[0][0]
 
 
 def kw_exact_many(rhos, assignment=(0, 1, 2)) -> list[KWReport]:
-    """``kw_exact`` of each state of a sequence or (B, 8, 8) stack in one array
-    pass, alike bit for bit; a state that is not valid fails with its index."""
+    """``kw_exact`` of each state of a sequence or (B, 8, 8) stack in one array pass,
+    alike bit for bit (500 in 30-36 ms); an invalid state fails with its index."""
     stack = []
     for k, rho in enumerate(rhos):
         try:
             stack.append(_three_qubit(rho))
         except ValueError as err:
             raise ValueError(f"state {k}: {err}") from None
-    return [row[0] for row in _kw_reports(np.array(stack).reshape(-1, 8, 8), [assignment])]
+    return [row[0] for row in _kw_reports(np.reshape(stack, (-1, 8, 8)), (_split(assignment),))]
 
 
 def kw_all_permutations(rho):
     """Exact reports for all six (alpha, beta, gamma) splits plus the mean KW."""
-    reports = _kw_reports(_three_qubit(rho)[None], permutations(range(3)))[0]
+    reports = _kw_reports(_three_qubit(rho)[None], tuple(permutations(range(3))))[0]
     return reports, sum(r.KW for r in reports) / len(reports)
 
 
@@ -393,24 +385,29 @@ def _split(assignment):
     return tuple(map(int, split))
 
 
-def _kw_reports(rhos, assignments):
-    """The reports of every split of every state of a trusted (B, 8, 8) stack,
-    one list per state, from one array pass: one ``qmat._reduce`` to every
-    split's (alpha, beta) and every (beta, gamma) in ascending order (each
-    entry a sum of the same two terms, so a pair and its reverse read alike),
-    one J search of the former and one concurrence of the latter."""
-    splits = list(map(_split, assignments))
-    shared = sorted({tuple(sorted(split[1:])) for split in splits})
-    pairs = qmat._reduce(rhos, tuple(split[:2] for split in splits) + tuple(shared))
-    s, h, n = _min_measured_entropy(pairs[:, :len(splits)].reshape(-1, 4, 4))
+def _kw_reports(rhos, splits):
+    """Reports of every checked split of every state of a trusted (B, 8, 8) stack: one
+    ``qmat._reduce`` to every (alpha, beta) and (beta, gamma), the latter ascending (so a
+    pair and its reverse read alike), one J search and one concurrence."""
+    keeps, gammas, names = _plan(splits)
+    pairs = qmat._reduce(rhos, keeps)
+    s, h, n = _min_measured_entropy(pairs[:, :len(names)].reshape(-1, 4, 4))
     theta, phi = _direction_of(n)
-    e = _eof(_concurrence(pairs[:, len(splits):]))
-    e = e[:, [shared.index(tuple(sorted(split[1:]))) for split in splits]].ravel()
+    e = _eof(_concurrence(pairs[:, len(names):]))[:, gammas].ravel()
     j = s - h
-    columns = (v.reshape(len(rhos), len(splits)).tolist()
+    columns = (v.reshape(len(rhos), len(names)).tolist()
                for v in (s, j, e, s - j - e, theta, phi))
-    return [[KWReport(format_assignment(*split), S, J, E, KW, "exact", theta_opt=t, phi_opt=p)
-             for split, S, J, E, KW, t, p in zip(splits, *state)] for state in zip(*columns)]
+    return [[KWReport(name, S, J, E, KW, "exact", theta_opt=t, phi_opt=p)
+             for name, S, J, E, KW, t, p in zip(names, *state)] for state in zip(*columns)]
+
+
+@lru_cache(maxsize=64)
+def _plan(splits):
+    """``_kw_reports``'s keeps, (beta, gamma) columns and names."""
+    shared = sorted({tuple(sorted(split[1:])) for split in splits})
+    return (tuple(split[:2] for split in splits) + tuple(shared),
+            tuple(shared.index(tuple(sorted(split[1:]))) for split in splits),
+            tuple(format_assignment(*split) for split in splits))
 
 
 # ---------------------------------------------------------------------------

@@ -53,15 +53,6 @@ def num_qubits(obj) -> int:
     return n
 
 
-def basis_ket(n: int, index: int) -> np.ndarray:
-    """Computational basis ket |index> on n qubits (qubit a = MSB)."""
-    if not 0 <= index < 2**n:
-        raise ValueError(f"basis index {index} out of range for {n} qubits")
-    psi = np.zeros(2**n, dtype=complex)
-    psi[index] = 1.0
-    return psi
-
-
 def check_state_vector(psi) -> np.ndarray:
     """Validate a ket: 1-D, power-of-two length, unit norm within ATOL."""
     psi = np.asarray(psi, dtype=complex)

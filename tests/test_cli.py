@@ -164,9 +164,31 @@ def test_tomo_reconstruct_linear_scores_an_estimate_that_is_not_positive(tmp_pat
     assert run("tomo", "reconstruct", "--counts", str(counts), "--method", "linear",
                "--target", str(w1)) == 0
     out, err = capsys.readouterr()
-    warning, fidelity = out.splitlines()
+    warning, _, fidelity = out.splitlines()
     assert warning == "warning: not positive semidefinite (min eigenvalue -0.210132)"
     assert fidelity.startswith("fidelity = ") and err == ""
+
+
+@pytest.mark.parametrize("counts, seed, overlap", [("20", "1", "1.03472"), ("200", "0", "1.01446")])
+def test_tomo_reconstruct_names_an_overlap_that_the_fidelity_clips(tmp_path, capsys, counts,
+                                                                    seed, overlap):
+    # <psi|rho|psi> of a linear estimate that is not positive can pass 1; the
+    # fidelity line still reads the clipped value, and a warning gives the overlap
+    w1, table = tmp_path / "w1.dm.json", tmp_path / "counts.csv"
+    run("state", "w1", "--out", str(w1))
+    run("tomo", "simulate", "--in", str(w1), "--counts", counts, "--seed", seed,
+        "--out", str(table))
+    capsys.readouterr()
+    assert run("tomo", "reconstruct", "--counts", str(table), "--method", "linear",
+               "--target", str(w1)) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [
+        f"warning: <psi|rho|psi> = {overlap} is outside [0, 1]; the fidelity is clipped",
+        "fidelity = 1"]
+    assert err == ""
+    # a fit inside [0, 1] prints no such line
+    assert run("tomo", "reconstruct", "--counts", str(table), "--target", str(w1)) == 0
+    assert "<psi|rho|psi>" not in capsys.readouterr().out
 
 
 def test_tomo_reconstruct_undercovered_counts_fail(tmp_path, capsys):

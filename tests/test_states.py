@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dickekw import qmat, states
+from test_qmat import basis_ket
 
 
 def test_ket_xi_amplitudes():
@@ -25,8 +26,8 @@ def test_gate_unitaries():
                                atol=1e-15)
     cx = states.gate_unitary(states.GateSpec("CX", target=1, control=0), 2)
     for src, dst in ((0b00, 0b00), (0b01, 0b01), (0b10, 0b11), (0b11, 0b10)):
-        np.testing.assert_allclose(cx @ qmat.basis_ket(2, src),
-                                   qmat.basis_ket(2, dst), atol=1e-15)
+        np.testing.assert_allclose(cx @ basis_ket(2, src),
+                                   basis_ket(2, dst), atol=1e-15)
     # the bar variant controls on |0> and applies Z to the target
     czbar = states.gate_unitary(states.GateSpec("CZbar", target=1, control=0), 2)
     expected = np.diag([1, -1, 1, 1]).astype(complex)
@@ -93,8 +94,8 @@ def test_single_qubit_decomposition_every_qubit():
 def test_bell_pair_decomposition():
     d42 = states.dicke(4, 2)
     bell = states.psi_plus()
-    rebuilt = (qmat.basis_ket(4, int("0011", 2))
-               + qmat.basis_ket(4, int("1100", 2))) / np.sqrt(6)
+    rebuilt = (basis_ket(4, int("0011", 2))
+               + basis_ket(4, int("1100", 2))) / np.sqrt(6)
     rebuilt = rebuilt + np.sqrt(2 / 3) * qmat.tensor(bell, bell)
     np.testing.assert_allclose(rebuilt, d42, atol=1e-12)
 
@@ -147,7 +148,7 @@ def test_reduce_noisy_dicke_gives_noisy_w():
 
 def test_reduce_state_zero_probability():
     with pytest.raises(ValueError):
-        states.reduce_state(qmat.basis_ket(2, int("00", 2)), [(0, 1)])
+        states.reduce_state(basis_ket(2, int("00", 2)), [(0, 1)])
 
 
 def test_parse_projections():
