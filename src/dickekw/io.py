@@ -41,13 +41,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def density_matrix_document(rho) -> str:
-    """JSON document for a density matrix (kets are converted first)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 1:
-        rho = qmat.dm(qmat.check_state_vector(rho))
-    n = qmat.num_qubits(rho)
+    """JSON document for a ket or a density matrix checked as ``qmat.fidelity_pure`` checks it."""
+    rho = qmat._state_matrix(rho, physical=False)
     doc = {
-        "n_qubits": n,
+        "n_qubits": qmat.num_qubits(rho),
         "qubit_order": QUBIT_ORDER_TAG,
         "re": rho.real.tolist(),
         "im": rho.imag.tolist(),

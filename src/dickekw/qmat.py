@@ -40,13 +40,12 @@ ATOL = 1e-9
 def num_qubits(obj) -> int:
     """Number of qubits of a ket, density matrix, or plain dimension.
 
-    Raises ValueError if the dimension is not a power of two.
+    Raises ValueError if the dimension is not a power of two, or for a stack.
     """
-    if isinstance(obj, (int, np.integer)):
-        dim = int(obj)
-    else:
-        arr = np.asarray(obj)
-        dim = arr.shape[0] if arr.ndim else 0
+    shape = (int(obj),) if isinstance(obj, (int, np.integer)) else np.shape(obj)
+    if len(shape) > 2:
+        raise ValueError(f"expected one state, got a stack of shape {shape}")
+    dim = shape[0] if shape else 0
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
@@ -66,8 +65,8 @@ def check_state_vector(psi) -> np.ndarray:
 
 
 def check_density_matrix(rho) -> np.ndarray:
-    """Validate a density matrix: finite, Hermitian and of unit trace within
-    ATOL, spectrum >= EIG_FLOOR."""
+    """Validate a density matrix or a (..., d, d) stack of them: finite, Hermitian and of
+    unit trace within ATOL, spectrum >= EIG_FLOOR; a stack's error names the state k."""
     return _check_matrix(rho, ATOL, physical=True)
 
 
@@ -75,30 +74,40 @@ def _check_matrix(rho, trace_atol: float, physical: bool) -> np.ndarray:
     """:func:`check_density_matrix` with a trace tolerance of ``trace_atol``,
     and no spectrum check unless ``physical``; files share it."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ValueError("density matrix must be square")
-    num_qubits(rho)
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has an entry that is not a finite number")
-    if np.abs(rho - rho.conj().T).max() > ATOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_atol:
-        raise ValueError(f"density matrix trace {tr} differs from 1 beyond {trace_atol}")
-    if physical:
-        lo = float(np.linalg.eigvalsh(rho).min())
-        if lo < EIG_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {lo} below {EIG_FLOOR}")
+    num_qubits(rho.shape[-1])
+    finite = np.logical_and.reduce(np.isfinite(rho), (-2, -1))
+    # zeros for a state that is not finite: inf - inf would warn and a NaN stop eigvalsh
+    clean = np.where(finite[..., None, None], rho, 0)
+    tr = clean.trace(0, -2, -1).real
+    lo = np.minimum.reduce(np.linalg.eigvalsh(clean), -1) if physical else 0 * tr
+    passes = [finite,
+              np.maximum.reduce(abs(clean - clean.conj().swapaxes(-2, -1)), (-2, -1)) <= ATOL,
+              abs(tr - 1.0) <= trace_atol, lo >= EIG_FLOOR]
+    ok = passes[0] & passes[1] & passes[2] & passes[3]
+    if not np.logical_and.reduce(ok, None):
+        k = np.argmin(ok)
+        message = ("density matrix has an entry that is not a finite number",
+                   "density matrix is not Hermitian within tolerance",
+                   f"density matrix trace {np.ravel(tr)[k]} differs from 1 beyond {trace_atol}",
+                   f"density matrix has eigenvalue {np.ravel(lo)[k]} below {EIG_FLOOR}",
+                   )[[np.ravel(test)[k] for test in passes].index(False)]
+        raise ValueError(message if rho.ndim == 2 else f"state {k}: {message}")
     return rho
 
 
 def check_state(state) -> np.ndarray:
-    """Validate a ket (1-D input) or a density matrix (2-D input) and return
-    the density matrix."""
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
+    """The density matrix of a checked ket (1-D input) or density matrix (2-D input)."""
+    return _state_matrix(state, physical=True)
+
+
+def _state_matrix(state, physical: bool) -> np.ndarray:
+    """The density matrix of a checked ket (1-D input) or matrix, whose spectrum
+    goes unchecked unless ``physical``; projections, fidelities and files share it."""
+    if np.ndim(state) == 1:
         return dm(check_state_vector(state))
-    return check_density_matrix(state)
+    return check_density_matrix(state) if physical else _check_matrix(state, ATOL, False)
 
 
 def dm(psi) -> np.ndarray:
@@ -194,7 +203,7 @@ def partial_trace(rho, keep) -> np.ndarray:
     Parameters
     ----------
     rho : array, shape (2**n, 2**n)
-        Density matrix.
+        Density matrix, checked by :func:`check_density_matrix`.
     keep : sequence of int
         Qubit indices to retain; the output qubit order follows the order
         given here, so ``keep=[2, 0]`` both reduces and reorders.
@@ -203,7 +212,7 @@ def partial_trace(rho, keep) -> np.ndarray:
     -------
     array, shape (2**k, 2**k)
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = check_density_matrix(rho)
     n = num_qubits(rho)
     keep = list(keep)
     if len(set(keep)) != len(keep) or not keep:
@@ -230,9 +239,8 @@ def _reduce(rhos, keeps):
     return np.add.reduce(rhos[..., index[:, :, None], index[:, None]], -1)
 
 
-def entropy_bits(probs):
-    """Shannon entropy in bits of a probability vector, or an array of the
-    entropies of the columns of a (k, B) stack.
+def entropy_bits(probs) -> float:
+    """Shannon entropy in bits of a probability vector.
 
     Values in [-1e-8, 0) clamp to zero, values below 1e-12 contribute
     nothing, and anything under -1e-8 raises (invalid state).
@@ -243,12 +251,13 @@ def entropy_bits(probs):
     total = 0.0
     for term in np.where(x < EIG_ZERO, 0.0, x * np.log2(np.maximum(x, EIG_ZERO))):
         total = total - term
-    return total if np.ndim(total) else float(total)
+    return float(total)
 
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits of a density matrix."""
     rho = check_density_matrix(rho)
+    num_qubits(rho)  # one state, not a stack
     return entropy_bits(np.linalg.eigvalsh(rho))
 
 
@@ -260,9 +269,8 @@ def fidelity_pure(target, rho) -> float:
     linear-inversion estimate is scored too.
     """
     psi = check_state_vector(target)
-    rho = np.asarray(rho, dtype=complex)
-    rho = dm(check_state_vector(rho)) if rho.ndim == 1 else _check_matrix(rho, ATOL, physical=False)
-    if rho.shape[0] != psi.shape[0]:
+    rho = _state_matrix(rho, physical=False)
+    if rho.shape != (len(psi),) * 2:
         raise ValueError("target and state dimensions differ")
     return float(min(max(np.vdot(psi, rho @ psi).real, 0.0), 1.0))
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickekw import correlations as corr
-from dickekw import qmat, states
+from dickekw import io, qmat, states
 from dickekw import tomography as tomo
 from test_tomography import loop_correlators
 
@@ -757,6 +757,14 @@ def test_eof_matches_the_closed_form(c):
     assert abs(corr.eof_from_concurrence(c) - closed_form_eof(c)) <= 2e-15
 
 
+@pytest.mark.parametrize("c", SMALL_AND_EDGE_CONCURRENCES[1:])
+def test_symmetric_e_is_the_eof_of_concurrence_2p(c):
+    # the closed forms' E comes from the J kernel's binary entropy, as the
+    # exact route's does; the former entropy_bits E was off below p = 1e-6
+    report = corr.kw_symmetric(corr.SymmetricModel(c / 2, c / 4))
+    assert abs(report.E - closed_form_eof(c)) <= 2e-15
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 1.0))
 def test_eof_of_any_concurrence_matches_the_closed_form(c):
@@ -886,26 +894,51 @@ def test_kw_all_permutations_validates_input_once(monkeypatch):
     corr.kw_all_permutations(rho)
     assert len(calls) == 1
     corr.kw_exact_many(np.stack([rho, w1_dm(), rho]), "c|a,b")
-    assert len(calls) == 4
+    assert len(calls) == 2  # one check of the whole stack
 
 
 def test_kw_exact_many_names_the_state_it_rejects():
     good = 0.6 * w1_dm() + 0.4 * np.eye(8) / 8
     skew = good.copy()
     skew[0, 1] += 1e-3
-    for k, bad in ((0, 2 * good), (2, skew), (4, np.eye(4) / 4), (1, np.zeros(8))):
+    negative = good + 0.07 * np.diag([-1, 0, 0, 0, 0, 0, 0, 1])  # Hermitian, trace 1
+    for k, bad, message in ((0, 2 * good, "trace"), (2, skew, "not Hermitian"),
+                            (3, np.full((8, 8), np.nan), "not a finite number"),
+                            (1, negative, "eigenvalue -0.02.* below -1e-08"),
+                            (4, np.eye(4) / 4, "three-qubit state, got shape \\(4, 4\\)"),
+                            (1, np.zeros(8), "three-qubit state, got shape \\(8,\\)")):
         rhos = [good] * 5
         rhos[k] = bad
-        with pytest.raises(ValueError, match=f"^state {k}: ") as err:
+        with pytest.raises(ValueError, match=f"^state {k}: .*{message}") as err:
             corr.kw_exact_many(rhos)
         assert "\n" not in str(err.value)
-    with pytest.raises(ValueError, match="^state 0: "):
+    with pytest.raises(ValueError, match="^state 1: .*not Hermitian"):
+        corr.kw_exact_many([good, skew, good, 2 * good])  # the lower index of two
+    with pytest.raises(ValueError, match="^state 1: .*not Hermitian"):
+        corr.kw_exact_many(rho for rho in (good, skew))  # any iterable of states
+    with pytest.raises(ValueError, match="^state 0: .*three-qubit state, got shape \\(8,\\)"):
         corr.kw_exact_many(good)  # one state, not a stack of them
     with pytest.raises(ValueError, match="^state 0: .*three-qubit"):
         corr.kw_exact_many(np.stack([np.eye(4) / 4] * 3))
     with pytest.raises(ValueError, match="assignment"):
         corr.kw_exact_many([good], "b|b,c")
     assert corr.kw_exact_many([]) == []
+
+
+@pytest.mark.parametrize("call", [
+    qmat.num_qubits, qmat.von_neumann_entropy, lambda x: qmat.partial_trace(x, [0]),
+    lambda x: qmat.project(x, [(0, 0)]), lambda x: qmat.fidelity_pure(states.dicke(3, 1), x),
+    lambda x: qmat.pauli_expectation(x, "ZZZ"), lambda x: tomo.born_probabilities(x, "ZZZ"),
+    io.density_matrix_document, corr.kw_exact, corr.kw_all_permutations, corr.correlator_table,
+    lambda x: corr.concurrence(qmat._reduce(x, ((0, 1),))[:, 0]),
+    lambda x: corr.classical_correlations(qmat._reduce(x, ((0, 1),))[:, 0])],
+    ids=["num_qubits", "von_neumann_entropy", "partial_trace", "project", "fidelity_pure",
+         "pauli_expectation", "born_probabilities", "density_matrix_document", "kw_exact",
+         "kw_all_permutations", "correlator_table", "concurrence", "classical_correlations"])
+def test_an_entry_that_takes_one_state_rejects_a_stack(call):
+    # check_density_matrix takes a stack; an entry for one state still rejects one
+    with pytest.raises(ValueError):
+        call(np.stack([w1_dm()] * 2))
 
 
 def test_a_state_reads_alike_alone_and_in_a_stack():
@@ -1419,14 +1452,15 @@ def test_zero_sigma_record_consumes_no_draws():
 
 def scalar_closed_forms(p, c):
     """The symmetric-model closed forms as the former scalar code evaluated
-    them, kept as an oracle for the array evaluation."""
+    them, kept as an oracle for the array evaluation; E is the binary entropy
+    with no cut below 1e-12, as the exact route's E is."""
     root = np.sqrt(4 * c * c * p * p + p**4)
     args = ((1 - root / (3 * p * p)) / 2, (1 + root / (3 * p * p)) / 2)
     s = -p * (2 + 3 * np.log2(p))
     r = np.sqrt(max(0.0, 1 - 4 * p * p))
     e = 0.0
     for x in ((1 + r) / 2, (1 - r) / 2):
-        if x >= 1e-12:
+        if x > 0:
             e -= x * np.log2(x)
     j = -p * np.log2(p) - 2 * p * np.log2(2 * p)
     j += ((3 * p * p - root) * np.log2(args[0])

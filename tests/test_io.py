@@ -96,6 +96,18 @@ def test_non_psd_matrix_round_trips(tmp_path):
     np.testing.assert_allclose(io.load_density_matrix(path), rho, atol=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rho, message", [
+    (np.full((2, 2), np.nan), "not a finite number"), ([[1, 1], [0, 0]], "not Hermitian"),
+    (3 * np.eye(2), "trace 6.0 differs from 1"), (np.eye(2, 4), "must be square")],
+    ids=["nan", "non-hermitian", "trace-6", "2x4"])
+def test_only_a_checked_matrix_is_written(tmp_path, rho, message):
+    path = tmp_path / "bad.dm.json"
+    with pytest.raises(ValueError, match=f"^density matrix .*{message}"):
+        io.save_density_matrix(path, rho)
+    assert os.listdir(tmp_path) == []
+
+
 def test_counts_round_trip(tmp_path):
     counts = tomo.simulate_counts(qmat.dm(states.psi_plus()),
                                   tomo.settings_full(2), 100, 0)

@@ -114,6 +114,8 @@ def test_entropy_reference_points():
     assert qmat.von_neumann_entropy(np.diag([2 / 3, 1 / 3])) == pytest.approx(
         H13, abs=1e-12)
     assert qmat.entropy_bits([0.5, 0.5, 0.0]) == pytest.approx(1, abs=1e-12)
+    with pytest.raises(ValueError, match="below"):
+        qmat.entropy_bits([1 + 1e-6, -1e-6])
 
 
 def test_entropy_additive_on_products():
@@ -195,8 +197,9 @@ NOT_STATES = {
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call", [lambda rho: qmat.project(rho, [(0, 0)]),
-                                  lambda rho: qmat.fidelity_pure([1, 0], rho)],
-                         ids=["project", "fidelity_pure"])
+                                  lambda rho: qmat.fidelity_pure([1, 0], rho),
+                                  lambda rho: qmat.partial_trace(rho, [0])],
+                         ids=["project", "fidelity_pure", "partial_trace"])
 @pytest.mark.parametrize("case", NOT_STATES)
 def test_projections_and_fidelities_reject_a_matrix_that_is_not_a_state(case, call):
     matrix, message = NOT_STATES[case]
@@ -225,6 +228,55 @@ def test_checks_reject_malformed_input():
     with pytest.raises(ValueError):
         qmat.check_density_matrix(np.diag([1.5, -0.5]))
     qmat.check_density_matrix(np.diag([1.0, 0.0]))
+
+
+def corrupt(rho, kind, rng):
+    """``rho`` with one defect of each test of the density-matrix check."""
+    rho = rho.copy()
+    if kind == "nan":
+        rho[0, 0] = np.nan
+    elif kind == "inf":
+        rho[0, 1] = rho[1, 0] = np.inf  # inf - inf, were the Hermiticity test to see it
+    elif kind == "skew":
+        rho[0, 1] += 1e-3
+    elif kind == "trace":
+        rho *= 1.5
+    else:  # Hermitian, trace 1, one eigenvalue -0.5
+        u = qmat.random_unitary(len(rho), rng)
+        rho = u @ np.diag([1.5, -0.5] + [0] * (len(rho) - 2)) @ u.conj().T
+    return rho
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, "nan", "inf", "skew", "trace", "negative"]), st.integers(0, 5))
+def test_a_stack_passes_the_check_exactly_when_each_state_does(n, size, seed, kind, where):
+    rng = np.random.default_rng(seed)
+    rhos = [qmat.random_density_matrix(n, rng, rank=int(rng.integers(1, 2**n + 1)))
+            for _ in range(size)]
+    if kind is not None:
+        rhos[where % size] = corrupt(rhos[where % size], kind, rng)
+    errors = {}
+    for k, rho in enumerate(rhos):
+        try:
+            qmat.check_density_matrix(rho)
+        except ValueError as err:
+            errors[k] = str(err)
+    assert (kind is None) == (not errors)
+    if not errors:
+        assert np.array_equal(qmat.check_density_matrix(np.stack(rhos)), np.stack(rhos))
+        return
+    k, error = min(errors.items())
+    with pytest.raises(ValueError) as raised:
+        qmat.check_density_matrix(np.stack(rhos))
+    assert str(raised.value) == f"state {k}: {error}"
+
+
+@pytest.mark.parametrize("matrix", [[1, 0, 0, 0], np.eye(4, 8) / 2], ids=["ket", "4x8"])
+def test_partial_trace_rejects_a_ket_and_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(ValueError, match="density matrix must be square"):
+        qmat.partial_trace(matrix, [0])
 
 
 @pytest.mark.parametrize("call", [
@@ -292,10 +344,11 @@ def test_partial_trace_is_the_index_sum_in_any_keep_order(case):
     keep = tuple(order[:k])
     rng = np.random.default_rng(seed)
     rho = qmat.random_density_matrix(n, rng, rank=1 + seed % 2**n)
-    # any operator reduces alike, Hermitian or not
+    # the map reduces any operator alike, Hermitian or not; partial_trace takes a state
     op = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-    for matrix in (rho, op):
-        gap = qmat.partial_trace(matrix, keep) - index_sum_partial_trace(matrix, keep)
+    for matrix, reduced in ((rho, qmat.partial_trace(rho, keep)),
+                            (op, qmat._reduce(op, (keep,))[0])):
+        gap = reduced - index_sum_partial_trace(matrix, keep)
         assert np.abs(gap).max() <= 1e-15 * np.abs(matrix).sum()
     # the reversed reduction has the Pauli coordinates transposed
     block, reverse = (qmat._pauli_coords(qmat.partial_trace(rho, kept)[None]).reshape((4,) * k)
@@ -327,14 +380,3 @@ def test_fixed_tables_cannot_change_module_constants():
         stack[1, 0] = 7
     np.testing.assert_array_equal(qmat.X, x_before)
     np.testing.assert_array_equal(qmat._pauli_stack(1)[1], x_before.ravel())
-
-
-def test_entropy_bits_of_a_stack_matches_each_column():
-    rng = np.random.default_rng(5)
-    probs = rng.dirichlet(np.ones(4), size=50).T
-    probs[3, :10] = 1e-13  # below EIG_ZERO: contributes nothing
-    stacked = qmat.entropy_bits(probs)
-    assert stacked.shape == (50,)
-    assert list(stacked) == [qmat.entropy_bits(col) for col in probs.T]
-    with pytest.raises(ValueError, match="below"):
-        qmat.entropy_bits(np.array([[0.5, 1.0], [0.5, -1e-6]]))
