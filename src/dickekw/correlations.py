@@ -244,11 +244,6 @@ def _polish(coords, frame):
     return f_out, n_out
 
 
-def _is_index(q) -> bool:
-    """Whether q is a qubit index: an int or numpy integer, not a bool."""
-    return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
-
-
 def _direction_of(n):
     """theta (M,) and phi in [0, 2 pi) of the Bloch vectors n (M, 3), each
     read as n or -n, the same measurement: the one whose first nonzero
@@ -286,7 +281,7 @@ def classical_correlations(rho, measured: int = 0):
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("classical correlations are defined for two qubits")
-    if not (_is_index(measured) and measured in (0, 1)):
+    if not qmat._are_qubits((measured,), 2):
         raise ValueError("measured qubit must be 0 or 1")
     s_beta, cond, n = _min_measured_entropy(qmat._reduce(rho, ((measured, 1 - measured),)))
     theta, phi = _direction_of(n)
@@ -375,7 +370,7 @@ def _split(assignment):
         split = parse_assignment(assignment) if isinstance(assignment, str) else tuple(assignment)
     except TypeError:  # not iterable
         split = ()
-    if not (all(map(_is_index, split)) and sorted(split) == [0, 1, 2]):
+    if not (len(split) == 3 and qmat._are_qubits(split, 3)):
         raise ValueError(f"assignment {assignment!r} must name qubits 0, 1, 2 once each, "
                          f"as in b|a,c or (0, 1, 2)")
     return tuple(map(int, split))

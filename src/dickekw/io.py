@@ -73,15 +73,18 @@ def load_density_matrix(path: str) -> np.ndarray:
         if doc["qubit_order"] != QUBIT_ORDER_TAG:
             raise ValueError(f"unsupported qubit order {doc['qubit_order']!r}")
         real, imag = (np.asarray(doc[part], dtype=float) for part in ("re", "im"))
-        n = int(doc["n_qubits"])
-        if not real.shape == imag.shape == (2**n, 2**n):
+        n, side = doc["n_qubits"], len(real) if real.ndim else 0
+        if type(n) is not int:  # not a bool, a float or a string of digits
+            raise ValueError(f"n_qubits must be an integer, got {n!r}")
+        # n meets the side's qubit count: a 2**n of a huge n would never return
+        if not (real.shape == imag.shape == (side, side) and qmat.num_qubits(side) == n):
             raise ValueError(f"matrix parts of shapes {real.shape} and {imag.shape} "
                              f"do not match {n} qubits")
         # set, not added: inf * 1j would warn before the finite check
         rho = real.astype(complex)
         rho.imag = imag
         return qmat._check_matrix(rho, 1e-6, physical=doc.get("physical") is not False)
-    except (TypeError, ValueError) as err:
+    except (RecursionError, TypeError, ValueError) as err:  # json: a nesting too deep to decode
         raise ValueError(f"{path}: {err}") from None
 
 
@@ -185,7 +188,7 @@ def load_kw_report(path: str) -> KWReport:
     with open(path) as handle:
         try:
             doc = json.load(handle)
-        except ValueError as err:
+        except (RecursionError, ValueError) as err:
             raise ValueError(f"{path}: {err}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a monogamy report is a JSON object")

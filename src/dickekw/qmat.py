@@ -28,9 +28,8 @@ QUBIT_NAMES = "abcd"
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
-# eigenvalues and probabilities below EIG_ZERO count as zero (in entropy_bits
-# and projections); an eigenvalue more negative than EIG_FLOOR signals an
-# invalid state
+# a projection outcome of probability at most EIG_ZERO raises; an eigenvalue
+# more negative than EIG_FLOOR signals an invalid state
 EIG_ZERO = 1e-12
 EIG_FLOOR = -1e-8
 # the state checks' tolerance on norm, trace and Hermiticity
@@ -52,6 +51,13 @@ def num_qubits(obj) -> int:
     return n
 
 
+def _are_qubits(qubits, n: int) -> bool:
+    """Whether a tuple or list holds distinct qubit indices of an n-qubit state, each
+    an int or numpy integer, not a bool, in range(n): the one rule for a qubit index."""
+    return (all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) and 0 <= q < n
+                for q in qubits) and len(set(qubits)) == len(qubits))
+
+
 def check_state_vector(psi) -> np.ndarray:
     """Validate a ket: 1-D, power-of-two length, unit norm within ATOL."""
     psi = np.asarray(psi, dtype=complex)
@@ -59,7 +65,7 @@ def check_state_vector(psi) -> np.ndarray:
         raise ValueError("state vector must be one-dimensional")
     num_qubits(psi)
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > ATOL:
+    if not abs(norm - 1.0) <= ATOL:  # a NaN norm fails too
         raise ValueError(f"state vector norm {norm} differs from 1 beyond {ATOL}")
     return psi
 
@@ -192,7 +198,7 @@ def _from_pauli_coords(coords: np.ndarray, n: int) -> np.ndarray:
 def pauli_expectation(rho, labels: str) -> float:
     """<P> = Re Tr[rho P] for a Pauli string."""
     rho = check_density_matrix(rho)
-    if num_qubits(rho) != len(labels):
+    if num_qubits(rho) != len(check_pauli(labels)):
         raise ValueError("Pauli string length does not match qubit count")
     return float(_pauli_coords(rho[None])[0, _pauli_index(labels)])
 
@@ -214,12 +220,10 @@ def partial_trace(rho, keep) -> np.ndarray:
     """
     rho = check_density_matrix(rho)
     n = num_qubits(rho)
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or not keep:
-        raise ValueError("keep must be a nonempty set of distinct qubit indices")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"qubit index out of range for {n} qubits: {keep}")
-    return _reduce(rho, (tuple(keep),))[0]
+    keep = tuple(keep)
+    if not (keep and _are_qubits(keep, n)):
+        raise ValueError(f"keep must be one or more distinct qubit indices below {n}, got {keep}")
+    return _reduce(rho, (keep,))[0]
 
 
 @frozen_cache
@@ -239,26 +243,16 @@ def _reduce(rhos, keeps):
     return np.add.reduce(rhos[..., index[:, :, None], index[:, None]], -1)
 
 
-def entropy_bits(probs) -> float:
-    """Shannon entropy in bits of a probability vector.
-
-    Values in [-1e-8, 0) clamp to zero, values below 1e-12 contribute
-    nothing, and anything under -1e-8 raises (invalid state).
-    """
-    x = np.real(np.asarray(probs))
-    if np.any(x < EIG_FLOOR):
-        raise ValueError(f"probability {np.min(x)} below {EIG_FLOOR}")
-    total = 0.0
-    for term in np.where(x < EIG_ZERO, 0.0, x * np.log2(np.maximum(x, EIG_ZERO))):
-        total = total - term
-    return float(total)
-
-
 def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy in bits of a density matrix."""
+    """Von Neumann entropy in bits of a density matrix: -sum x log2 x over its
+    spectrum clipped at zero, 0 log 0 = 0, with no cutoff."""
     rho = check_density_matrix(rho)
     num_qubits(rho)  # one state, not a stack
-    return entropy_bits(np.linalg.eigvalsh(rho))
+    x = np.maximum(np.linalg.eigvalsh(rho), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xlog = x * np.log2(x)
+    xlog[x == 0] = 0.0
+    return 0.0 - float(xlog.sum())  # +0.0, not -0.0, for a pure state
 
 
 def fidelity_pure(target, rho) -> float:
@@ -276,17 +270,12 @@ def fidelity_pure(target, rho) -> float:
 
 
 def _outcome_ket(outcome) -> np.ndarray:
-    if isinstance(outcome, (int, np.integer)):
-        if outcome not in (0, 1):
-            raise ValueError("integer outcome must be 0 or 1")
-        return KET0 if outcome == 0 else KET1
-    v = np.asarray(outcome, dtype=complex)
-    if v.shape != (2,):
-        raise ValueError("outcome ket must have shape (2,)")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > ATOL:
-        raise ValueError("outcome ket must be normalized")
-    return v
+    """The ket of an outcome: 0 or 1 under the qubit-index rule, or a checked one-qubit ket."""
+    if np.ndim(outcome) == 0 and _are_qubits((outcome,), 2):
+        return (KET0, KET1)[outcome]
+    if np.shape(outcome) != (2,):
+        raise ValueError(f"outcome {outcome!r} must be 0, 1 or a one-qubit ket")
+    return check_state_vector(outcome)
 
 
 def project(state, assignments):
@@ -309,10 +298,8 @@ def project(state, assignments):
     n = num_qubits(rho)
     assignments = list(assignments)
     qubits = [q for q, _ in assignments]
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("projection qubits must be distinct")
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"qubit index out of range for {n} qubits: {qubits}")
+    if not _are_qubits(qubits, n):
+        raise ValueError(f"projection qubits must be distinct indices below {n}, got {qubits}")
     bras = {q: _outcome_ket(v).conj()[None, :] for q, v in assignments}
     B = tensor(*(bras.get(q, I2) for q in range(n)))
     post = B @ rho @ B.conj().T

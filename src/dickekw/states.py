@@ -38,8 +38,6 @@ def _embed_single(u: np.ndarray, qubit: int, n: int) -> np.ndarray:
 
 def _embed_controlled(u: np.ndarray, control: int, target: int, n: int,
                       control_value: int) -> np.ndarray:
-    if control == target:
-        raise ValueError("control and target must differ")
     proj_active = np.outer(KET1, KET1) if control_value else np.outer(KET0, KET0)
     proj_idle = np.outer(KET0, KET0) if control_value else np.outer(KET1, KET1)
     idle = [I2] * n
@@ -50,22 +48,24 @@ def _embed_controlled(u: np.ndarray, control: int, target: int, n: int,
     return tensor(*idle) + tensor(*active)
 
 
+# each gate kind's single-qubit operator and the control value that applies it
+# (None for a gate without a control)
+_GATES = {"H": (H, None), "Z": (Z, None), "CX": (X, 1), "CZbar": (Z, 0)}
+
+
 @qmat.frozen_cache
 def gate_unitary(gate: GateSpec, n: int) -> np.ndarray:
     """Full 2**n unitary for one gate; cached, so it comes read-only."""
-    if not 0 <= gate.target < n:
-        raise ValueError(f"target {gate.target} out of range for {n} qubits")
-    if gate.kind in ("H", "Z"):
-        u = _embed_single(H if gate.kind == "H" else Z, gate.target, n)
-    elif gate.control is None or not 0 <= gate.control < n:
-        raise ValueError(f"gate {gate.kind} needs an in-range control qubit")
-    elif gate.kind == "CX":
-        u = _embed_controlled(X, gate.control, gate.target, n, control_value=1)
-    elif gate.kind == "CZbar":
-        u = _embed_controlled(Z, gate.control, gate.target, n, control_value=0)
-    else:
+    if gate.kind not in _GATES:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return u
+    u, control_value = _GATES[gate.kind]
+    qubits = (gate.target,) if control_value is None else (gate.control, gate.target)
+    if not qmat._are_qubits(qubits, n):
+        raise ValueError(f"gate {gate.kind} needs distinct qubit indices below {n}, "
+                         f"got target {gate.target!r} and control {gate.control!r}")
+    if control_value is None:
+        return _embed_single(u, gate.target, n)
+    return _embed_controlled(u, gate.control, gate.target, n, control_value)
 
 
 # Gate sequence mapping the hyperentangled source state onto the two-excitation

@@ -48,9 +48,16 @@ def settings_full(n: int) -> list[str]:
     return ["".join(p) for p in product("XYZ", repeat=n)]
 
 
-def _check_setting(setting: str) -> None:
-    if not isinstance(setting, str) or not setting or any(l not in "XYZ" for l in setting):
-        raise ValueError(f"bad measurement setting {setting!r}")
+def _check_settings(settings) -> tuple[str, ...]:
+    """The one settings check: a sequence, not a bare string, of nonempty strings
+    over X, Y, Z, as a tuple.  Each caller tests the lengths it needs."""
+    if isinstance(settings, str) or not isinstance(settings, Sequence):
+        raise ValueError("need a sequence of settings, got "
+                         + "the string " * isinstance(settings, str) + repr(settings))
+    for setting in settings:
+        if not isinstance(setting, str) or not setting or any(l not in "XYZ" for l in setting):
+            raise ValueError(f"bad measurement setting {setting!r}")
+    return tuple(settings)
 
 
 def born_probabilities(rho, setting: str) -> np.ndarray:
@@ -62,12 +69,10 @@ def _born_table(rho, settings) -> tuple[tuple[str, ...], np.ndarray]:
     """The checked settings as a tuple and their outcome probabilities."""
     rho = qmat.check_state(rho)
     n = qmat.num_qubits(rho)
-    settings = tuple(settings)
+    settings = _check_settings(settings)
     if not settings or any(len(s) != n for s in settings):
         raise ValueError(f"a {n}-qubit state needs one or more settings of "
                          f"{n} letters, got {list(settings)}")
-    for setting in settings:
-        _check_setting(setting)
     probs = _fit_probabilities(settings, rho[None]).reshape(len(settings), 2**n)
     return settings, np.clip(probs, 0.0, None)
 
@@ -88,13 +93,7 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.settings, str):
-            raise ValueError(f"need a sequence of settings, got the string {self.settings!r}")
-        if not isinstance(self.settings, Sequence):
-            raise ValueError(f"need a sequence of settings, got {self.settings!r}")
-        settings, counts = tuple(self.settings), np.array(self.counts)
-        for setting in settings:
-            _check_setting(setting)
+        settings, counts = _check_settings(self.settings), np.array(self.counts)
         lengths = set(map(len, settings))
         if len(lengths) != 1 or counts.shape != (len(settings), 2 ** min(lengths)):
             raise ValueError(f"need settings of one length and counts of shape (settings, "
@@ -122,7 +121,7 @@ class CountTable:
 def cell_index(setting: str, outcome: str, n: int) -> int:
     """Index of an outcome of n bits within a setting of n letters over
     X, Y, Z: the one check that a (setting, outcome) pair is well formed."""
-    _check_setting(setting)
+    _check_settings((setting,))
     if len(setting) != n or len(outcome) != n or not set(outcome) <= {"0", "1"}:
         raise ValueError(f"bad count cell {setting},{outcome}: expected a "
                          f"setting and an outcome of {n} letters")

@@ -853,7 +853,7 @@ def test_classical_correlations_bell_diagonal_closed_form(weights):
     rho = (np.eye(4) + sum(ci * qmat.tensor(qmat.PAULI[l], qmat.PAULI[l])
                            for ci, l in zip(c, "XYZ"))) / 4
     c_max = float(np.abs(c).max())
-    luo = 1 - qmat.entropy_bits([(1 + c_max) / 2, (1 - c_max) / 2])
+    luo = 1 + sum(x * np.log2(x) for x in ((1 + c_max) / 2, (1 - c_max) / 2) if x > 0)
     j, _ = corr.classical_correlations(rho)
     assert j == pytest.approx(luo, abs=1e-9)
 

@@ -56,10 +56,16 @@ QUBIT = {"n_qubits": 1, "qubit_order": "abcd-msb", "re": [[0.5, 0], [0, 0.5]],
     ({**QUBIT, "im": [0, 0]}, r"shapes \(2, 2\) and \(2,\)"),
     ({**QUBIT, "im": None}, "do not match 1 qubits"),
     ({**QUBIT, "re": [[1, 0], [0]]}, "with a sequence"),
-    ({**QUBIT, "n_qubits": [1]}, r"int\(\)"),
+    ({**QUBIT, "n_qubits": [1]}, r"n_qubits must be an integer, got \[1\]"),
     ({k: v for k, v in QUBIT.items() if k != "im"}, "missing field 'im'"),
     (5, "not iterable"),
     ("{", "Expecting"),
+    # "1", 1.5 and true used to load, and 10**18 to hang in a 2**n
+    ({**QUBIT, "n_qubits": "1"}, "n_qubits must be an integer, got '1'"),
+    ({**QUBIT, "n_qubits": 1.5}, "n_qubits must be an integer, got 1.5"),
+    ({**QUBIT, "n_qubits": True}, "n_qubits must be an integer, got True"),
+    ({**QUBIT, "n_qubits": 10**18}, "do not match 1000000000000000000 qubits"),
+    ({**QUBIT, "n_qubits": -1}, "do not match -1 qubits"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_density_matrix_errors_name_the_file(tmp_path, doc, reason):
@@ -67,6 +73,17 @@ def test_density_matrix_errors_name_the_file(tmp_path, doc, reason):
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(ValueError, match=reason) as raised:
         io.load_density_matrix(path)
+    assert str(raised.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("load", [io.load_density_matrix, io.load_kw_report],
+                         ids=["density matrix", "monogamy report"])
+def test_a_deeply_nested_document_fails_with_its_path(tmp_path, load):
+    # the JSON decoder's RecursionError used to end the command in a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ValueError, match="recursion") as raised:
+        load(path)
     assert str(raised.value).startswith(f"{path}: ")
 
 

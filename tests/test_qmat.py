@@ -113,9 +113,16 @@ def test_entropy_reference_points():
     assert qmat.von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1, abs=1e-12)
     assert qmat.von_neumann_entropy(np.diag([2 / 3, 1 / 3])) == pytest.approx(
         H13, abs=1e-12)
-    assert qmat.entropy_bits([0.5, 0.5, 0.0]) == pytest.approx(1, abs=1e-12)
+    assert qmat.von_neumann_entropy(np.diag([0.5, 0.5, 0.0, 0.0])) == pytest.approx(1, abs=1e-12)
     with pytest.raises(ValueError, match="below"):
-        qmat.entropy_bits([1 + 1e-6, -1e-6])
+        qmat.von_neumann_entropy(np.diag([1 + 1e-6, -1e-6]))
+
+
+def test_entropy_counts_an_eigenvalue_however_small():
+    # an eigenvalue of 1e-13 used to be dropped, reading 4.3e-12 bits low
+    x = 1e-13
+    exact = -(x * np.log2(x) + (1 - x) * np.log2(1 - x))
+    assert qmat.von_neumann_entropy(np.diag([1 - x, x])) == pytest.approx(exact, rel=4e-16)
 
 
 def test_entropy_additive_on_products():
