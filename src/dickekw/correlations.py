@@ -91,17 +91,15 @@ _MAX_STEPS = 50
 
 
 def _direction_grid():
-    """Bloch vectors n (K, 3), theta-major, of the theta <= pi/4 rows of the
-    sweep (as n and -n are the same measurement, the other rows add nothing),
-    and (4, 2K + 2) outcome columns (1, n) then (1, -n) of those n and of
-    n = 0: measuring nothing, whose two shares sum to S(beta)."""
+    """The K = 113 distinct Bloch vectors n (K, 3), theta-major, of the theta <= pi/4 rows of
+    the sweep (n and -n being the same measurement), the theta = 0 row's pole once, and
+    their (4, 2K) outcome columns (1, n) then (1, -n)."""
     thetas = np.linspace(0.0, pi / 2, _GRID)[: (_GRID + 1) // 2]
     phis = np.linspace(0.0, 2 * pi, _GRID, endpoint=False)
     tt, pp = (m.ravel() for m in np.meshgrid(thetas, phis, indexing="ij"))
-    n = np.stack([np.sin(2 * tt) * np.cos(pp), np.sin(2 * tt) * np.sin(pp),
-                  np.cos(2 * tt)], axis=-1)
-    both = np.vstack([n, np.zeros(3)])
-    return n, np.vstack([np.ones(2 * len(both)), np.concatenate([both, -both]).T])
+    n = np.delete(np.stack([np.sin(2 * tt) * np.cos(pp), np.sin(2 * tt) * np.sin(pp),
+                            np.cos(2 * tt)], axis=-1), np.s_[1:_GRID], 0)
+    return n, np.vstack([np.ones(2 * len(n)), np.concatenate([n, -n]).T])
 
 
 _SWEEP_N, _SWEEP_COLUMNS = _direction_grid()
@@ -132,9 +130,7 @@ def _outcome_entropy(alpha, r):
     lam = np.empty((3,) + r.shape)
     lam[0], lam[1], lam[2] = alpha, alpha + r, alpha - r
     lam[1:] *= 0.5
-    log = np.log2(lam)
-    xlog = lam * log
-    xlog[lam <= 0] = 0.0
+    log, xlog = qmat._xlog2x(lam)
     return lam, log, (xlog[0] - xlog[1] - xlog[2]) * 0.5
 
 
@@ -172,9 +168,9 @@ def _newton_terms(coords, frame):
     gram = v[..., 1:] @ v[..., 1:].swapaxes(1, 2)
     ar = np.concatenate((v[:, :2, 0], np.sqrt(gram.reshape(m, 25)[:, :7:6])), 1)
     lam = ar @ _LAMBDAS
-    log = np.log2(lam)
+    log, xlog = qmat._xlog2x(lam)
     coef = (np.concatenate((log, _CURVE / lam), 1)[:, None] @ _DERIVATIVES)[:, 0]
-    f = np.where(lam > 0, lam * log, 0.0)[:, None] @ _SHARES
+    f = xlog[:, None] @ _SHARES
     z = np.concatenate((v[:, None, 2:, 0], gram[:, :2, 2:] / ar[:, 2:, None]), 1)
     f_r_by_r = coef[:, 12:] / ar[:, 2:]
     coef[:, 4:9:4] -= f_r_by_r
@@ -202,13 +198,14 @@ def _newton_step(grad, hess, radius):
 
 def _min_measured_entropy(rhos):
     """S(beta), min over measurements n on alpha of the entropy left on beta, and
-    the minimizing n, for a trusted (B, 4, 4) stack: one product of the Pauli
-    coordinates with the outcome columns sweeps the grid, S(beta) its last
-    column; ``_polish`` polishes each state's best cell."""
+    the minimizing n, for a trusted (B, 4, 4) stack: S(beta) = h((1 + |b|) / 2) in closed
+    form, and one product of the Pauli coordinates with the outcome columns sweeps the
+    grid; ``_polish`` polishes each state's best cell."""
     coords = qmat._pauli_coords(rhos).reshape(-1, 4, 4)
     with np.errstate(all="ignore"):
+        s = 2 * _outcome_entropy(coords[:, 0, 0], np.linalg.norm(coords[:, 0, 1:], axis=1))[2]
         f = _measured_entropy(coords, _SWEEP_COLUMNS)
-        return (f[:, -1], *_polish(coords, _SWEEP_FRAME[np.argmin(f[:, :-1], axis=1)]))
+        return (s, *_polish(coords, _SWEEP_FRAME[np.argmin(f, axis=1)]))
 
 
 def _polish(coords, frame):
@@ -281,7 +278,7 @@ def classical_correlations(rho, measured: int = 0):
     rho = qmat.check_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("classical correlations are defined for two qubits")
-    if not qmat._are_qubits((measured,), 2):
+    if not qmat._qubits((measured,), 2):
         raise ValueError("measured qubit must be 0 or 1")
     s_beta, cond, n = _min_measured_entropy(qmat._reduce(rho, ((measured, 1 - measured),)))
     theta, phi = _direction_of(n)
@@ -354,7 +351,10 @@ def kw_all_permutations(rho):
 
 
 def _three_qubit(rhos, many: bool = False):
-    """A checked three-qubit state or, if ``many``, (B, 8, 8) stack of a sequence of them."""
+    """A checked three-qubit state or, if ``many``, (B, 8, 8) stack: an array of that shape
+    as it is, else one built from a sequence of them."""
+    if many and isinstance(rhos, np.ndarray) and rhos.shape[1:] == (8, 8):
+        return qmat.check_density_matrix(rhos)
     rhos = list(rhos) if many else [rhos]
     for k, shape in enumerate(map(np.shape, rhos)):
         if shape != (8, 8):
@@ -366,11 +366,9 @@ def _three_qubit(rhos, many: bool = False):
 def _split(assignment):
     """(alpha, beta, gamma) of an assignment string or a sequence of the qubit
     indices 0, 1, 2 in some order, as ints."""
-    try:
-        split = parse_assignment(assignment) if isinstance(assignment, str) else tuple(assignment)
-    except TypeError:  # not iterable
-        split = ()
-    if not (len(split) == 3 and qmat._are_qubits(split, 3)):
+    split = qmat._qubits(parse_assignment(assignment) if isinstance(assignment, str)
+                         else assignment, 3)
+    if split is None or len(split) != 3:
         raise ValueError(f"assignment {assignment!r} must name qubits 0, 1, 2 once each, "
                          f"as in b|a,c or (0, 1, 2)")
     return tuple(map(int, split))

@@ -51,11 +51,16 @@ def num_qubits(obj) -> int:
     return n
 
 
-def _are_qubits(qubits, n: int) -> bool:
-    """Whether a tuple or list holds distinct qubit indices of an n-qubit state, each
-    an int or numpy integer, not a bool, in range(n): the one rule for a qubit index."""
-    return (all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) and 0 <= q < n
-                for q in qubits) and len(set(qubits)) == len(qubits))
+def _qubits(qubits, n: int):
+    """The tuple of an iterable of distinct qubit indices of an n-qubit state, each an int
+    or numpy integer, not a bool, in range(n), else None: the one rule for a qubit index."""
+    try:
+        qubits = tuple(qubits)
+    except TypeError:  # not iterable
+        return None
+    valid = all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) and 0 <= q < n
+                for q in qubits)
+    return qubits if valid and len(set(qubits)) == len(qubits) else None
 
 
 def check_state_vector(psi) -> np.ndarray:
@@ -220,10 +225,10 @@ def partial_trace(rho, keep) -> np.ndarray:
     """
     rho = check_density_matrix(rho)
     n = num_qubits(rho)
-    keep = tuple(keep)
-    if not (keep and _are_qubits(keep, n)):
-        raise ValueError(f"keep must be one or more distinct qubit indices below {n}, got {keep}")
-    return _reduce(rho, (keep,))[0]
+    qubits = _qubits(keep, n)
+    if not qubits:
+        raise ValueError(f"keep must be one or more distinct qubit indices below {n}, got {keep!r}")
+    return _reduce(rho, (qubits,))[0]
 
 
 @frozen_cache
@@ -243,16 +248,18 @@ def _reduce(rhos, keeps):
     return np.add.reduce(rhos[..., index[:, :, None], index[:, None]], -1)
 
 
+def _xlog2x(x):
+    """log2 x and x log2 x, the latter 0 where x <= 0 (0 log 0 = 0).  Call under errstate."""
+    return (log := np.log2(x)), np.where(x > 0, x * log, 0.0)
+
+
 def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy in bits of a density matrix: -sum x log2 x over its
-    spectrum clipped at zero, 0 log 0 = 0, with no cutoff."""
+    """Von Neumann entropy in bits of a density matrix: -sum x log2 x over its spectrum,
+    0 at x <= 0 (``_xlog2x``), with no cutoff, and +0.0, not -0.0, for a pure state."""
     rho = check_density_matrix(rho)
     num_qubits(rho)  # one state, not a stack
-    x = np.maximum(np.linalg.eigvalsh(rho), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xlog = x * np.log2(x)
-    xlog[x == 0] = 0.0
-    return 0.0 - float(xlog.sum())  # +0.0, not -0.0, for a pure state
+        return 0.0 - float(_xlog2x(np.linalg.eigvalsh(rho))[1].sum())
 
 
 def fidelity_pure(target, rho) -> float:
@@ -271,7 +278,7 @@ def fidelity_pure(target, rho) -> float:
 
 def _outcome_ket(outcome) -> np.ndarray:
     """The ket of an outcome: 0 or 1 under the qubit-index rule, or a checked one-qubit ket."""
-    if np.ndim(outcome) == 0 and _are_qubits((outcome,), 2):
+    if np.ndim(outcome) == 0 and _qubits((outcome,), 2):
         return (KET0, KET1)[outcome]
     if np.shape(outcome) != (2,):
         raise ValueError(f"outcome {outcome!r} must be 0, 1 or a one-qubit ket")
@@ -296,11 +303,16 @@ def project(state, assignments):
     """
     rho = check_state(state)
     n = num_qubits(rho)
-    assignments = list(assignments)
-    qubits = [q for q, _ in assignments]
-    if not _are_qubits(qubits, n):
+    try:
+        pairs = [tuple(pair) for pair in assignments]
+    except TypeError:  # not iterable, or an item is not
+        pairs = None
+    if pairs is None or any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"assignments must be (qubit, outcome) pairs, got {assignments!r}")
+    qubits = [q for q, _ in pairs]
+    if _qubits(qubits, n) is None:
         raise ValueError(f"projection qubits must be distinct indices below {n}, got {qubits}")
-    bras = {q: _outcome_ket(v).conj()[None, :] for q, v in assignments}
+    bras = {q: _outcome_ket(v).conj()[None, :] for q, v in pairs}
     B = tensor(*(bras.get(q, I2) for q in range(n)))
     post = B @ rho @ B.conj().T
     prob = float(np.trace(post).real)

@@ -14,7 +14,7 @@ from math import comb, sqrt
 import numpy as np
 
 from . import qmat
-from .qmat import I2, KET0, KET1, QUBIT_NAMES, H, X, Z, tensor
+from .qmat import I2, QUBIT_NAMES, H, X, Z, tensor
 
 
 @dataclass(frozen=True)
@@ -30,42 +30,36 @@ class GateSpec:
     control: int | None = None
 
 
-def _embed_single(u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    ops = [I2] * n
-    ops[qubit] = u
-    return tensor(*ops)
-
-
-def _embed_controlled(u: np.ndarray, control: int, target: int, n: int,
-                      control_value: int) -> np.ndarray:
-    proj_active = np.outer(KET1, KET1) if control_value else np.outer(KET0, KET0)
-    proj_idle = np.outer(KET0, KET0) if control_value else np.outer(KET1, KET1)
-    idle = [I2] * n
-    idle[control] = proj_idle
-    active = [I2] * n
-    active[control] = proj_active
-    active[target] = u
-    return tensor(*idle) + tensor(*active)
-
-
 # each gate kind's single-qubit operator and the control value that applies it
 # (None for a gate without a control)
 _GATES = {"H": (H, None), "Z": (Z, None), "CX": (X, 1), "CZbar": (Z, 0)}
 
 
-@qmat.frozen_cache
 def gate_unitary(gate: GateSpec, n: int) -> np.ndarray:
-    """Full 2**n unitary for one gate; cached, so it comes read-only."""
-    if gate.kind not in _GATES:
+    """Full 2**n unitary for one gate, checked, then built once per kind, qubits and n
+    by a cache, so it comes read-only."""
+    if not (isinstance(gate.kind, str) and gate.kind in _GATES):
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-    u, control_value = _GATES[gate.kind]
-    qubits = (gate.target,) if control_value is None else (gate.control, gate.target)
-    if not qmat._are_qubits(qubits, n):
+    qubits = (gate.target,) if _GATES[gate.kind][1] is None else (gate.control, gate.target)
+    if qmat._qubits(qubits, n) is None:
         raise ValueError(f"gate {gate.kind} needs distinct qubit indices below {n}, "
                          f"got target {gate.target!r} and control {gate.control!r}")
-    if control_value is None:
-        return _embed_single(u, gate.target, n)
-    return _embed_controlled(u, gate.control, gate.target, n, control_value)
+    return _gate_unitary(gate.kind, tuple(map(int, qubits)), n)
+
+
+@qmat.frozen_cache
+def _gate_unitary(kind: str, qubits: tuple, n: int) -> np.ndarray:
+    """The unitary of a checked kind on qubits (target,) or (control, target), as ints: u
+    on the target, or the identity where the control does not read the kind's value
+    plus u on the target where it does."""
+    u, value = _GATES[kind]
+    active = [I2] * n
+    active[qubits[-1]] = u
+    if value is None:
+        return tensor(*active)
+    idle = [I2] * n
+    idle[qubits[0]], active[qubits[0]] = np.diag([value, 1 - value]), np.diag([1 - value, value])
+    return tensor(*idle) + tensor(*active)
 
 
 # Gate sequence mapping the hyperentangled source state onto the two-excitation

@@ -77,6 +77,18 @@ def test_tomo_simulate_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tomo_simulate_prints_the_counts_document_without_out(tmp_path, capsys):
+    dm_path, counts = tmp_path / "w1.dm.json", tmp_path / "counts.csv"
+    run("state", "w1", "--out", str(dm_path))
+    run("tomo", "simulate", "--in", str(dm_path), "--counts", "500", "--seed", "9",
+        "--out", str(counts))
+    capsys.readouterr()
+    assert run("tomo", "simulate", "--in", str(dm_path), "--counts", "500", "--seed", "9") == 0
+    *document, summary = capsys.readouterr().out.splitlines()
+    assert "\n".join(document) + "\n" == counts.read_text()
+    assert summary.startswith("simulated 27 settings, ")
+
+
 def test_tomo_reconstruct_with_target(tmp_path, capsys):
     dm_path = tmp_path / "w1.dm.json"
     counts = tmp_path / "counts.csv"

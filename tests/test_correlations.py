@@ -460,7 +460,7 @@ def x_state(rng):
 
 def test_one_start_reaches_the_best_of_every_sweep_start():
     # the search polishes only the sweep's best cell; polishing from every
-    # one of the 128 cells finds nothing lower (by at most 6e-15 here)
+    # one of the 113 cells finds nothing lower (by at most 6e-15 here)
     rng = np.random.default_rng(20261023)
     pairs = [qmat.random_density_matrix(2, rng, rank=1 + k % 4) for k in range(200)]
     pairs += [x_state(rng) for _ in range(200)]
@@ -525,14 +525,18 @@ def test_sweep_matches_the_bloch_vector_entropy():
     pairs = ([qmat.random_density_matrix(2, rng, rank=1 + k % 4) for k in range(40)]
              + cusp_pairs(10, rng) + [qmat.dm(states.psi_plus())])
     grid_n, columns = corr._SWEEP_N, corr._SWEEP_COLUMNS
+    # 113 distinct directions: the pole once, then 7 rows of 16
+    assert grid_n.shape == (113, 3) and columns.shape == (4, 226)
+    assert len(np.unique(grid_n.round(12), axis=0)) == len(grid_n)
     coords = np.stack([pauli_coordinates(rho) for rho in pairs])
     with np.errstate(all="ignore"):
         values = corr._measured_entropy(coords, columns)
+    s_beta = corr._min_measured_entropy(np.stack(pairs))[0]
     # rounding level: up to 8.4e-15 where a pure pair leaves entropies near 0.
-    # The last column measures nothing: S(beta) = h((1 + |b|) / 2)
+    # S(beta) is the closed form h((1 + |b|) / 2)
     for k, r in enumerate(coords):
-        assert np.abs(values[k, :-1] - bloch_measured_entropy(r, grid_n)).max() <= 1e-14, k
-        assert abs(values[k, -1] - binary_entropy(np.linalg.norm(r[0, 1:]))) <= 1e-14, k
+        assert np.abs(values[k] - bloch_measured_entropy(r, grid_n)).max() <= 1e-14, k
+        assert abs(s_beta[k] - binary_entropy(np.linalg.norm(r[0, 1:]))) <= 1e-14, k
 
 
 @settings(max_examples=50, deadline=None)

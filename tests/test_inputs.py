@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dickekw import correlations as corr
-from dickekw import qmat, states, tomography as tomo
+from dickekw import io, qmat, states, tomography as tomo
 
 W1 = qmat.dm(states.dicke(3, 1))
 PAIR = qmat.partial_trace(W1, (0, 1))
@@ -79,6 +79,48 @@ def test_every_entry_rejects_a_bad_index_outcome_setting_or_pauli_string(case):
         BAD_INPUTS[case]()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: qmat.partial_trace(W1, 5), "keep"),
+    (lambda: qmat.project(W1, 5), "assignments"),
+    (lambda: qmat.project(W1, [(0,)]), "assignments"),
+    (lambda: qmat.project(W1, [(0, 1, 2)]), "assignments"),
+    (lambda: states.gate_unitary(states.GateSpec("H", target=[0]), 2), "target"),
+    (lambda: states.gate_unitary(states.GateSpec(["H"], target=0), 2), "gate kind")],
+    ids=["keep-int", "assignments-int", "assignments-short", "assignments-long",
+         "gate-list-target", "gate-list-kind"])
+def test_a_bad_container_of_qubits_fails_naming_the_argument(call, name):
+    # the index rule also takes the container: not iterable, a pair of the wrong
+    # length, or a target the gate cache could not hash
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def kw_report_file(tmp_path, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    return path
+
+
+# input checks that no other test reaches
+RARE_REJECTIONS = {
+    "eof_from_concurrence": (lambda tmp: corr.eof_from_concurrence(1.5), "outside \\[0, 1\\]"),
+    "load_kw_report": (lambda tmp: io.load_kw_report(kw_report_file(tmp, "[1, 2]")),
+                       "report.json: a monogamy report is a JSON object"),
+    "check_state_vector": (lambda tmp: qmat.check_state_vector(np.eye(2)), "one-dimensional"),
+    "tensor": (lambda tmp: qmat.tensor(), "at least one factor"),
+    "state_by_name": (lambda tmp: states.state_by_name("noisy-dicke:q=0.5"),
+                      "expected noisy-dicke:p=<float>"),
+    "settings_full": (lambda tmp: tomo.settings_full(0), "at least one qubit"),
+}
+
+
+@pytest.mark.parametrize("case", RARE_REJECTIONS)
+def test_a_rarely_reached_check_rejects_its_input(case, tmp_path):
+    call, message = RARE_REJECTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+
+
 def test_numpy_integer_indices_give_the_same_results_as_ints():
     i = np.int64
     np.testing.assert_array_equal(qmat.partial_trace(W1, [i(2), i(0)]),
@@ -86,10 +128,9 @@ def test_numpy_integer_indices_give_the_same_results_as_ints():
     for got, want in zip(qmat.project(W1, [(i(1), i(0)), (i(2), 1)]),
                          qmat.project(W1, [(1, 0), (2, 1)])):
         np.testing.assert_array_equal(got, want)
-    states.gate_unitary.cache_clear()  # the cache would hand back the int call's array
     wide = states.gate_unitary(states.GateSpec("CX", target=i(0), control=i(2)), 4)
-    states.gate_unitary.cache_clear()
     np.testing.assert_array_equal(wide, states.gate_unitary(CX, 4))
+    assert wide is states.gate_unitary(CX, 4)  # one cache entry: the indices as ints
     assert (corr.classical_correlations(PAIR, measured=i(1))
             == corr.classical_correlations(PAIR, measured=1))
     assert corr.kw_exact(W1, (i(1), i(0), i(2))) == corr.kw_exact(W1, (1, 0, 2))

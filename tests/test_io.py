@@ -194,6 +194,13 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    (tmp_path / "taken").mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        io.atomic_write_text(tmp_path / "taken", "payload\n")
+    assert os.listdir(tmp_path) == ["taken"] and not os.listdir(tmp_path / "taken")
+
+
 def test_density_matrix_rejects_negative_spectrum(tmp_path):
     rho = np.diag([1.5, -0.5, 0.0, 0.0])
     path = tmp_path / "bad.dm.json"
