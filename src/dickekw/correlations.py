@@ -61,11 +61,22 @@ def eof_from_concurrence(c: float) -> float:
 
 
 def _eof(c):
-    """``eof_from_concurrence`` of an array, each value clipped to [0, 1]: the
-    binary entropy h((1 + r) / 2), r = sqrt(1 - c^2), as the two shares of
-    ``_outcome_entropy`` of the J search."""
+    """``eof_from_concurrence`` of an array, each value clipped to [0, 1]."""
+    return _entropies(np.empty((0, 4, 4)), c)[1]
+
+
+def _entropies(coords, c):
+    """S(beta) = h((1 + |b|) / 2) of each pair's Pauli coordinates [[alpha, b], [a, T]]
+    (M, 4, 4), alpha its own trace, and the entanglement of formation h((1 + r) / 2),
+    r = sqrt(1 - c^2), of each concurrence of c clipped to [0, 1]: the binary entropies
+    h as the two shares of one ``_outcome_entropy`` pass, that of the J search."""
+    b = coords[:, 0, 1:]
+    alpha = np.concatenate((coords[:, 0, 0], np.ones(len(c))))
+    r = np.concatenate((np.sqrt(np.add.reduce(b * b, 1)),
+                        np.sqrt(1 - np.minimum(np.maximum(c, 0.0), 1.0) ** 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return 2 * _outcome_entropy(1.0, np.sqrt(1 - np.clip(c, 0.0, 1.0) ** 2))[2]
+        h = 2 * _outcome_entropy(alpha, r)[2]
+    return h[:len(b)], h[len(b):]
 
 
 def entanglement_of_formation(rho) -> float:
@@ -196,16 +207,13 @@ def _newton_step(grad, hess, radius):
     return step, np.minimum(length, radius), -change[:, 0, 0]
 
 
-def _min_measured_entropy(rhos):
-    """S(beta), min over measurements n on alpha of the entropy left on beta, and
-    the minimizing n, for a trusted (B, 4, 4) stack: S(beta) = h((1 + |b|) / 2) in closed
-    form, and one product of the Pauli coordinates with the outcome columns sweeps the
-    grid; ``_polish`` polishes each state's best cell."""
-    coords = qmat._pauli_coords(rhos).reshape(-1, 4, 4)
+def _min_measured_entropy(coords):
+    """Min over measurements n on alpha of the entropy left on beta, and the minimizing n,
+    for the Pauli coordinates (M, 4, 4) of trusted pairs: one product with the outcome
+    columns sweeps the grid; ``_polish`` polishes each pair's best cell."""
     with np.errstate(all="ignore"):
-        s = 2 * _outcome_entropy(coords[:, 0, 0], np.linalg.norm(coords[:, 0, 1:], axis=1))[2]
         f = _measured_entropy(coords, _SWEEP_COLUMNS)
-        return (s, *_polish(coords, _SWEEP_FRAME[np.argmin(f, axis=1)]))
+        return _polish(coords, _SWEEP_FRAME[np.argmin(f, axis=1)])
 
 
 def _polish(coords, frame):
@@ -222,10 +230,10 @@ def _polish(coords, frame):
         keep = ((moved >= _ANGLE_TOL) & (pred > _F_TOL)).nonzero()[0]
         if len(keep) < len(live):
             f_out[live], n_out[live] = f, frame[:, 2, 1:]
+            if not len(keep):
+                return f_out, n_out
             live, coords, frame, radius, f, grad, hess, step, length = (
                 v.take(keep, 0) for v in (live, coords, frame, radius, f, grad, hess, step, length))
-            if not len(live):
-                return f_out, n_out
         cand = frame[:, 2, 1:] + (step[:, None] @ frame[:, 3:, 1:])[:, 0]
         frame_c = _frame(cand / np.hypot(1.0, length)[:, None])
         f_c, grad_c, hess_c = _newton_terms(coords, frame_c)
@@ -246,8 +254,11 @@ def _direction_of(n):
     read as n or -n, the same measurement: the one whose first nonzero
     component of (n_z, n_y, n_x) is positive, so that theta <= pi/4."""
     x, y, z = n.T
-    lead = np.where(z != 0, z, np.where(y != 0, y, x))
-    n = np.where(lead[:, None] < 0, -n, n)
+    if np.logical_and.reduce(z < 0):  # as ``_polish`` returns them, m_z = -|n_z|
+        n = -n
+    else:
+        lead = np.where(z != 0, z, np.where(y != 0, y, x))
+        n = np.where(lead[:, None] < 0, -n, n)
     return (0.5 * np.arccos(np.minimum(n[:, 2], 1.0)),
             np.arctan2(n[:, 1], n[:, 0]) % (2 * pi))
 
@@ -280,9 +291,10 @@ def classical_correlations(rho, measured: int = 0):
         raise ValueError("classical correlations are defined for two qubits")
     if not qmat._qubits((measured,), 2):
         raise ValueError("measured qubit must be 0 or 1")
-    s_beta, cond, n = _min_measured_entropy(qmat._reduce(rho, ((measured, 1 - measured),)))
-    theta, phi = _direction_of(n)
-    return float(s_beta[0] - cond[0]), (float(theta[0]), float(phi[0]))
+    coords = qmat._pauli_coords(qmat._reduce(rho, ((measured, 1 - measured),))).reshape(1, 4, 4)
+    (cond,), n = _min_measured_entropy(coords)
+    (theta,), (phi,) = _direction_of(n)
+    return float(_entropies(coords, ())[0][0] - cond), (float(theta), float(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +365,7 @@ def kw_all_permutations(rho):
 def _three_qubit(rhos, many: bool = False):
     """A checked three-qubit state or, if ``many``, (B, 8, 8) stack: an array of that shape
     as it is, else one built from a sequence of them."""
-    if many and isinstance(rhos, np.ndarray) and rhos.shape[1:] == (8, 8):
+    if isinstance(rhos, np.ndarray) and rhos.shape[many:] == (8, 8):
         return qmat.check_density_matrix(rhos)
     rhos = list(rhos) if many else [rhos]
     for k, shape in enumerate(map(np.shape, rhos)):
@@ -380,14 +392,16 @@ def _kw_reports(rhos, splits):
     pair and its reverse read alike), one J search and one concurrence."""
     keeps, gammas, names = _plan(splits)
     pairs = qmat._reduce(rhos, keeps)
-    s, h, n = _min_measured_entropy(pairs[:, :len(names)].reshape(-1, 4, 4))
+    coords = qmat._pauli_coords(pairs[:, :len(names)].reshape(-1, 4, 4)).reshape(-1, 4, 4)
+    h, n = _min_measured_entropy(coords)
     theta, phi = _direction_of(n)
-    e = _eof(_concurrence(pairs[:, len(names):]))[:, gammas].ravel()
+    c = _concurrence(pairs[:, len(names):])
+    s, e = _entropies(coords, c.ravel())
+    e = e.reshape(c.shape)[:, gammas].ravel()
     j = s - h
-    columns = (v.reshape(len(rhos), len(names)).tolist()
-               for v in (s, j, e, s - j - e, theta, phi))
+    columns = np.stack((s, j, e, s - j - e, theta, phi)).reshape(6, len(rhos), len(names))
     return [[KWReport(name, S, J, E, KW, "exact", theta_opt=t, phi_opt=p)
-             for name, S, J, E, KW, t, p in zip(names, *state)] for state in zip(*columns)]
+             for name, S, J, E, KW, t, p in zip(names, *state)] for state in zip(*columns.tolist())]
 
 
 @lru_cache(maxsize=64)

@@ -90,7 +90,8 @@ def _check_matrix(rho, trace_atol: float, physical: bool) -> np.ndarray:
     num_qubits(rho.shape[-1])
     finite = np.logical_and.reduce(np.isfinite(rho), (-2, -1))
     # zeros for a state that is not finite: inf - inf would warn and a NaN stop eigvalsh
-    clean = np.where(finite[..., None, None], rho, 0)
+    clean = (rho if np.logical_and.reduce(finite, None)
+             else np.where(finite[..., None, None], rho, 0))
     tr = clean.trace(0, -2, -1).real
     lo = np.minimum.reduce(np.linalg.eigvalsh(clean), -1) if physical else 0 * tr
     passes = [finite,
@@ -233,19 +234,22 @@ def partial_trace(rho, keep) -> np.ndarray:
 
 @frozen_cache
 def _kept_index(n: int, keeps: tuple) -> np.ndarray:
-    """(K, 2**k, 2**(n - k)) basis indices: [j, i, t] is the index at which the
-    qubits keeps[j] read i in that order and the other qubits read t."""
+    """(K, 2**k, 2**k, 2**(n - k)) indices into a flattened 2**n x 2**n matrix: [j, i, l, t]
+    is the entry whose row reads i and column l on the qubits keeps[j], in that order,
+    and both read t on the other qubits."""
     qubits = np.arange(2**n).reshape((2,) * n)
-    return np.stack([qubits.transpose([*keep, *(q for q in range(n) if q not in keep)])
-                     .reshape(2 ** len(keep), -1) for keep in keeps])
+    index = np.stack([qubits.transpose([*keep, *(q for q in range(n) if q not in keep)])
+                      .reshape(2 ** len(keep), -1) for keep in keeps])
+    return index[:, :, None] * 2**n + index[:, None]
 
 
 def _reduce(rhos, keeps):
     """``partial_trace`` of a trusted (..., 2**n, 2**n) stack to each of K
     keeps of one length k, (..., K, 2**k, 2**k): each entry the sum over t of
     the entries whose rows and columns read t on the traced qubits."""
-    index = _kept_index(num_qubits(rhos.shape[-1]), keeps)
-    return np.add.reduce(rhos[..., index[:, :, None], index[:, None]], -1)
+    d = rhos.shape[-1]
+    flat = rhos.reshape(rhos.shape[:-2] + (d * d,))
+    return np.add.reduce(flat[..., _kept_index(num_qubits(d), keeps)], -1)
 
 
 def _xlog2x(x):

@@ -38,13 +38,15 @@ _GATES = {"H": (H, None), "Z": (Z, None), "CX": (X, 1), "CZbar": (Z, 0)}
 def gate_unitary(gate: GateSpec, n: int) -> np.ndarray:
     """Full 2**n unitary for one gate, checked, then built once per kind, qubits and n
     by a cache, so it comes read-only."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"gate_unitary needs a qubit count n >= 1, an int, got n={n!r}")
     if not (isinstance(gate.kind, str) and gate.kind in _GATES):
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     qubits = (gate.target,) if _GATES[gate.kind][1] is None else (gate.control, gate.target)
     if qmat._qubits(qubits, n) is None:
         raise ValueError(f"gate {gate.kind} needs distinct qubit indices below {n}, "
                          f"got target {gate.target!r} and control {gate.control!r}")
-    return _gate_unitary(gate.kind, tuple(map(int, qubits)), n)
+    return _gate_unitary(gate.kind, tuple(map(int, qubits)), int(n))
 
 
 @qmat.frozen_cache

@@ -341,12 +341,43 @@ def j_kernel_rows(rho):
     return [(r.S, r.J, r.E, r.KW, r.theta_opt, r.phi_opt) for r in reports]
 
 
+def pauli_coords(pairs):
+    """The J search's (M, 4, 4) Pauli coordinates of a list of two-qubit states."""
+    return qmat._pauli_coords(np.stack(pairs)).reshape(-1, 4, 4)
+
+
 def test_j_kernel_is_bit_stable():
     for key, rho in j_kernel_states():
         assert j_kernel_rows(rho) == list(J_KERNEL_PIN[key]), key
     pair = qmat.partial_trace(projected_noisy_dicke(), [0, 1])
     j, (theta, phi) = corr.classical_correlations(pair, measured=1)
     assert (j, theta, phi) == NOISY_SPLIT[1:2] + NOISY_SPLIT[4:]
+
+
+def test_every_entry_reads_j_and_e_as_kw_exact_does():
+    # S(beta) of a J is computed in classical_correlations and again in the
+    # reports' one entropy pass, E in entanglement_of_formation and in that pass
+    for key, rho in j_kernel_states():
+        reports, _ = corr.kw_all_permutations(rho)
+        for (alpha, beta, gamma), r in zip(itertools.permutations(range(3)), reports):
+            j, angles = corr.classical_correlations(qmat.partial_trace(rho, [alpha, beta]))
+            assert (j, angles) == (r.J, (r.theta_opt, r.phi_opt)), (key, r.assignment)
+            pair = qmat.partial_trace(rho, sorted([beta, gamma]))
+            assert corr.entanglement_of_formation(pair) == r.E, (key, r.assignment)
+
+
+def test_the_j_search_makes_its_pinned_number_of_newton_evaluations(monkeypatch):
+    # one call of _newton_terms per start and per Newton round, over all six
+    # splits at once; a kernel change that adds rounds shows here
+    calls = []
+    terms = corr._newton_terms
+    monkeypatch.setattr(corr, "_newton_terms", lambda *args: calls.append(args) or terms(*args))
+    counts = {}
+    for key, rho in j_kernel_states():
+        calls.clear()
+        corr.kw_all_permutations(rho)
+        counts[key] = len(calls)
+    assert counts == {"noisy": 3, 1: 4, 2: 4, 8: 4}
 
 
 def test_a_direction_and_its_reverse_read_alike():
@@ -442,7 +473,7 @@ def test_j_search_reaches_the_minimum_of_a_dense_sweep():
     for _, rho in j_kernel_states():
         pairs += [qmat.partial_trace(rho, [alpha, beta])
                   for alpha, beta, _ in itertools.permutations(range(3))]
-    _, cond, _ = corr._min_measured_entropy(np.stack(pairs))
+    cond, _ = corr._min_measured_entropy(pauli_coords(pairs))
     for k, (rho, h) in enumerate(zip(pairs, cond)):
         assert h <= dense_min_conditional_entropy(rho) + 1e-12, k
 
@@ -468,9 +499,9 @@ def test_one_start_reaches_the_best_of_every_sweep_start():
         w = rng.uniform()
         kets = [qmat.dm(qmat.random_state_vector(2, rng)) for _ in range(2)]
         pairs.append(w * kets[0] + (1 - w) * kets[1])
-    _, cond, _ = corr._min_measured_entropy(np.stack(pairs))
+    coords = pauli_coords(pairs)
+    cond, _ = corr._min_measured_entropy(coords)
     frames = corr._SWEEP_FRAME
-    coords = qmat._pauli_coords(np.stack(pairs)).reshape(-1, 4, 4)
     with np.errstate(all="ignore"):
         f, _ = corr._polish(np.repeat(coords, len(frames), axis=0),
                             np.tile(frames, (len(pairs), 1, 1)))
@@ -531,7 +562,7 @@ def test_sweep_matches_the_bloch_vector_entropy():
     coords = np.stack([pauli_coordinates(rho) for rho in pairs])
     with np.errstate(all="ignore"):
         values = corr._measured_entropy(coords, columns)
-    s_beta = corr._min_measured_entropy(np.stack(pairs))[0]
+    s_beta = corr._entropies(pauli_coords(pairs), ())[0]
     # rounding level: up to 8.4e-15 where a pure pair leaves entropies near 0.
     # S(beta) is the closed form h((1 + |b|) / 2)
     for k, r in enumerate(coords):
@@ -689,7 +720,7 @@ def cusp_pairs(count, rng):
 
 
 def test_j_search_reaches_the_cusp_minimum():
-    _, cond, _ = corr._min_measured_entropy(np.stack(cusp_pairs(300, np.random.default_rng(7))))
+    cond, _ = corr._min_measured_entropy(pauli_coords(cusp_pairs(300, np.random.default_rng(7))))
     assert cond.max() <= 1e-11
 
 

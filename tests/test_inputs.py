@@ -111,6 +111,8 @@ RARE_REJECTIONS = {
     "state_by_name": (lambda tmp: states.state_by_name("noisy-dicke:q=0.5"),
                       "expected noisy-dicke:p=<float>"),
     "settings_full": (lambda tmp: tomo.settings_full(0), "at least one qubit"),
+    **{f"gate_unitary-n-{n!r}": (lambda tmp, n=n: states.gate_unitary(states.GateSpec("H", 0), n),
+                                 f"got n={n!r}") for n in (2.5, "2", None, True)},
 }
 
 
