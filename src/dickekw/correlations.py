@@ -62,21 +62,18 @@ def eof_from_concurrence(c: float) -> float:
 
 def _eof(c):
     """``eof_from_concurrence`` of an array, each value clipped to [0, 1]."""
-    return _entropies(np.empty((0, 4, 4)), c)[1]
+    return _binary_entropy(1.0, _concurrence_radius(c))
 
 
-def _entropies(coords, c):
-    """S(beta) = h((1 + |b|) / 2) of each pair's Pauli coordinates [[alpha, b], [a, T]]
-    (M, 4, 4), alpha its own trace, and the entanglement of formation h((1 + r) / 2),
-    r = sqrt(1 - c^2), of each concurrence of c clipped to [0, 1]: the binary entropies
-    h as the two shares of one ``_outcome_entropy`` pass, that of the J search."""
-    b = coords[:, 0, 1:]
-    alpha = np.concatenate((coords[:, 0, 0], np.ones(len(c))))
-    r = np.concatenate((np.sqrt(np.add.reduce(b * b, 1)),
-                        np.sqrt(1 - np.minimum(np.maximum(c, 0.0), 1.0) ** 2)))
+def _concurrence_radius(c):
+    """r = sqrt(1 - c^2) of each concurrence clipped to [0, 1]: E = h((1 + r) / 2)."""
+    return np.sqrt(1 - np.minimum(np.maximum(c, 0.0), 1.0) ** 2)
+
+
+def _binary_entropy(alpha, r):
+    """alpha h((1 + r / alpha) / 2) in bits, h the binary entropy: ``_outcome_entropy``'s rule."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = 2 * _outcome_entropy(alpha, r)[2]
-    return h[:len(b)], h[len(b):]
+        return 2 * _outcome_entropy(alpha, r)[2]
 
 
 def entanglement_of_formation(rho) -> float:
@@ -254,11 +251,8 @@ def _direction_of(n):
     read as n or -n, the same measurement: the one whose first nonzero
     component of (n_z, n_y, n_x) is positive, so that theta <= pi/4."""
     x, y, z = n.T
-    if np.logical_and.reduce(z < 0):  # as ``_polish`` returns them, m_z = -|n_z|
-        n = -n
-    else:
-        lead = np.where(z != 0, z, np.where(y != 0, y, x))
-        n = np.where(lead[:, None] < 0, -n, n)
+    lead = np.where(z != 0, z, np.where(y != 0, y, x))
+    n = np.where(lead[:, None] < 0, -n, n)
     return (0.5 * np.arccos(np.minimum(n[:, 2], 1.0)),
             np.arctan2(n[:, 1], n[:, 0]) % (2 * pi))
 
@@ -294,7 +288,9 @@ def classical_correlations(rho, measured: int = 0):
     coords = qmat._pauli_coords(qmat._reduce(rho, ((measured, 1 - measured),))).reshape(1, 4, 4)
     (cond,), n = _min_measured_entropy(coords)
     (theta,), (phi,) = _direction_of(n)
-    return float(_entropies(coords, ())[0][0] - cond), (float(theta), float(phi))
+    b = coords[:, 0, 1:]
+    (s_beta,) = _binary_entropy(coords[:, 0, 0], np.sqrt(np.add.reduce(b * b, 1)))
+    return float(s_beta - cond), (float(theta), float(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +392,17 @@ def _kw_reports(rhos, splits):
     h, n = _min_measured_entropy(coords)
     theta, phi = _direction_of(n)
     c = _concurrence(pairs[:, len(names):])
-    s, e = _entropies(coords, c.ravel())
-    e = e.reshape(c.shape)[:, gammas].ravel()
+    b = coords[:, 0, 1:]
+    # S(beta) = h((1 + |b|) / 2) of every (alpha, beta) and E of every concurrence, one pass
+    binary = _binary_entropy(np.concatenate((coords[:, 0, 0], np.ones(c.size))),
+                             np.concatenate((np.sqrt(np.add.reduce(b * b, 1)),
+                                             _concurrence_radius(c.ravel()))))
+    s, e = binary[:len(b)], binary[len(b):].reshape(c.shape)[:, gammas].ravel()
     j = s - h
-    columns = np.stack((s, j, e, s - j - e, theta, phi)).reshape(6, len(rhos), len(names))
+    columns = (v.reshape(len(rhos), len(names)).tolist()
+               for v in (s, j, e, s - j - e, theta, phi))
     return [[KWReport(name, S, J, E, KW, "exact", theta_opt=t, phi_opt=p)
-             for name, S, J, E, KW, t, p in zip(names, *state)] for state in zip(*columns.tolist())]
+             for name, S, J, E, KW, t, p in zip(names, *state)] for state in zip(*columns)]
 
 
 @lru_cache(maxsize=64)

@@ -90,8 +90,7 @@ def _check_matrix(rho, trace_atol: float, physical: bool) -> np.ndarray:
     num_qubits(rho.shape[-1])
     finite = np.logical_and.reduce(np.isfinite(rho), (-2, -1))
     # zeros for a state that is not finite: inf - inf would warn and a NaN stop eigvalsh
-    clean = (rho if np.logical_and.reduce(finite, None)
-             else np.where(finite[..., None, None], rho, 0))
+    clean = np.where(finite[..., None, None], rho, 0)
     tr = clean.trace(0, -2, -1).real
     lo = np.minimum.reduce(np.linalg.eigvalsh(clean), -1) if physical else 0 * tr
     passes = [finite,

@@ -562,7 +562,8 @@ def test_sweep_matches_the_bloch_vector_entropy():
     coords = np.stack([pauli_coordinates(rho) for rho in pairs])
     with np.errstate(all="ignore"):
         values = corr._measured_entropy(coords, columns)
-    s_beta = corr._entropies(pauli_coords(pairs), ())[0]
+    kernel = pauli_coords(pairs)
+    s_beta = corr._binary_entropy(kernel[:, 0, 0], np.linalg.norm(kernel[:, 0, 1:], axis=1))
     # rounding level: up to 8.4e-15 where a pure pair leaves entropies near 0.
     # S(beta) is the closed form h((1 + |b|) / 2)
     for k, r in enumerate(coords):
