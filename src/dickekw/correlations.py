@@ -318,9 +318,8 @@ def parse_assignment(text: str):
     try:
         beta_part, rest = text.split("|")
         alpha_part, gamma_part = rest.split(",")
-        idx = tuple(QUBIT_NAMES.index(s.strip()) for s in
-                    (alpha_part, beta_part, gamma_part))
-    except (ValueError, IndexError):
+        idx = tuple(map(qmat._qubit_name, (alpha_part, beta_part, gamma_part)))
+    except ValueError:
         raise ValueError(f"bad assignment {text!r}; expected e.g. b|a,c")
     if len(set(idx)) != 3:
         raise ValueError(f"assignment {text!r} must name three distinct qubits")
@@ -636,19 +635,19 @@ def kw_from_correlators(table: CorrelatorTable, samples: int = 2000, seed: int =
     """Monogamy estimate from a measured correlator table with uncertainty.
 
     The central value evaluates the closed forms at the extracted (p, c).
-    The uncertainty draws ``samples`` tables (100 to 10**7), in blocks of a
-    fixed number of rows, each correlator with sigma > 0 from a normal
-    distribution with its sigma (values clipped to [-1, 1]), re-extracts,
-    clips (p, c) to the physical domain, and takes the sample standard
-    deviation.  ``clipped_frac`` is the fraction of draws that the domain
-    clip moved by more than a few ulp.
+    The uncertainty draws ``samples`` tables (a whole number from 100 to
+    10**7), in blocks of a fixed number of rows, each correlator with
+    sigma > 0 from a normal distribution with its sigma (values clipped to
+    [-1, 1]), re-extracts, clips (p, c) to the physical domain, and takes the
+    sample standard deviation.  ``clipped_frac`` is the fraction of draws
+    that the domain clip moved by more than a few ulp.
     """
-    if not 100 <= samples <= _MAX_SAMPLES:
-        raise ValueError(f"Monte-Carlo samples must be from 100 to {_MAX_SAMPLES}, got {samples}")
+    if not qmat._whole(samples, 100, _MAX_SAMPLES):
+        raise ValueError(f"Monte-Carlo samples must be from 100 to {_MAX_SAMPLES}, got {samples!r}")
     central = kw_symmetric(clip_to_domain(*astuple(extract_pc(table))))
     values, sigmas = table.values, table.sigmas
     live = sigmas > 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(qmat._seed(seed))
     kw, moved = [], 0
     for lo in range(0, samples, _DRAW_BLOCK):
         tables = np.tile(values, (min(_DRAW_BLOCK, samples - lo), 1))

@@ -74,7 +74,7 @@ def load_density_matrix(path: str) -> np.ndarray:
             raise ValueError(f"unsupported qubit order {doc['qubit_order']!r}")
         real, imag = (np.asarray(doc[part], dtype=float) for part in ("re", "im"))
         n, side = doc["n_qubits"], len(real) if real.ndim else 0
-        if type(n) is not int:  # not a bool, a float or a string of digits
+        if not qmat._whole(n):  # not a bool, a float or a string of digits
             raise ValueError(f"n_qubits must be an integer, got {n!r}")
         # n meets the side's qubit count: a 2**n of a huge n would never return
         if not (real.shape == imag.shape == (side, side) and qmat.num_qubits(side) == n):

@@ -51,16 +51,35 @@ def num_qubits(obj) -> int:
     return n
 
 
+def _whole(x, lo=-np.inf, hi=np.inf) -> bool:
+    """Whether x is an int or numpy integer, not a bool, from lo to hi: the one integer rule."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= x <= hi
+
+
+def _seed(seed):
+    """A seed for numpy's generators, a whole number >= 0, checked before numpy sees it."""
+    if not _whole(seed, 0):
+        raise ValueError(f"seed must be a whole number >= 0, got seed={seed!r}")
+    return seed
+
+
 def _qubits(qubits, n: int):
-    """The tuple of an iterable of distinct qubit indices of an n-qubit state, each an int
-    or numpy integer, not a bool, in range(n), else None: the one rule for a qubit index."""
+    """The tuple of an iterable of distinct qubit indices of an n-qubit state, each a
+    whole number in range(n), else None: the one rule for a qubit index."""
     try:
         qubits = tuple(qubits)
     except TypeError:  # not iterable
         return None
-    valid = all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) and 0 <= q < n
-                for q in qubits)
+    valid = all(_whole(q, 0, n - 1) for q in qubits)
     return qubits if valid and len(set(qubits)) == len(qubits) else None
+
+
+def _qubit_name(text: str, n: int = len(QUBIT_NAMES)) -> int:
+    """The index of a qubit name, one of the first n ``QUBIT_NAMES``, spaces around it ignored."""
+    name = text.strip()
+    if len(name) != 1 or name not in QUBIT_NAMES[:n]:
+        raise ValueError(f"qubit {name!r} out of range for {n} qubits {', '.join(QUBIT_NAMES[:n])}")
+    return QUBIT_NAMES.index(name)
 
 
 def check_state_vector(psi) -> np.ndarray:
@@ -280,8 +299,8 @@ def fidelity_pure(target, rho) -> float:
 
 
 def _outcome_ket(outcome) -> np.ndarray:
-    """The ket of an outcome: 0 or 1 under the qubit-index rule, or a checked one-qubit ket."""
-    if np.ndim(outcome) == 0 and _qubits((outcome,), 2):
+    """The ket of an outcome: the whole number 0 or 1, or a checked one-qubit ket."""
+    if _whole(outcome, 0, 1):
         return (KET0, KET1)[outcome]
     if np.shape(outcome) != (2,):
         raise ValueError(f"outcome {outcome!r} must be 0, 1 or a one-qubit ket")

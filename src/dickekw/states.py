@@ -13,8 +13,8 @@ from math import comb, sqrt
 
 import numpy as np
 
-from . import qmat
-from .qmat import I2, QUBIT_NAMES, H, X, Z, tensor
+from . import io, qmat
+from .qmat import I2, H, X, Z, tensor
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ _GATES = {"H": (H, None), "Z": (Z, None), "CX": (X, 1), "CZbar": (Z, 0)}
 def gate_unitary(gate: GateSpec, n: int) -> np.ndarray:
     """Full 2**n unitary for one gate, checked, then built once per kind, qubits and n
     by a cache, so it comes read-only."""
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+    if not qmat._whole(n, 1):
         raise ValueError(f"gate_unitary needs a qubit count n >= 1, an int, got n={n!r}")
     if not (isinstance(gate.kind, str) and gate.kind in _GATES):
         raise ValueError(f"unknown gate kind {gate.kind!r}")
@@ -113,7 +113,7 @@ def dicke(n: int, k: int) -> np.ndarray:
     Equal superposition of all basis kets of Hamming weight k, with
     amplitude 1/sqrt(C(n, k)).
     """
-    if n < 1 or not 0 <= k <= n:
+    if not (qmat._whole(n, 1) and qmat._whole(k, 0, n)):
         raise ValueError(f"invalid Dicke parameters n={n}, k={k}")
     psi = np.zeros(2**n, dtype=complex)
     amp = 1 / sqrt(comb(n, k))
@@ -145,21 +145,11 @@ reduce_state = qmat.project
 def parse_projections(text: str, n: int):
     """Parse a projection list such as "d=1,c=0" into (qubit, outcome) pairs."""
     assignments = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            name, value = part.split("=")
-            qubit = QUBIT_NAMES.index(name.strip())
-            outcome = int(value)
-        except (ValueError, IndexError):
-            raise ValueError(f"bad projection {part!r}; expected e.g. d=1")
-        if qubit >= n:
-            raise ValueError(f"qubit {name!r} out of range for {n} qubits")
-        if outcome not in (0, 1):
-            raise ValueError(f"projection outcome must be 0 or 1, got {value!r}")
-        assignments.append((qubit, outcome))
+    for part in filter(None, map(str.strip, text.split(","))):
+        name, _, value = part.partition("=")
+        if value not in ("0", "1"):
+            raise ValueError(f"bad projection {part!r}; expected a qubit, '=' and 0 or 1, e.g. d=1")
+        assignments.append((qmat._qubit_name(name, n), int(value)))
     if not assignments:
         raise ValueError("empty projection list")
     return assignments
@@ -175,8 +165,9 @@ def state_by_name(name: str) -> np.ndarray:
     if name in _NAMED_STATES:
         return _NAMED_STATES[name]()
     if name.startswith("noisy-dicke:"):
-        arg = name.split(":", 1)[1]
-        if not arg.startswith("p="):
-            raise ValueError(f"bad name {name!r}; expected noisy-dicke:p=<float>")
-        return noisy_dicke(float(arg[2:]))
+        try:  # p reads as numbers in files do; text without the p= prefix is no number
+            p = io._number(name.removeprefix("noisy-dicke:p="))
+        except ValueError:
+            raise ValueError(f"bad name {name!r}; expected noisy-dicke:p=<float>") from None
+        return noisy_dicke(p)
     raise ValueError(f"unknown state {name!r}; known: {', '.join(STATE_NAMES)}")

@@ -43,8 +43,8 @@ class TomographyResult:
 
 def settings_full(n: int) -> list[str]:
     """All 3**n local Pauli settings in lexicographic order (X < Y < Z)."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    if not qmat._whole(n, 1):
+        raise ValueError(f"need at least one qubit, a whole number, got n={n!r}")
     return ["".join(p) for p in product("XYZ", repeat=n)]
 
 
@@ -142,7 +142,8 @@ def simulate_counts(rho, settings, mean_counts: float, seed: int) -> CountTable:
     if not 0 < mean_counts <= _MAX_MEAN_COUNTS:
         raise ValueError(f"mean counts {mean_counts} outside (0, {_MAX_MEAN_COUNTS:g}]")
     settings, probs = _born_table(rho, settings)
-    return CountTable(settings, np.random.default_rng(seed).poisson(mean_counts * probs))
+    rng = np.random.default_rng(qmat._seed(seed))
+    return CountTable(settings, rng.poisson(mean_counts * probs))
 
 
 def exact_counts(rho, settings, mean_counts: float = 1.0) -> CountTable:
@@ -165,12 +166,15 @@ def linear_inversion(table: CountTable) -> np.ndarray:
 def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
     """:func:`linear_inversion` of each table of an (R, S, 2**n) stack; the
     first table without coverage names the first string it lacks."""
-    n = len(settings[0])
     values, _ = _correlators(settings, counts)
-    missing = np.argwhere(np.isnan(values))
-    if len(missing):
-        raise ValueError(f"no setting with data covers {qmat.pauli_strings(n)[missing[0, 1]]}")
-    return qmat._from_pauli_coords(values, n)
+    _require_coverage(values, qmat.pauli_strings(len(settings[0])))
+    return qmat._from_pauli_coords(values, len(settings[0]))
+
+
+def _require_coverage(values: np.ndarray, strings) -> None:
+    """The one coverage rule: name the first of ``strings`` whose value is NaN, row-major."""
+    if len(missing := np.argwhere(np.isnan(values))):
+        raise ValueError(f"no setting with data covers {strings[missing[0, -1]]}")
 
 
 def mle_reconstruct(table: CountTable) -> TomographyResult:
@@ -304,10 +308,12 @@ def bootstrap_fidelity(table: CountTable, target, n_boot: int = 100, seed: int =
     batched fit of :func:`mle_reconstruct`, linear-inversion starts
     included; a replica's fit equals a fit of its table alone.
     """
-    if n_boot < 50:
-        raise ValueError("at least 50 bootstrap replicas are required")
+    if not qmat._whole(n_boot, 50):
+        raise ValueError(f"at least 50 bootstrap replicas are required, got n_boot={n_boot!r}")
     target = qmat.check_state_vector(target)
-    streams = np.random.SeedSequence(seed).spawn(n_boot)
+    if (n := len(table.settings[0])) != qmat.num_qubits(target):
+        raise ValueError(f"a {qmat.num_qubits(target)}-qubit target for {n}-qubit counts")
+    streams = np.random.SeedSequence(qmat._seed(seed)).spawn(n_boot)
     fids = []
     for lo in range(0, n_boot, _BOOTSTRAP_BLOCK):
         resampled = np.array([np.random.default_rng(stream).poisson(table.counts)
@@ -335,8 +341,7 @@ def correlators_from_counts(table: CountTable, paulis=None) -> CorrelatorTable:
         index.append(qmat._pauli_index(pauli))
         if len(pauli) != n:
             raise ValueError(f"Pauli string {pauli!r} does not match {n} qubits")
-        if np.isnan(values[index[-1]]):
-            raise ValueError(f"no setting with data covers {pauli}")
+    _require_coverage(values[index], paulis)
     return CorrelatorTable(paulis, values[index], sigmas[index])
 
 

@@ -319,6 +319,30 @@ def test_kw_correlators_names_a_value_past_one(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("state", "dicke-4-2", "--project", "cd=1"), "qubit 'cd' out of range"),
+    (("state", "dicke-4-2", "--project", "=1"), "qubit '' out of range"),
+    (("kw", "exact", "--in", "w1.dm.json", "--assignment", "b|,c"), "bad assignment 'b|,c'"),
+    (("state", "noisy-dicke:p="), "bad name 'noisy-dicke:p='"),
+    (("tomo", "simulate", "--in", "w1.dm.json", "--seed", "-1"), "got seed=-1"),
+    (("tomo", "reconstruct", "--counts", "counts.csv", "--target", "w1.dm.json",
+      "--bootstrap", "50", "--seed", "-1"), "got seed=-1"),
+    (("kw", "correlators", "--table", "table.csv", "--seed", "-1"), "got seed=-1"),
+    (("report", "--seed", "-1", "--bootstrap", "50", "--samples", "200"), "got seed=-1"),
+], ids=["project-cd", "project-empty", "assignment", "state-p", "simulate-seed",
+        "bootstrap-seed", "correlators-seed", "report-seed"])
+def test_a_bad_qubit_name_state_name_or_seed_fails_with_one_error_line(
+        tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    run("state", "w1", "--out", "w1.dm.json")
+    run("tomo", "simulate", "--in", "w1.dm.json", "--counts", "200", "--out", "counts.csv")
+    io.save_correlators("table.csv", corr.REFERENCE_CORRELATOR_TABLE)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
+
 def test_kw_correlators_reports_clipped_fraction(tmp_path, capsys):
     table = tmp_path / "table.csv"
     io.save_correlators(table, corr.REFERENCE_CORRELATOR_TABLE)

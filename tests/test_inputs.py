@@ -1,6 +1,8 @@
-"""One rule per kind of input: every public entry that takes qubit indices,
-projection outcomes, measurement settings or Pauli strings rejects a bad one
-with one ValueError, never a TypeError or a result."""
+"""One rule per kind of input: every public entry that takes qubit indices or
+names, projection outcomes, measurement settings, Pauli strings, sizes or seeds
+rejects a bad one with one ValueError, never a TypeError or a result."""
+
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ W1 = qmat.dm(states.dicke(3, 1))
 PAIR = qmat.partial_trace(W1, (0, 1))
 COUNTS = tomo.exact_counts(W1, tomo.settings_full(3), 100.0)
 CX = states.GateSpec("CX", target=0, control=2)
+TABLE = corr.apply_sign_map(corr.REFERENCE_CORRELATOR_TABLE, "ideal-w1")
+BELL = tomo.simulate_counts(qmat.dm(states.psi_plus()), tomo.settings_full(2), 200, 43)
 
 BAD_INPUTS = {
     # qubit indices: an int or numpy integer, not a bool, in range, distinct
@@ -40,6 +44,13 @@ BAD_INPUTS = {
     "classical_correlations-range": lambda: corr.classical_correlations(PAIR, 2),
     "kw_exact-float": lambda: corr.kw_exact(W1, (0, 1, 2.0)),
     "kw_exact_many-repeat": lambda: corr.kw_exact_many([W1], (0, 1, 1)),
+    # qubit names: exactly one letter a-d of the state's qubits, spaces around it ignored
+    "parse_projections-two-letters": lambda: states.parse_projections("cd=1", 4),
+    "parse_projections-no-letter": lambda: states.parse_projections("=1", 4),
+    "parse_projections-four-letters": lambda: states.parse_projections("abcd=0", 4),
+    "parse_assignment-no-letter": lambda: corr.parse_assignment("b|,c"),
+    "parse_assignment-two-letters": lambda: corr.parse_assignment("bc|a,d"),
+    "kw_exact-no-letter": lambda: corr.kw_exact(W1, "b|,c"),
     # outcomes: 0 or 1 under the index rule, or a one-qubit ket
     "outcome-2": lambda: qmat.project(W1, [(0, 2)]),
     "outcome-bool": lambda: qmat.project(W1, [(0, True)]),
@@ -49,6 +60,10 @@ BAD_INPUTS = {
     "outcome-norm": lambda: qmat.project(W1, [(0, [1, 1])]),
     "outcome-nan": lambda: qmat.project(W1, [(0, [np.nan, 1])]),
     "outcome-two-qubits": lambda: qmat.project(W1, [(0, [1, 0, 0, 0])]),
+    # a projection outcome as text: exactly 0 or 1
+    "parse_projections-plus": lambda: states.parse_projections("d=+1", 4),
+    "parse_projections-leading-zero": lambda: states.parse_projections("d=01", 4),
+    "parse_projections-space": lambda: states.parse_projections("d= 1", 4),
     # settings: a sequence, not a bare string, of strings over X, Y, Z
     "simulate_counts-string": lambda: tomo.simulate_counts(np.eye(2) / 2, "XYZ", 100, 0),
     "exact_counts-string": lambda: tomo.exact_counts(np.eye(2) / 2, "XYZ"),
@@ -69,6 +84,15 @@ BAD_INPUTS = {
     "correlators_from_counts-number": lambda: tomo.correlators_from_counts(COUNTS, [5]),
     "correlators_from_counts-length": lambda: tomo.correlators_from_counts(COUNTS, ["ZZ"]),
     "CorrelatorTable-letter": lambda: corr.CorrelatorTable(("ZQ",), [0.0], [0.0]),
+    # sizes: an int or numpy integer, not a bool, in range
+    "settings_full-float": lambda: tomo.settings_full(2.0),
+    "settings_full-bool": lambda: tomo.settings_full(True),
+    "dicke-float": lambda: states.dicke(3.0, 1),
+    "dicke-bool": lambda: states.dicke(True, 1),
+    "dicke-float-k": lambda: states.dicke(3, 1.0),
+    "kw_from_correlators-float-samples": lambda: corr.kw_from_correlators(TABLE, samples=2000.0),
+    "bootstrap_fidelity-float-replicas": lambda: tomo.bootstrap_fidelity(
+        BELL, states.psi_plus(), n_boot=60.0),
 }
 
 
@@ -111,6 +135,11 @@ RARE_REJECTIONS = {
     "state_by_name": (lambda tmp: states.state_by_name("noisy-dicke:q=0.5"),
                       "expected noisy-dicke:p=<float>"),
     "settings_full": (lambda tmp: tomo.settings_full(0), "at least one qubit"),
+    **{f"state_by_name-{p}": (lambda tmp, p=p: states.state_by_name(f"noisy-dicke:p={p}"),
+                              "expected noisy-dicke:p=<float>")
+       for p in ("", "abc", "\u0660.\u0665", "0_5", "nan")},
+    "parse_projections-range": (lambda tmp: states.parse_projections("d=1", 3),
+                                "qubit 'd' out of range for 3 qubits"),
     **{f"gate_unitary-n-{n!r}": (lambda tmp, n=n: states.gate_unitary(states.GateSpec("H", 0), n),
                                  f"got n={n!r}") for n in (2.5, "2", None, True)},
 }
@@ -137,3 +166,35 @@ def test_numpy_integer_indices_give_the_same_results_as_ints():
             == corr.classical_correlations(PAIR, measured=1))
     assert corr.kw_exact(W1, (i(1), i(0), i(2))) == corr.kw_exact(W1, (1, 0, 2))
 
+
+SEEDED = {
+    "simulate_counts": lambda seed: tomo.simulate_counts(W1, tomo.settings_full(3), 100, seed),
+    "bootstrap_fidelity": lambda seed: tomo.bootstrap_fidelity(BELL, states.psi_plus(), 50, seed),
+    "kw_from_correlators": lambda seed: corr.kw_from_correlators(TABLE, 200, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None], ids=repr)
+@pytest.mark.parametrize("entry", SEEDED)
+def test_a_seed_is_a_whole_number_from_0_checked_before_numpy(entry, seed):
+    with pytest.raises(ValueError, match=re.escape(f"a whole number >= 0, got seed={seed!r}")):
+        SEEDED[entry](seed)
+
+
+def test_a_qubit_name_is_one_letter_with_spaces_around_it_ignored():
+    assert states.parse_projections(" d =1, c=0 ,", 4) == [(3, 1), (2, 0)]
+    assert states.parse_projections("c=1", 3) == [(2, 1)]
+    assert corr.parse_assignment(" c | b ,a ") == (1, 2, 0)
+    assert corr.parse_assignment("a|b,d") == (1, 0, 3)
+
+
+def test_numpy_integer_sizes_and_seeds_give_the_same_results_as_ints():
+    i, u = np.int64, np.uint32
+    assert tomo.settings_full(i(2)) == tomo.settings_full(2)
+    np.testing.assert_array_equal(states.dicke(i(3), u(1)), states.dicke(3, 1))
+    np.testing.assert_array_equal(SEEDED["simulate_counts"](u(5)).counts,
+                                  SEEDED["simulate_counts"](5).counts)
+    assert (tomo.bootstrap_fidelity(BELL, states.psi_plus(), i(50), u(2))
+            == tomo.bootstrap_fidelity(BELL, states.psi_plus(), 50, 2))
+    assert (corr.kw_from_correlators(TABLE, samples=i(200), seed=i(3))
+            == corr.kw_from_correlators(TABLE, samples=200, seed=3))

@@ -882,6 +882,12 @@ def test_simplex_projection_matches_a_bisection():
         assert x.min() >= 0 and x.sum() == pytest.approx(1, abs=1e-12)
 
 
+def test_bootstrap_rejects_a_target_of_another_qubit_count_before_it_fits(monkeypatch):
+    monkeypatch.setattr(tomo, "_mle", lambda *args: pytest.fail("fitted"))
+    with pytest.raises(ValueError, match="^a 3-qubit target for 2-qubit counts$"):
+        tomo.bootstrap_fidelity(bell_counts(), states.dicke(3, 1), n_boot=50, seed=0)
+
+
 def test_bootstrap_raises_for_the_first_replica_without_coverage():
     # one XY count: about a third of the replicas resample XY to zero, and
     # the XY correlator then has no setting with data
